@@ -2,7 +2,6 @@
 
 from .errors import (
     ChannelUndefinedError,
-    ConvergenceError,
     DimensionError,
     InvalidSimplexError,
     MatrixFileError,
@@ -13,12 +12,7 @@ from .errors import (
 from .linalg import (
     SpectralDecomposition,
     hermitian_eig,
-    is_hermitian,
-    is_psd,
-    kron,
-    log_on_support,
     partial_trace,
-    trace,
     xlogx_matrix,
 )
 from .states import (
@@ -31,9 +25,7 @@ from .states import (
     haar_unitary,
     product_weight,
     random_density,
-    random_diagonal_state,
     random_weight,
-    reduce_state,
 )
 from .entropy import (
     qutrit_mutual_information_closed_form,

@@ -59,8 +59,7 @@ def apply_projective_channel(projector: Projector, rho: DensityMatrix) -> Densit
     overlap = float(np.trace(prp).real)
     if overlap <= OVERLAP_EPS:
         raise ChannelUndefinedError(f"channel undefined: overlap trace {overlap:.3e} vanishes")
-    out = prp / overlap
-    return DensityMatrix(0.5 * (out + out.conj().T))
+    return DensityMatrix(prp / overlap)
 
 
 def channel_then_check(

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     ChannelUndefinedError,
-    ConvergenceError,
     DimensionError,
     MatrixFileError,
     ValidationError,
@@ -125,7 +124,7 @@ def handle_errors(f):
             _fail(EXIT_DIMENSION, exc)
         except ChannelUndefinedError as exc:
             _fail(EXIT_CHANNEL, exc)
-        except (ValidationError, ConvergenceError) as exc:
+        except ValidationError as exc:
             _fail(EXIT_VALIDATION, exc)
 
     return wrapper

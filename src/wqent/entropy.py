@@ -28,10 +28,14 @@ _LOG_FLOOR = np.finfo(float).tiny
 
 
 def weighted_entropy(phi: WeightMatrix, rho: DensityMatrix, im_tol: float = IMAG_TOL) -> float:
-    """``-tr(phi rho ln rho)`` with the 0 ln 0 = 0 convention."""
+    """``-tr(phi rho ln rho)`` with the 0 ln 0 = 0 convention.
+
+    Evaluated on the spectrum ``rho`` was validated with; eigenvalues at or
+    below 1e-12 count as zero.
+    """
     if phi.dim != rho.dim:
         raise DimensionError(f"weight dim {phi.dim} does not match state dim {rho.dim}")
-    t = complex(np.einsum("ij,ji->", phi.matrix, xlogx_matrix(rho.matrix)))
+    t = complex(np.einsum("ij,ji->", phi.matrix, xlogx_matrix(rho.spectrum)))
     if abs(t.imag) > im_tol:
         raise ValidationError(f"entropy trace has imaginary part {t.imag:.3e}")
     return -t.real
@@ -122,7 +126,8 @@ def qutrit_mutual_information_closed_form(p1, p2, phi1, phi2, chi1, chi2):
     )
     t2 = np.where(p2v > SUPPORT_EPS, f1 * c2 * p2v * np.log(np.maximum(a1, _LOG_FLOOR)), 0.0)
     t3 = np.where(p3 > SUPPORT_EPS, f2 * c1 * p3 * np.log(np.maximum(b1, _LOG_FLOOR)), 0.0)
-    out = -(t1 + t2 + t3)
+    # 0.0 - x instead of -x: an all-zero sum comes back as +0.0, not -0.0
+    out = 0.0 - (t1 + t2 + t3)
     if out.ndim == 0:
         return float(out)
     return out

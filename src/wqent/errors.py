@@ -21,10 +21,6 @@ class DimensionError(ValueError):
     """Operands or declared dimensions do not match."""
 
 
-class ConvergenceError(RuntimeError):
-    """The iterative eigensolver did not reach its target accuracy."""
-
-
 class ChannelUndefinedError(ValueError):
     """The projective channel output is undefined for this input state."""
 

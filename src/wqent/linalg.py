@@ -3,31 +3,21 @@
 Everything works on plain numpy ``complex128`` arrays. Bipartite helpers use
 the "first factor slow" index convention: basis state ``(a, b)`` of an
 ``dim_a * dim_b`` system sits at index ``a * dim_b + b``, matching the layout
-produced by :func:`kron`.
+produced by ``np.kron``.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DimensionError,
-    NegativeEigenvalueError,
-    NotHermitianError,
-)
+from .errors import DimensionError, NotHermitianError, ValidationError
 
-# Default tolerance for Hermiticity checks and the negative-eigenvalue floor.
+# Default tolerance for Hermiticity checks.
 HERMITIAN_TOL = 1e-10
 # Eigenvalues at or below this count as zero when applying matrix functions.
 SUPPORT_EPS = 1e-12
-
-# Jacobi termination: off-diagonal Frobenius norm relative to the input norm.
-_OFF_DIAG_FACTOR = 1e-13
-_MAX_SWEEPS = 40
 
 Subsystem = Literal["A", "B"]
 
@@ -36,34 +26,15 @@ def _as_square(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix has NaN or infinite entries")
     return a
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the first factor on the slow index."""
-    return np.kron(_as_square(a), _as_square(b))
-
-
-def matmul(a, b) -> np.ndarray:
-    a = _as_square(a)
-    b = _as_square(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def trace(m) -> complex:
-    return complex(np.trace(_as_square(m)))
 
 
 def hermitian_deviation(m) -> float:
     """Largest entry of ``|m - m^dagger|``."""
     a = _as_square(m)
     return float(np.abs(a - a.conj().T).max())
-
-
-def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:
-    return hermitian_deviation(m) <= tol
 
 
 def partial_trace(m, dim_a: int, dim_b: int, keep: Subsystem) -> np.ndarray:
@@ -92,125 +63,38 @@ class SpectralDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def _off_diag_norm(a: np.ndarray) -> float:
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
-def _jacobi_rotate(a: np.ndarray, vecs: np.ndarray, p: int, q: int) -> None:
-    apq = a[p, q]
-    r = abs(apq)
-    if r == 0.0:
-        return
-    u = apq / r
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-    # smaller root of t^2 + 2*tau*t - 1 = 0 keeps the rotation angle <= pi/4
-    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-    c = 1.0 / math.hypot(1.0, t)
-    s = t * c
-    su = s * u
-
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - np.conj(su) * col_q
-    a[:, q] = su * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - su * row_q
-    a[q, :] = np.conj(su) * row_p + c * row_q
-    # the rotation annihilates this pair by construction; set it exactly
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-    vp = vecs[:, p].copy()
-    vq = vecs[:, q].copy()
-    vecs[:, p] = c * vp - np.conj(su) * vq
-    vecs[:, q] = su * vp + c * vq
-
-
 def _fix_phases(vecs: np.ndarray) -> None:
-    # make the largest-magnitude component of each column real and positive
-    n = vecs.shape[1]
-    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
-    mags = np.abs(lead)
-    safe = np.where(mags > 0.0, mags, 1.0)
-    vecs *= np.where(mags > 0.0, np.conj(lead) / safe, 1.0)[np.newaxis, :]
+    # make the largest-magnitude component of each column real and positive;
+    # unit columns keep that component away from zero
+    lead = vecs[np.abs(vecs).argmax(axis=0), np.arange(vecs.shape[1])]
+    vecs *= lead.conj() / np.abs(lead)
 
 
-def hermitian_eig(m, tol: float = HERMITIAN_TOL, max_sweeps: int = _MAX_SWEEPS) -> SpectralDecomposition:
-    """Diagonalize a Hermitian matrix with cyclic Jacobi rotations.
+def hermitian_eig(m, tol: float = HERMITIAN_TOL) -> SpectralDecomposition:
+    """Diagonalize a Hermitian matrix with LAPACK (``np.linalg.eigh``).
 
-    Sweeps over index pairs in row order, each complex rotation annihilating
-    one off-diagonal pair, until the off-diagonal Frobenius norm drops below
-    1e-13 times the input norm. Eigenvalues come back ascending; each
-    eigenvector is rephased so its largest component is real and positive,
-    which makes the output reproducible bit for bit.
+    The Hermitian part ``(m + m^dagger) / 2`` is decomposed. Eigenvalues come
+    back ascending; each eigenvector is rephased so its largest component is
+    real and positive, which makes the output reproducible bit for bit.
 
-    Raises :class:`NotHermitianError` for inputs off-Hermitian beyond ``tol``
-    and :class:`ConvergenceError` if the target is not reached within
-    ``max_sweeps`` sweeps.
+    Raises :class:`NotHermitianError` for inputs off-Hermitian beyond ``tol``.
     """
     a = _as_square(m)
     dev = float(np.abs(a - a.conj().T).max())
     if dev > tol:
         raise NotHermitianError(f"matrix deviates from Hermitian by {dev:.3e}")
-    work = 0.5 * (a + a.conj().T)
-    n = work.shape[0]
-    target = _OFF_DIAG_FACTOR * float(np.linalg.norm(work))
-    vecs = np.eye(n, dtype=complex)
-    for _ in range(max_sweeps):
-        if _off_diag_norm(work) <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _jacobi_rotate(work, vecs, p, q)
-    else:
-        off = _off_diag_norm(work)
-        if off > target:
-            raise ConvergenceError(
-                f"off-diagonal norm {off:.3e} above target {target:.3e} "
-                f"after {max_sweeps} sweeps"
-            )
-    lams = np.diagonal(work).real.copy()
-    order = np.argsort(lams, kind="stable")
-    lams = lams[order]
-    vecs = vecs[:, order]
+    lams, vecs = np.linalg.eigh(0.5 * (a + a.conj().T))
     _fix_phases(vecs)
     return SpectralDecomposition(lams, vecs)
 
 
-def is_psd(m, tol: float = HERMITIAN_TOL) -> bool:
-    a = _as_square(m)
-    if not is_hermitian(a, tol):
-        return False
-    return bool(hermitian_eig(a, tol=tol).eigenvalues[0] >= -tol)
+def xlogx_matrix(spectrum: SpectralDecomposition) -> np.ndarray:
+    """Apply ``x * ln(x)`` to a decomposed spectrum, with ``0 * ln(0) = 0``.
 
-
-def _nonnegative_spectrum(m) -> SpectralDecomposition:
-    dec = hermitian_eig(m)
-    low = dec.eigenvalues[0]
-    if low < -HERMITIAN_TOL:
-        raise NegativeEigenvalueError(f"eigenvalue {low:.3e} below the noise floor")
-    return dec
-
-
-def xlogx_matrix(rho) -> np.ndarray:
-    """Apply ``x * ln(x)`` to the spectrum, with ``0 * ln(0) = 0``.
-
-    Eigenvalues at or below 1e-12 map to 0; below -1e-10 is an error.
+    Eigenvalues at or below 1e-12 map to 0. Whether a negative eigenvalue is
+    noise or an error is decided where the spectrum was validated.
     """
-    lams, u = _nonnegative_spectrum(rho)
+    lams, u = spectrum
     on = lams > SUPPORT_EPS
     f = np.where(on, lams * np.log(np.where(on, lams, 1.0)), 0.0)
-    return (u * f) @ u.conj().T
-
-
-def log_on_support(rho) -> np.ndarray:
-    """Apply ``ln(x)`` on the support; eigenvalues <= 1e-12 map to 0."""
-    lams, u = _nonnegative_spectrum(rho)
-    on = lams > SUPPORT_EPS
-    f = np.where(on, np.log(np.where(on, lams, 1.0)), 0.0)
     return (u * f) @ u.conj().T

@@ -1,7 +1,11 @@
 """Validated state and weight types plus samplers.
 
 Constructors check their invariants and raise; nothing is silently
-renormalized. The wrapped arrays are frozen copies, safe to share.
+renormalized. Each object stores the Hermitian part ``(m + m^dagger) / 2`` of
+its input as a frozen copy, safe to share; for Hermitian input that is the
+input bit for bit. A ``DensityMatrix`` also keeps the spectrum that its
+validation computed, so evaluation neither diagonalizes the state again nor
+judges its eigenvalues against any tolerance but the one it was built with.
 """
 
 from __future__ import annotations
@@ -10,41 +14,58 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidSimplexError, NotHermitianError, ValidationError
-from .linalg import Subsystem, _as_square, hermitian_deviation, hermitian_eig, partial_trace
+from .errors import (
+    DimensionError,
+    InvalidSimplexError,
+    NegativeEigenvalueError,
+    NotHermitianError,
+    ValidationError,
+)
+from .linalg import _as_square, hermitian_deviation, hermitian_eig
 
 DEFAULT_TOL = 1e-10
 SIMPLEX_TOL = 1e-12
 DEFAULT_SCALE_RANGE = (0.05, 2.0)
 
 
-def _frozen_square(matrix) -> np.ndarray:
-    a = np.array(_as_square(matrix), dtype=complex)
+def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
-def _check_hermitian(a: np.ndarray, tol: float, label: str) -> None:
+def _hermitian_part(matrix, tol: float, label: str) -> np.ndarray:
+    a = _as_square(matrix)
     dev = hermitian_deviation(a)
     if dev > tol:
         raise NotHermitianError(f"{label} deviates from Hermitian by {dev:.3e}")
+    return _frozen(0.5 * (a + a.conj().T))
 
 
 class DensityMatrix:
-    """Hermitian, positive semidefinite, unit trace."""
+    """Hermitian, positive semidefinite, unit trace.
 
-    __slots__ = ("matrix",)
+    ``spectrum`` is the decomposition of ``matrix`` made during validation.
+    Eigenvalues in ``[-tol, 0)`` passed as noise; evaluation counts every
+    eigenvalue at or below 1e-12 as zero.
+    """
+
+    __slots__ = ("matrix", "spectrum")
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
-        a = _frozen_square(matrix)
-        _check_hermitian(a, tol, "state")
-        low = hermitian_eig(a, tol=tol).eigenvalues[0]
+        a = _hermitian_part(matrix, tol, "state")
+        spectrum = hermitian_eig(a, tol=tol)
+        low = spectrum.eigenvalues[0]
         if low < -tol:
-            raise ValidationError(f"state is not positive semidefinite (min eigenvalue {low:.3e})")
+            raise NegativeEigenvalueError(
+                f"state is not positive semidefinite (min eigenvalue {low:.3e})"
+            )
         tr = complex(np.trace(a))
         if abs(tr - 1.0) > tol:
             raise ValidationError(f"state trace {tr.real:.12g} differs from 1 beyond {tol:.1e}")
+        for part in spectrum:
+            _frozen(part)
         self.matrix = a
+        self.spectrum = spectrum
 
     @property
     def dim(self) -> int:
@@ -65,12 +86,13 @@ class WeightMatrix:
     __slots__ = ("matrix", "degenerate")
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL, allow_semidefinite: bool = False):
-        a = _frozen_square(matrix)
-        _check_hermitian(a, tol, "weight")
+        a = _hermitian_part(matrix, tol, "weight")
         low = hermitian_eig(a, tol=tol).eigenvalues[0]
         if allow_semidefinite:
             if low < -tol:
-                raise ValidationError(f"weight is not positive semidefinite (min eigenvalue {low:.3e})")
+                raise NegativeEigenvalueError(
+                    f"weight is not positive semidefinite (min eigenvalue {low:.3e})"
+                )
             self.degenerate = bool(low <= tol)
         else:
             if low <= 0.0:
@@ -141,30 +163,22 @@ def embed_qutrit(q: QutritDiagonal) -> BipartiteState:
     return embed_ququart(q.p1, q.p2, q.p3, 0.0)
 
 
-def reduce_state(state: BipartiteState, keep: Subsystem) -> DensityMatrix:
-    return DensityMatrix(partial_trace(state.rho.matrix, state.dim_a, state.dim_b, keep))
-
-
 def product_weight(weight_a: WeightMatrix, weight_b: WeightMatrix) -> WeightMatrix:
-    return WeightMatrix(
-        np.kron(weight_a.matrix, weight_b.matrix),
-        allow_semidefinite=weight_a.degenerate or weight_b.degenerate,
-    )
+    """``phi_A (x) phi_B``, degenerate when either factor is.
+
+    The Kronecker product of two validated weights is Hermitian and positive
+    (semi)definite by construction, so it is not diagonalized again.
+    """
+    out = WeightMatrix.__new__(WeightMatrix)
+    out.matrix = _frozen(np.kron(weight_a.matrix, weight_b.matrix))
+    out.degenerate = weight_a.degenerate or weight_b.degenerate
+    return out
 
 
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def random_diagonal_state(dim: int, rng) -> DensityMatrix:
-    """Uniform draw from the probability simplex via exponential spacings."""
-    if dim < 2:
-        raise DimensionError(f"dim must be >= 2, got {dim}")
-    g = _as_rng(rng)
-    e = g.standard_exponential(dim)
-    return DensityMatrix(np.diag((e / e.sum()).astype(complex)))
 
 
 def random_density(dim: int, rng) -> DensityMatrix:
@@ -174,8 +188,7 @@ def random_density(dim: int, rng) -> DensityMatrix:
     g = _as_rng(rng)
     z = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
     w = z @ z.conj().T
-    rho = w / np.trace(w).real
-    return DensityMatrix(0.5 * (rho + rho.conj().T))
+    return DensityMatrix(w / np.trace(w).real)
 
 
 def haar_unitary(dim: int, rng) -> np.ndarray:
@@ -197,5 +210,4 @@ def random_weight(dim: int, rng, scale_range: tuple[float, float] = DEFAULT_SCAL
     g = _as_rng(rng)
     u = g.uniform(lo, hi, size=dim)
     v = haar_unitary(dim, g)
-    w = (v * u) @ v.conj().T
-    return WeightMatrix(0.5 * (w + w.conj().T))
+    return WeightMatrix((v * u) @ v.conj().T)

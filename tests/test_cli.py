@@ -56,6 +56,27 @@ class TestEntropyCommand:
         assert result.exit_code == 2
         assert "positive semidefinite" in result.stderr
 
+    def test_nan_entries_exit_2(self, runner, tmp_path):
+        # json accepts the NaN literal; validation must reject it
+        state = tmp_path / "s.json"
+        state.write_text('{"dim": 2, "re": [[0.5, NaN], [NaN, 0.5]]}')
+        weight = write_matrix(tmp_path / "w.json", np.eye(2))
+        result = runner.invoke(main, ["entropy", str(state), weight])
+        assert result.exit_code == 2
+        assert "NaN or infinite" in result.stderr
+
+    def test_tol_accepts_noise_eigenvalue(self, runner, tmp_path):
+        p = [0.4 + 1e-8, 0.35, 0.25, -1e-8]
+        w = [0.5, 1.0, 1.5, 2.0]
+        state = write_matrix(tmp_path / "s.json", np.diag(p))
+        weight = write_matrix(tmp_path / "w.json", np.diag(w))
+        strict = runner.invoke(main, ["entropy", state, weight])
+        assert strict.exit_code == 2
+        result = runner.invoke(main, ["entropy", "--tol", "1e-6", state, weight])
+        assert result.exit_code == 0
+        expected = -sum(wi * pi * math.log(pi) for wi, pi in zip(w[:3], p[:3]))
+        assert abs(float(result.output) - expected) < 1e-11
+
     def test_dim_mismatch_exits_3(self, runner, example_files, tmp_path):
         weight = write_matrix(tmp_path / "w2.json", np.eye(2))
         result = runner.invoke(main, ["entropy", example_files["state"], weight])
@@ -159,6 +180,11 @@ class TestQutritCommand:
     def test_invalid_simplex_exits_2(self, runner):
         result = runner.invoke(main, ["qutrit", "0.7", "0.4", "1", "1", "1", "1"])
         assert result.exit_code == 2
+
+    def test_zero_prints_without_sign(self, runner):
+        result = runner.invoke(main, ["qutrit", "0.5", "0.5", "1", "0", "0", "1"])
+        assert result.exit_code == 0
+        assert "mutual_information = 0\n" in result.output
 
 
 class TestSweepCommands:

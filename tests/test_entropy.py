@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wqent.errors import DimensionError, InvalidSimplexError, ValidationError
-from wqent.linalg import partial_trace, xlogx_matrix
+from wqent.linalg import hermitian_eig, partial_trace, xlogx_matrix
 from wqent.states import (
     BipartiteState,
     DensityMatrix,
@@ -17,7 +17,6 @@ from wqent.states import (
     haar_unitary,
     product_weight,
     random_density,
-    random_diagonal_state,
     random_weight,
 )
 from wqent.entropy import (
@@ -69,10 +68,11 @@ class TestWeightedEntropy:
     def test_diagonal_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            rho = random_diagonal_state(4, rng)
+            e = rng.standard_exponential(4)
+            p = e / e.sum()
+            rho = DensityMatrix(np.diag(p).astype(complex))
             w = rng.uniform(0.05, 2.0, size=4)
             phi = WeightMatrix(np.diag(w).astype(complex))
-            p = np.diag(rho.matrix).real
             expected = -sum(wi * pi * math.log(pi) for wi, pi in zip(w, p) if pi > 1e-12)
             assert abs(weighted_entropy(phi, rho) - expected) < 1e-12
 
@@ -97,6 +97,15 @@ class TestWeightedEntropy:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
             weighted_entropy(WeightMatrix(np.eye(3)), DensityMatrix(np.eye(2) / 2))
+
+    def test_noise_eigenvalue_accepted_at_tol_counts_as_zero(self):
+        # validated at tol=1e-6, the -1e-8 eigenvalue is noise, not an error
+        p = np.array([0.4 + 1e-8, 0.35, 0.25, -1e-8])
+        w = np.array([0.5, 1.0, 1.5, 2.0])
+        rho = DensityMatrix(np.diag(p), tol=1e-6)
+        phi = WeightMatrix(np.diag(w), tol=1e-6)
+        expected = -sum(wi * pi * math.log(pi) for wi, pi in zip(w[:3], p[:3]))
+        assert abs(weighted_entropy(phi, rho) - expected) < 1e-13
 
 
 class TestReducedWeightedState:
@@ -148,7 +157,7 @@ class TestSubsystemEntropy:
         phi_ab = WeightMatrix(np.eye(4))
         s_a = subsystem_weighted_entropy(phi_ab, state, "A")
         rho_a = partial_trace(rho.matrix, 2, 2, "A")
-        expected = -np.trace(xlogx_matrix(rho_a)).real
+        expected = -np.trace(xlogx_matrix(hermitian_eig(rho_a))).real
         assert abs(s_a - expected) < 1e-12
 
     def test_singular_marginal_is_fine(self):

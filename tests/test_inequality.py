@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import wqent.entropy
+import wqent.states
 from wqent.errors import DimensionError, ValidationError
 from wqent.states import (
     BipartiteState,
@@ -15,6 +17,7 @@ from wqent.states import (
     random_density,
     random_weight,
 )
+from wqent.linalg import hermitian_eig
 from wqent.inequality import (
     AUDIT_REGIMES,
     audit_random,
@@ -154,6 +157,35 @@ class TestCheckSubadditivity:
         rep = check_subadditivity(wa, wb, state)
         assert abs(rep.gap) < 1e-10
         assert rep.subadditivity_holds
+
+    def test_state_validated_at_loose_tol_is_evaluated(self):
+        # a 1e-8 Hermitian deviation accepted at tol=1e-6 must not be
+        # re-judged against a tighter tolerance during evaluation
+        m = np.diag([0.1, 0.1, 0.8, 0.0]).astype(complex)
+        m[0, 1] = 1e-8
+        state = BipartiteState(DensityMatrix(m, tol=1e-6), 2, 2)
+        _, wa, wb = worked_setup()
+        rep = check_subadditivity(wa, wb, state, tolerance=1e-6)
+        assert abs(rep.gap - 0.07280126337634046) < 1e-7
+        assert rep.subadditivity_holds
+
+    def test_one_check_diagonalizes_each_object_once(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        rho = random_density(6, rng).matrix
+        wa = random_weight(2, rng).matrix
+        wb = random_weight(3, rng).matrix
+        shapes = []
+
+        def counting(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return hermitian_eig(m, *args, **kwargs)
+
+        monkeypatch.setattr(wqent.states, "hermitian_eig", counting)
+        monkeypatch.setattr(wqent.entropy, "hermitian_eig", counting)
+        state = BipartiteState(DensityMatrix(rho), 2, 3)
+        check_subadditivity(WeightMatrix(wa), WeightMatrix(wb), state, im_tol=math.inf)
+        # rho_AB, phi_A, phi_B at validation; rho_A, rho_B in evaluation
+        assert shapes == [(6, 6), (2, 2), (3, 3), (2, 2), (3, 3)]
 
 
 class TestDiagonalEngine:

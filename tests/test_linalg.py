@@ -3,18 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqent.errors import ConvergenceError, DimensionError, NegativeEigenvalueError, NotHermitianError
-from wqent.linalg import (
-    hermitian_eig,
-    is_hermitian,
-    is_psd,
-    kron,
-    log_on_support,
-    matmul,
-    partial_trace,
-    trace,
-    xlogx_matrix,
-)
+from jacobi_oracle import jacobi_eigvalsh
+from wqent.errors import DimensionError, NegativeEigenvalueError, NotHermitianError
+from wqent.linalg import hermitian_eig, partial_trace, xlogx_matrix
+from wqent.states import DensityMatrix
 
 
 def random_hermitian(dim, rng, scale=1.0):
@@ -22,45 +14,11 @@ def random_hermitian(dim, rng, scale=1.0):
     return scale * 0.5 * (z + z.conj().T)
 
 
-def test_kron_layout_first_factor_slow():
-    a = np.diag([0.75, 0.25])
-    b = np.diag([1 / 3, 2 / 3])
-    out = kron(a, b)
-    expected = np.diag([0.75 / 3, 0.75 * 2 / 3, 0.25 / 3, 0.25 * 2 / 3])
-    assert np.abs(out - expected).max() < 1e-15
-
-
-def test_kron_identity():
-    out = kron(np.eye(2), np.eye(2))
-    assert np.array_equal(out, np.eye(4, dtype=complex))
-
-
-def test_kron_trace_multiplicative():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        a = random_hermitian(3, rng)
-        b = random_hermitian(2, rng)
-        lhs = trace(kron(a, b))
-        rhs = trace(a) * trace(b)
-        assert abs(lhs - rhs) < 1e-12
-
-
-def test_matmul_trace_example():
-    phi = np.diag([1 / 4, 1 / 2, 1 / 12, 1 / 6])
-    rho = np.diag([0.1, 0.1, 0.8, 0.0])
-    t = trace(matmul(phi, rho))
-    assert abs(t - 0.14166666666666666) < 1e-15
-    assert abs(t.imag) == 0.0
-
-
-def test_matmul_rejects_mismatched():
-    with pytest.raises(DimensionError):
-        matmul(np.eye(2), np.eye(3))
-
-
 def test_rejects_non_square():
     with pytest.raises(DimensionError):
-        trace(np.ones((2, 3)))
+        hermitian_eig(np.ones((2, 3)))
+    with pytest.raises(DimensionError):
+        partial_trace(np.ones((2, 3)), 1, 2, "A")
 
 
 def test_partial_trace_diagonal_example():
@@ -76,7 +34,7 @@ def test_partial_trace_of_kron_recovers_factors():
     for _ in range(20):
         a = random_hermitian(2, rng)
         b = random_hermitian(3, rng)
-        m = kron(a, b)
+        m = np.kron(a, b)
         ta = partial_trace(m, 2, 3, "A")
         tb = partial_trace(m, 2, 3, "B")
         assert np.abs(ta - a * np.trace(b)).max() < 1e-12
@@ -89,7 +47,7 @@ def test_partial_trace_preserves_trace():
         m = random_hermitian(6, rng)
         for da, db in [(2, 3), (3, 2)]:
             for keep in ("A", "B"):
-                assert abs(trace(partial_trace(m, da, db, keep)) - trace(m)) < 1e-12
+                assert abs(np.trace(partial_trace(m, da, db, keep)) - np.trace(m)) < 1e-12
 
 
 def test_partial_trace_rejects_bad_factorization():
@@ -136,12 +94,12 @@ def test_eig_reconstruction_500_random():
 
 
 def test_eig_matches_lapack_spectrum():
-    # independent oracle: LAPACK eigvalsh on the same matrices
+    # independent oracle: cyclic Jacobi in plain Python on the same matrices
     rng = np.random.default_rng(55)
     for _ in range(50):
         m = random_hermitian(5, rng)
         lams, _ = hermitian_eig(m)
-        ref = np.linalg.eigvalsh(m)
+        ref = jacobi_eigvalsh(m)
         assert np.abs(lams - ref).max() < 1e-11
 
 
@@ -158,13 +116,6 @@ def test_eig_phase_convention_and_determinism():
         assert lead.real > 0.0
 
 
-def test_eig_convergence_error_when_starved():
-    rng = np.random.default_rng(8)
-    m = random_hermitian(5, rng)
-    with pytest.raises(ConvergenceError):
-        hermitian_eig(m, max_sweeps=0)
-
-
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=60, deadline=None)
 def test_eig_reconstruction_property(seed):
@@ -176,30 +127,23 @@ def test_eig_reconstruction_property(seed):
     assert np.abs(recon - m).max() <= 1e-10 * max(1.0, np.abs(m).max())
 
 
-def test_is_hermitian_and_psd():
-    assert is_hermitian(np.diag([1.0, 2.0]))
-    assert not is_hermitian(np.array([[0, 1j], [1j, 0]]))
-    assert is_psd(np.diag([0.5, 0.5]))
-    assert not is_psd(np.diag([1.5, -0.5]))
-    assert not is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 def test_xlogx_on_support_values():
-    out = xlogx_matrix(np.diag([0.5, 0.5]))
+    out = xlogx_matrix(hermitian_eig(np.diag([0.5, 0.5])))
     expected = 0.5 * np.log(0.5) * np.eye(2)
     assert np.abs(out - expected).max() < 1e-14
 
 
 def test_xlogx_zero_eigenvalue_contributes_nothing():
-    out = xlogx_matrix(np.diag([1.0, 0.0]))
+    out = xlogx_matrix(hermitian_eig(np.diag([1.0, 0.0])))
     assert np.abs(out).max() < 1e-14
 
 
 def test_xlogx_tiny_negative_is_noise_but_real_negative_raises():
-    out = xlogx_matrix(np.diag([1.0, -1e-11]))
+    # the negative decision belongs to the validating constructor
+    out = xlogx_matrix(DensityMatrix(np.diag([1.0, -1e-11])).spectrum)
     assert np.abs(out).max() < 1e-14
     with pytest.raises(NegativeEigenvalueError):
-        xlogx_matrix(np.diag([1.5, -0.5]))
+        DensityMatrix(np.diag([1.5, -0.5]))
 
 
 def test_xlogx_basis_invariance():
@@ -211,12 +155,6 @@ def test_xlogx_basis_invariance():
         q, r = np.linalg.qr(z)
         u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
         rho = (u * p) @ u.conj().T
-        lhs = xlogx_matrix(rho)
-        rhs = u @ xlogx_matrix(np.diag(p)) @ u.conj().T
+        lhs = xlogx_matrix(hermitian_eig(rho))
+        rhs = u @ xlogx_matrix(hermitian_eig(np.diag(p))) @ u.conj().T
         assert np.abs(lhs - rhs).max() < 1e-10
-
-
-def test_log_on_support_diagonal():
-    out = log_on_support(np.diag([0.5, 0.25, 0.0]))
-    expected = np.diag([np.log(0.5), np.log(0.25), 0.0])
-    assert np.abs(out - expected).max() < 1e-14

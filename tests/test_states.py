@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqent.errors import DimensionError, InvalidSimplexError, NotHermitianError, ValidationError
+from wqent.errors import (
+    DimensionError,
+    InvalidSimplexError,
+    NegativeEigenvalueError,
+    NotHermitianError,
+    ValidationError,
+)
+from wqent.channel import Projector
+from wqent.linalg import hermitian_eig
 from wqent.states import (
     BipartiteState,
     DensityMatrix,
@@ -14,9 +22,7 @@ from wqent.states import (
     haar_unitary,
     product_weight,
     random_density,
-    random_diagonal_state,
     random_weight,
-    reduce_state,
 )
 
 
@@ -32,6 +38,8 @@ class TestDensityMatrix:
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValidationError, match="positive semidefinite"):
+            DensityMatrix(np.diag([1.5, -0.5]))
+        with pytest.raises(NegativeEigenvalueError):
             DensityMatrix(np.diag([1.5, -0.5]))
 
     def test_rejects_wrong_trace(self):
@@ -53,6 +61,32 @@ class TestDensityMatrix:
         DensityMatrix(m)
         with pytest.raises(ValidationError):
             DensityMatrix(m, tol=1e-12)
+
+    def test_stores_hermitian_part_and_validated_spectrum(self):
+        exact = np.array([[0.6, 0.1 - 0.2j], [0.1 + 0.2j, 0.4]])
+        assert np.array_equal(DensityMatrix(exact).matrix, exact)
+        skew = exact.copy()
+        skew[0, 1] += 1e-8
+        rho = DensityMatrix(skew, tol=1e-6)
+        assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+        assert np.abs(rho.matrix - exact).max() <= 1e-8
+        lams, vecs = rho.spectrum
+        assert np.abs((vecs * lams) @ vecs.conj().T - rho.matrix).max() < 1e-14
+        with pytest.raises(ValueError):
+            lams[0] = 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "build",
+    [DensityMatrix, WeightMatrix, Projector, hermitian_eig],
+    ids=["DensityMatrix", "WeightMatrix", "Projector", "hermitian_eig"],
+)
+def test_non_finite_entries_are_rejected(build, bad):
+    m = np.diag([0.5, 0.5]).astype(complex)
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        build(m)
 
 
 class TestWeightMatrix:
@@ -123,14 +157,6 @@ def test_embed_ququart_general():
         embed_ququart(0.5, 0.5, 0.5, -0.5)
 
 
-def test_reduce_state_example():
-    state = embed_qutrit(QutritDiagonal(0.1, 0.1, 0.8))
-    rho_a = reduce_state(state, "A")
-    rho_b = reduce_state(state, "B")
-    assert np.abs(rho_a.matrix - np.diag([0.2, 0.8])).max() < 1e-15
-    assert np.abs(rho_b.matrix - np.diag([0.9, 0.1])).max() < 1e-15
-
-
 def test_product_weight_layout_and_flag():
     wa = WeightMatrix(np.diag([0.75, 0.25]))
     wb = WeightMatrix(np.diag([1 / 3, 2 / 3]))
@@ -140,18 +166,11 @@ def test_product_weight_layout_and_flag():
 
     wz = WeightMatrix(np.diag([1.0, 0.0]), allow_semidefinite=True)
     assert product_weight(wa, wz).degenerate
+    with pytest.raises(ValueError):
+        wab.matrix[0, 0] = 1.0
 
 
 class TestSamplers:
-    def test_diagonal_state_is_valid_and_deterministic(self):
-        a = random_diagonal_state(5, 123)
-        b = random_diagonal_state(5, 123)
-        assert np.array_equal(a.matrix, b.matrix)
-        d = np.diag(a.matrix).real
-        assert d.min() >= 0.0
-        assert abs(d.sum() - 1.0) < 1e-12
-        assert np.abs(a.matrix - np.diag(d)).max() == 0.0
-
     def test_random_density_is_valid_and_deterministic(self):
         a = random_density(4, 9)
         b = random_density(4, 9)
@@ -160,8 +179,6 @@ class TestSamplers:
         assert abs(np.trace(a.matrix) - 1.0) < 1e-12
 
     def test_random_weight_spectrum_range(self):
-        from wqent.linalg import hermitian_eig
-
         w = random_weight(4, 77, scale_range=(0.3, 0.9))
         lams = hermitian_eig(w.matrix).eigenvalues
         assert lams.min() > 0.3 - 1e-10
@@ -183,4 +200,4 @@ class TestSamplers:
 
     def test_dim_validation(self):
         with pytest.raises(DimensionError):
-            random_diagonal_state(1, 0)
+            random_density(1, 0)
