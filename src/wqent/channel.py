@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ChannelUndefinedError, DimensionError, ValidationError
-from .linalg import _as_square, hermitian_deviation, hermitian_eig
-from .states import BipartiteState, DensityMatrix, WeightMatrix
+from .linalg import hermitian_eig
+from .states import BipartiteState, DensityMatrix, WeightMatrix, _validated
 from .inequality import DEFAULT_REPORT_TOL, SubadditivityReport, check_subadditivity
 
 IDEMPOTENCE_TOL = 1e-10
@@ -14,21 +14,17 @@ OVERLAP_EPS = 1e-12
 
 
 class Projector:
-    """Hermitian idempotent, validated on construction."""
+    """Hermitian idempotent, validated on construction; stores the Hermitian part of its input."""
 
     __slots__ = ("matrix", "rank")
 
     def __init__(self, matrix, tol: float = IDEMPOTENCE_TOL):
-        a = np.array(_as_square(matrix), dtype=complex)
-        dev = hermitian_deviation(a)
-        if dev > tol:
-            raise ValidationError(f"projector deviates from Hermitian by {dev:.3e}")
+        a = _validated(matrix, tol, "projector")
         idem = float(np.abs(a @ a - a).max())
         if idem > tol:
             raise ValidationError(f"projector is not idempotent (max |P^2 - P| = {idem:.3e})")
         lams = hermitian_eig(a, tol=tol).eigenvalues
         self.rank = int(np.count_nonzero(np.abs(lams - 1.0) <= tol))
-        a.flags.writeable = False
         self.matrix = a
 
     @property

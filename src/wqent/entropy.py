@@ -4,27 +4,47 @@ The weighted entropy of a state rho under a weight phi is
 ``-tr(phi rho ln rho)``; at phi = identity it is the von Neumann entropy.
 Subsystem entropies never isolate a reduced weight on its own: only the
 product ``psi_X rho_X = tr_other(phi_AB rho_AB)`` is well defined when the
-reduction of rho is singular, so that product is what gets evaluated.
+reduction of rho is singular, so that product is what gets evaluated. Each
+formula is written once, as a kernel over ``(..., d, d)`` stacks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, InvalidSimplexError, ValidationError
-from .linalg import (
-    SUPPORT_EPS,
-    Subsystem,
-    hermitian_eig,
-    partial_trace,
-    xlogx_matrix,
-)
-from .states import SIMPLEX_TOL, BipartiteState, DensityMatrix, WeightMatrix, product_weight
+from .errors import DimensionError, ValidationError
+from .linalg import SUPPORT_EPS, SpectralDecomposition, Subsystem, _dagger, _ln_support, _trace_product
+from .linalg import hermitian_eig, partial_trace, xlogx_matrix
+from .states import BipartiteState, DensityMatrix, WeightMatrix, _simplex_pair, product_weight
 
 IMAG_TOL = 1e-10
-OFF_SUPPORT_TOL = 1e-10
 
-_LOG_FLOOR = np.finfo(float).tiny
+
+def _real_part(t: np.ndarray, im_tol: float, what: str) -> np.ndarray:
+    """``t.real``, once no item's imaginary part exceeds ``im_tol``."""
+    im = abs(t.imag)
+    if (im > im_tol).any():
+        raise ValidationError(f"{what} has imaginary part {t.imag.flat[im.argmax()]:.3e}")
+    return t.real
+
+
+def _joint_entropy(phi: np.ndarray, spectrum: SpectralDecomposition, im_tol: float) -> np.ndarray:
+    """``-tr(phi rho ln rho)`` from the spectrum of rho, item by item."""
+    return -_real_part(_trace_product(phi, xlogx_matrix(spectrum)), im_tol, "entropy trace")
+
+
+def _subsystem_entropy(x: np.ndarray, rho_kept: np.ndarray, leak_tol: float, im_tol: float) -> np.ndarray:
+    """``-tr(x ln rho_kept)`` on the support of ``rho_kept``, ``x`` leaking at most ``leak_tol`` off it."""
+    lams, u = hermitian_eig(rho_kept)
+    y = _dagger(u) @ x @ u
+    off = lams <= SUPPORT_EPS
+    if off.any():
+        leak = float(np.abs(y[off[..., :, None] & off[..., None, :]]).max())
+        if leak > leak_tol:
+            raise ValidationError(f"reduced weighted state has {leak:.3e} of mass outside the support "
+                                  "of the reduced state")
+    t = np.einsum("...ii,...i->...", y, _ln_support(lams))
+    return -_real_part(t, im_tol, "subsystem entropy trace")
 
 
 def weighted_entropy(phi: WeightMatrix, rho: DensityMatrix, im_tol: float = IMAG_TOL) -> float:
@@ -35,10 +55,7 @@ def weighted_entropy(phi: WeightMatrix, rho: DensityMatrix, im_tol: float = IMAG
     """
     if phi.dim != rho.dim:
         raise DimensionError(f"weight dim {phi.dim} does not match state dim {rho.dim}")
-    t = complex(np.einsum("ij,ji->", phi.matrix, xlogx_matrix(rho.spectrum)))
-    if abs(t.imag) > im_tol:
-        raise ValidationError(f"entropy trace has imaginary part {t.imag:.3e}")
-    return -t.real
+    return float(_joint_entropy(phi.matrix, rho.spectrum, im_tol))
 
 
 def reduced_weighted_state(phi_ab: WeightMatrix, state: BipartiteState, keep: Subsystem) -> np.ndarray:
@@ -59,27 +76,12 @@ def subsystem_weighted_entropy(
     The log is taken only on eigenvalues of the reduced state above 1e-12.
     Off-support mass of the reduced weighted state must vanish (it does
     exactly whenever rho_AB annihilates the kernel of its reduction); more
-    than 1e-10 of it is an error. Outside the commuting setting the trace
-    can pick up a genuine imaginary part, rejected beyond ``im_tol``.
+    than the state's own ``tol`` is an error. Outside the commuting setting
+    the trace can pick up a genuine imaginary part, rejected beyond ``im_tol``.
     """
     x = reduced_weighted_state(phi_ab, state, keep)
     rho_kept = partial_trace(state.rho.matrix, state.dim_a, state.dim_b, keep)
-    lams, u = hermitian_eig(rho_kept)
-    y = u.conj().T @ x @ u
-    on = lams > SUPPORT_EPS
-    if not on.all():
-        off = ~on
-        leak = float(np.abs(y[np.ix_(off, off)]).max())
-        if leak > OFF_SUPPORT_TOL:
-            raise ValidationError(
-                f"reduced weighted state has {leak:.3e} of mass outside the support "
-                "of the reduced state"
-            )
-    log_lams = np.where(on, np.log(np.where(on, lams, 1.0)), 0.0)
-    t = complex(np.einsum("ii,i->", y, log_lams))
-    if abs(t.imag) > im_tol:
-        raise ValidationError(f"subsystem entropy trace has imaginary part {t.imag:.3e}")
-    return -t.real
+    return float(_subsystem_entropy(x, rho_kept, state.rho.tol, im_tol))
 
 
 def weighted_mutual_information(
@@ -99,35 +101,22 @@ def weighted_mutual_information(
 def qutrit_mutual_information_closed_form(p1, p2, phi1, phi2, chi1, chi2):
     """Closed form of the mutual information for an embedded diagonal qutrit.
 
-    Accepts scalars or broadcastable arrays. Each of the three terms is
-    dropped exactly when its probability factor is at or below 1e-12, which
-    matches the support conventions of the matrix path. Weights must be
-    nonnegative; zero weights are allowed so region boundaries evaluate.
+    Accepts scalars or broadcastable arrays. Each log is taken on the support
+    (above 1e-12) of its argument, as the matrix path takes it on reduced
+    eigenvalues; ``1 / p1`` applies only where ``p1`` is on the support.
+    Weights must be nonnegative; zero weights let region boundaries evaluate.
     """
-    p1v, p2v, f1, f2, c1, c2 = (
-        np.asarray(x, dtype=float) for x in (p1, p2, phi1, phi2, chi1, chi2)
-    )
-    if (
-        np.any(p1v < -SIMPLEX_TOL)
-        or np.any(p2v < -SIMPLEX_TOL)
-        or np.any(p1v + p2v > 1.0 + SIMPLEX_TOL)
-    ):
-        raise InvalidSimplexError("need p1 >= 0, p2 >= 0 and p1 + p2 <= 1")
-    if np.any(f1 < 0.0) or np.any(f2 < 0.0) or np.any(c1 < 0.0) or np.any(c2 < 0.0):
+    p1v, p2v = _simplex_pair(p1, p2)
+    f1, f2, c1, c2 = (np.asarray(x, dtype=float) for x in (phi1, phi2, chi1, chi2))
+    if (np.minimum(np.minimum(f1, f2), np.minimum(c1, c2)) < 0.0).any():
         raise ValidationError("weights must be nonnegative")
     p3 = 1.0 - p1v - p2v
     a1 = p1v + p2v
     b1 = p1v + p3
     safe_p1 = np.where(p1v > SUPPORT_EPS, p1v, 1.0)
-    t1 = np.where(
-        p1v > SUPPORT_EPS,
-        f1 * c1 * p1v * np.log(np.maximum(a1 * b1 / safe_p1, _LOG_FLOOR)),
-        0.0,
-    )
-    t2 = np.where(p2v > SUPPORT_EPS, f1 * c2 * p2v * np.log(np.maximum(a1, _LOG_FLOOR)), 0.0)
-    t3 = np.where(p3 > SUPPORT_EPS, f2 * c1 * p3 * np.log(np.maximum(b1, _LOG_FLOOR)), 0.0)
+    t1 = f1 * c1 * p1v * _ln_support(a1 * b1 / safe_p1)
+    t2 = f1 * c2 * p2v * _ln_support(a1)
+    t3 = f2 * c1 * p3 * _ln_support(b1)
     # 0.0 - x instead of -x: an all-zero sum comes back as +0.0, not -0.0
     out = 0.0 - (t1 + t2 + t3)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out

@@ -2,6 +2,8 @@
 
 Nothing here asserts: every check returns a report with the numbers and the
 boolean verdicts, and the audit collects violations instead of raising.
+One engine over stacks fills every report, one item for ``check_subadditivity``
+and a whole sample for the general audit; the diagonal regimes have a mirror.
 """
 
 from __future__ import annotations
@@ -12,18 +14,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, InvalidSimplexError, ValidationError
-from .linalg import SUPPORT_EPS, partial_trace
-from .states import (
-    DEFAULT_SCALE_RANGE,
-    BipartiteState,
-    DensityMatrix,
-    WeightMatrix,
-    product_weight,
-    random_density,
-    random_weight,
-)
-from .entropy import subsystem_weighted_entropy, weighted_entropy
+from .errors import DimensionError, ValidationError
+from .linalg import SpectralDecomposition, _kron, _ln_support, _trace_product, _xlnx
+from .linalg import hermitian_eig, partial_trace
+from .states import DEFAULT_SCALE_RANGE, DEFAULT_TOL, BipartiteState, WeightMatrix
+from .states import _density_stack, _positive_tol, _simplex_pair, _weight_stack
+from .entropy import _joint_entropy, _subsystem_entropy
 
 # Fixed slack for the standalone trace-condition verdict; report verdicts use
 # the report's own tolerance instead.
@@ -36,7 +32,16 @@ AUDIT_REGIMES = (
     "general-unconstrained",
 )
 
-_LOG_FLOOR = np.finfo(float).tiny
+
+def _check_weight_dims(weight_a: WeightMatrix, weight_b: WeightMatrix, state: BipartiteState) -> None:
+    if weight_a.dim != state.dim_a or weight_b.dim != state.dim_b:
+        raise DimensionError(f"weight dims {weight_a.dim}x{weight_b.dim} do not match "
+                             f"state factors {state.dim_a}x{state.dim_b}")
+
+
+def _condition_sides(phi, rho, phi_a, rho_a, phi_b, rho_b) -> tuple[np.ndarray, np.ndarray]:
+    """``tr(phi_AB rho_AB)`` and ``tr(phi_A rho_A) tr(phi_B rho_B)``, item by item."""
+    return _trace_product(phi, rho).real, _trace_product(phi_a, rho_a).real * _trace_product(phi_b, rho_b).real
 
 
 class TraceCondition(NamedTuple):
@@ -47,20 +52,11 @@ class TraceCondition(NamedTuple):
 
 def trace_condition(weight_a: WeightMatrix, weight_b: WeightMatrix, state: BipartiteState) -> TraceCondition:
     """Compare tr(phi_AB rho_AB) against tr(phi_A rho_A) tr(phi_B rho_B)."""
-    if weight_a.dim != state.dim_a or weight_b.dim != state.dim_b:
-        raise DimensionError(
-            f"weight dims {weight_a.dim}x{weight_b.dim} do not match "
-            f"state factors {state.dim_a}x{state.dim_b}"
-        )
-    rho = state.rho.matrix
-    phi_ab = np.kron(weight_a.matrix, weight_b.matrix)
-    lhs = float(np.einsum("ij,ji->", phi_ab, rho).real)
-    rho_a = partial_trace(rho, state.dim_a, state.dim_b, "A")
-    rho_b = partial_trace(rho, state.dim_a, state.dim_b, "B")
-    ta = float(np.einsum("ij,ji->", weight_a.matrix, rho_a).real)
-    tb = float(np.einsum("ij,ji->", weight_b.matrix, rho_b).real)
-    rhs = ta * tb
-    return TraceCondition(lhs, rhs, bool(lhs >= rhs - CONDITION_SLACK))
+    _check_weight_dims(weight_a, weight_b, state)
+    rho, dims = state.rho.matrix, (state.dim_a, state.dim_b)
+    lhs, rhs = _condition_sides(_kron(weight_a.matrix, weight_b.matrix), rho, weight_a.matrix,
+                                partial_trace(rho, *dims, "A"), weight_b.matrix, partial_trace(rho, *dims, "B"))
+    return TraceCondition(float(lhs), float(rhs), bool(lhs >= rhs - CONDITION_SLACK))
 
 
 class WeightCondition(NamedTuple):
@@ -80,18 +76,9 @@ def qutrit_condition_gap(p1, p2, phi1, phi2, chi1, chi2):
     Equals ``lhs - rhs`` of :func:`trace_condition` exactly:
     ``p2 (1 - p1 - p2) (phi1 - phi2) (chi2 - chi1)``.
     """
-    p1v = np.asarray(p1, dtype=float)
-    p2v = np.asarray(p2, dtype=float)
-    if (
-        np.any(p1v < -1e-12)
-        or np.any(p2v < -1e-12)
-        or np.any(p1v + p2v > 1.0 + 1e-12)
-    ):
-        raise InvalidSimplexError("need p1 >= 0, p2 >= 0 and p1 + p2 <= 1")
+    p1v, p2v = _simplex_pair(p1, p2)
     out = p2v * (1.0 - p1v - p2v) * (np.asarray(phi1, float) - phi2) * (np.asarray(chi2, float) - chi1)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -108,6 +95,34 @@ class SubadditivityReport:
     tolerance: float
 
 
+def _fields(s_ab, s_a, s_b, lhs, rhs) -> dict[str, np.ndarray]:
+    return dict(s_ab=s_ab, s_a=s_a, s_b=s_b, gap=s_a + s_b - s_ab,
+                condition_lhs=lhs, condition_rhs=rhs, condition_gap=lhs - rhs)
+
+
+def _report_fields(rho: np.ndarray, spectrum: SpectralDecomposition, phi_a: np.ndarray, phi_b: np.ndarray,
+                   dim_a: int, dim_b: int, leak_tol: float, im_tol: float) -> dict[str, np.ndarray]:
+    """Report fields of ``(..., d, d)`` stacks (``spectrum`` decomposes ``rho``), each partial trace taken once.
+
+    Raises if any item leaks over ``leak_tol`` off a reduced support or has an imaginary trace over ``im_tol``.
+    """
+    phi = _kron(phi_a, phi_b)
+    weighted = phi @ rho
+    rho_a = partial_trace(rho, dim_a, dim_b, "A")
+    rho_b = partial_trace(rho, dim_a, dim_b, "B")
+    s_ab = _joint_entropy(phi, spectrum, im_tol)
+    s_a = _subsystem_entropy(partial_trace(weighted, dim_a, dim_b, "A"), rho_a, leak_tol, im_tol)
+    s_b = _subsystem_entropy(partial_trace(weighted, dim_a, dim_b, "B"), rho_b, leak_tol, im_tol)
+    return _fields(s_ab, s_a, s_b, *_condition_sides(phi, rho, phi_a, rho_a, phi_b, rho_b))
+
+
+def _report(fields: dict[str, np.ndarray], i, tolerance: float) -> SubadditivityReport:
+    """Item ``i`` of engine fields as a report; verdicts compare against ``-tolerance``."""
+    values = {k: float(v[i]) for k, v in fields.items()}
+    return SubadditivityReport(**values, condition_holds=values["condition_gap"] >= -tolerance,
+                               subadditivity_holds=values["gap"] >= -tolerance, tolerance=tolerance)
+
+
 def check_subadditivity(
     weight_a: WeightMatrix,
     weight_b: WeightMatrix,
@@ -118,29 +133,15 @@ def check_subadditivity(
     """Full report: entropies, gap, trace condition, verdicts.
 
     Both verdicts compare their gap against ``-tolerance`` so a marginal
-    negative within noise still counts as holding.
+    negative within noise still counts as holding. Off-support mass is
+    judged at the tolerance the state was validated with.
     """
-    if tolerance <= 0.0:
-        raise ValidationError(f"tolerance must be positive, got {tolerance}")
-    phi_ab = product_weight(weight_a, weight_b)
-    s_ab = weighted_entropy(phi_ab, state.rho, im_tol=im_tol)
-    s_a = subsystem_weighted_entropy(phi_ab, state, "A", im_tol=im_tol)
-    s_b = subsystem_weighted_entropy(phi_ab, state, "B", im_tol=im_tol)
-    cond = trace_condition(weight_a, weight_b, state)
-    gap = s_a + s_b - s_ab
-    condition_gap = cond.lhs - cond.rhs
-    return SubadditivityReport(
-        s_ab=s_ab,
-        s_a=s_a,
-        s_b=s_b,
-        gap=gap,
-        condition_lhs=cond.lhs,
-        condition_rhs=cond.rhs,
-        condition_gap=condition_gap,
-        condition_holds=bool(condition_gap >= -tolerance),
-        subadditivity_holds=bool(gap >= -tolerance),
-        tolerance=tolerance,
-    )
+    _positive_tol(tolerance, "tolerance")
+    _check_weight_dims(weight_a, weight_b, state)
+    rho = state.rho
+    fields = _report_fields(rho.matrix, rho.spectrum, weight_a.matrix, weight_b.matrix,
+                            state.dim_a, state.dim_b, rho.tol, im_tol)
+    return _report(fields, (), tolerance)  # the fields are 0-d: () reads their one item
 
 
 @dataclass(frozen=True)
@@ -160,14 +161,6 @@ class AuditSummary:
     regime: str
 
 
-def _xlnx(x: np.ndarray) -> np.ndarray:
-    return np.where(x > SUPPORT_EPS, x * np.log(np.maximum(x, _LOG_FLOOR)), 0.0)
-
-
-def _ln_support(x: np.ndarray) -> np.ndarray:
-    return np.where(x > SUPPORT_EPS, np.log(np.maximum(x, _LOG_FLOOR)), 0.0)
-
-
 def _diagonal_report_fields(probs: np.ndarray, weights: np.ndarray) -> dict[str, np.ndarray]:
     """Report fields for embedded-qutrit states under diagonal weights.
 
@@ -177,26 +170,14 @@ def _diagonal_report_fields(probs: np.ndarray, weights: np.ndarray) -> dict[str,
     """
     p1, p2, p3 = probs[:, 0], probs[:, 1], probs[:, 2]
     f1, f2, c1, c2 = weights[:, 0], weights[:, 1], weights[:, 2], weights[:, 3]
-    w11 = f1 * c1
-    w12 = f1 * c2
-    w21 = f2 * c1
+    w11, w12, w21 = f1 * c1, f1 * c2, f2 * c1
     s_ab = -(w11 * _xlnx(p1) + w12 * _xlnx(p2) + w21 * _xlnx(p3))
-    a1 = p1 + p2
-    b1 = p1 + p3
+    a1, b1 = p1 + p2, p1 + p3
     s_a = -((w11 * p1 + w12 * p2) * _ln_support(a1) + w21 * p3 * _ln_support(p3))
     s_b = -((w11 * p1 + w21 * p3) * _ln_support(b1) + w12 * p2 * _ln_support(p2))
-    gap = s_a + s_b - s_ab
     lhs = w11 * p1 + w12 * p2 + w21 * p3
     rhs = (f1 * a1 + f2 * p3) * (c1 * b1 + c2 * p2)
-    return {
-        "s_ab": s_ab,
-        "s_a": s_a,
-        "s_b": s_b,
-        "gap": gap,
-        "condition_lhs": lhs,
-        "condition_rhs": rhs,
-        "condition_gap": lhs - rhs,
-    }
+    return _fields(s_ab, s_a, s_b, lhs, rhs)
 
 
 def _sample_diagonal(rng: np.random.Generator, n: int, condition_satisfying: bool):
@@ -204,32 +185,11 @@ def _sample_diagonal(rng: np.random.Generator, n: int, condition_satisfying: boo
     probs = e / e.sum(axis=1, keepdims=True)
     lo, hi = DEFAULT_SCALE_RANGE
     weights = rng.uniform(lo, hi, size=(n, 4))
-    if condition_satisfying:
-        # resample weight rows until (phi1 - phi2)(chi2 - chi1) >= 0
-        bad = (weights[:, 0] - weights[:, 1]) * (weights[:, 3] - weights[:, 2]) < 0.0
-        while bad.any():
-            weights[bad] = rng.uniform(lo, hi, size=(int(bad.sum()), 4))
-            bad = (weights[:, 0] - weights[:, 1]) * (weights[:, 3] - weights[:, 2]) < 0.0
+    f, c = weights[:, :2], weights[:, 2:]
+    # resample weight rows until (phi1 - phi2)(chi2 - chi1) >= 0
+    while condition_satisfying and (bad := (f[:, 0] - f[:, 1]) * (c[:, 1] - c[:, 0]) < 0.0).any():
+        weights[bad] = rng.uniform(lo, hi, size=(int(bad.sum()), 4))
     return probs, weights
-
-
-def _diagonal_violation(probs: np.ndarray, weights: np.ndarray, fields, i: int, tolerance: float) -> ViolationRecord:
-    state = np.diag(np.array([probs[i, 0], probs[i, 1], probs[i, 2], 0.0], dtype=complex))
-    weight_a = np.diag(weights[i, 0:2].astype(complex))
-    weight_b = np.diag(weights[i, 2:4].astype(complex))
-    report = SubadditivityReport(
-        s_ab=float(fields["s_ab"][i]),
-        s_a=float(fields["s_a"][i]),
-        s_b=float(fields["s_b"][i]),
-        gap=float(fields["gap"][i]),
-        condition_lhs=float(fields["condition_lhs"][i]),
-        condition_rhs=float(fields["condition_rhs"][i]),
-        condition_gap=float(fields["condition_gap"][i]),
-        condition_holds=bool(fields["condition_gap"][i] >= -tolerance),
-        subadditivity_holds=bool(fields["gap"][i] >= -tolerance),
-        tolerance=tolerance,
-    )
-    return ViolationRecord(state, weight_a, weight_b, report)
 
 
 def audit_random(
@@ -250,8 +210,9 @@ def audit_random(
     - ``diagonal-unconstrained``: same family, weights unconstrained, so
       genuine violations are expected and get recorded.
     - ``general-unconstrained``: dense random states and weights of any
-      requested factor dims. Entropy traces are kept as real parts since the
-      non-commuting case has a genuine imaginary component.
+      requested factor dims, drawn as stacks and run through one engine call.
+      Entropy traces are kept as real parts since the non-commuting case
+      has a genuine imaginary component.
 
     The diagonal regimes model the zero-padded qutrit family, which is what
     the sign condition is about, so they require 2x2 factors.
@@ -260,8 +221,7 @@ def audit_random(
         raise ValidationError(f"n must be >= 1, got {n}")
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
-    if tolerance <= 0.0:
-        raise ValidationError(f"tolerance must be positive, got {tolerance}")
+    _positive_tol(tolerance, "tolerance")
     if regime not in AUDIT_REGIMES:
         raise ValidationError(f"unknown regime {regime!r}, expected one of {AUDIT_REGIMES}")
     if dim_a < 2 or dim_b < 2:
@@ -269,24 +229,27 @@ def audit_random(
     rng = np.random.default_rng(seed)
 
     if regime == "general-unconstrained":
-        violations = []
-        min_gap = math.inf
-        for _ in range(n):
-            rho = random_density(dim_a * dim_b, rng)
-            wa = random_weight(dim_a, rng)
-            wb = random_weight(dim_b, rng)
-            state = BipartiteState(rho, dim_a, dim_b)
-            report = check_subadditivity(wa, wb, state, tolerance, im_tol=math.inf)
-            min_gap = min(min_gap, report.gap)
-            if not report.subadditivity_holds:
-                violations.append(ViolationRecord(rho.matrix, wa.matrix, wb.matrix, report))
-        return AuditSummary(n, tuple(violations), float(min_gap), seed, regime)
+        rho = _density_stack(rng, n, dim_a * dim_b)
+        wa = _weight_stack(rng, n, dim_a, DEFAULT_SCALE_RANGE)
+        wb = _weight_stack(rng, n, dim_b, DEFAULT_SCALE_RANGE)
+        # off-support mass is judged as a default-tol DensityMatrix would judge it
+        fields = _report_fields(rho, hermitian_eig(rho), wa, wb, dim_a, dim_b, DEFAULT_TOL, math.inf)
 
-    if dim_a != 2 or dim_b != 2:
-        raise DimensionError(f"regime {regime!r} needs 2x2 factors, got {dim_a}x{dim_b}")
-    probs, weights = _sample_diagonal(rng, n, regime == "diagonal-condition-satisfying")
-    fields = _diagonal_report_fields(probs, weights)
+        def matrices(i):
+            return rho[i].copy(), wa[i].copy(), wb[i].copy()
+    else:
+        if dim_a != 2 or dim_b != 2:
+            raise DimensionError(f"regime {regime!r} needs 2x2 factors, got {dim_a}x{dim_b}")
+        probs, weights = _sample_diagonal(rng, n, regime == "diagonal-condition-satisfying")
+        fields = _diagonal_report_fields(probs, weights)
+
+        def matrices(i):
+            p, w = probs[i].tolist(), weights[i].astype(complex)
+            return np.diag(np.array(p + [0.0], dtype=complex)), np.diag(w[:2]), np.diag(w[2:])
+
     gap = fields["gap"]
-    bad = np.nonzero(gap < -tolerance)[0]
-    violations = tuple(_diagonal_violation(probs, weights, fields, int(i), tolerance) for i in bad)
+    violations = tuple(
+        ViolationRecord(*matrices(i), _report(fields, i, tolerance))
+        for i in np.nonzero(gap < -tolerance)[0].tolist()
+    )
     return AuditSummary(n, violations, float(gap.min()), seed, regime)

@@ -1,9 +1,9 @@
 """Dense Hermitian linear algebra on small complex matrices.
 
-Everything works on plain numpy ``complex128`` arrays. Bipartite helpers use
-the "first factor slow" index convention: basis state ``(a, b)`` of an
-``dim_a * dim_b`` system sits at index ``a * dim_b + b``, matching the layout
-produced by ``np.kron``.
+Everything works on plain numpy ``complex128`` arrays: one matrix, or a stack
+of them with shape ``(..., d, d)``. Bipartite helpers use the "first factor
+slow" index convention: basis state ``(a, b)`` of an ``dim_a * dim_b`` system
+sits at index ``a * dim_b + b``, matching the layout produced by ``np.kron``.
 """
 
 from __future__ import annotations
@@ -22,37 +22,66 @@ SUPPORT_EPS = 1e-12
 Subsystem = Literal["A", "B"]
 
 
-def _as_square(m) -> np.ndarray:
+def _as_stack(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise DimensionError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValidationError("matrix has NaN or infinite entries")
     return a
 
 
-def hermitian_deviation(m) -> float:
-    """Largest entry of ``|m - m^dagger|``."""
-    a = _as_square(m)
-    return float(np.abs(a - a.conj().T).max())
+def _dagger(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _hermitize(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + _dagger(a))
+
+
+def _hermitian_part(a: np.ndarray, tol: float, label: str = "matrix") -> np.ndarray:
+    """``(a + a^dagger) / 2``, once no entry of ``|a - a^dagger|`` exceeds ``tol``."""
+    dev = float(np.abs(a - _dagger(a)).max())
+    if dev > tol:
+        raise NotHermitianError(f"{label} deviates from Hermitian by {dev:.3e}")
+    return _hermitize(a)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a (x) b`` item by item over stacks; on one pair, ``np.kron`` bit for bit."""
+    outer = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return outer.reshape(outer.shape[:-4] + (a.shape[-1] * b.shape[-1],) * 2)
+
+
+def _trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("...ij,...ji->...", a, b)
+
+
+def _ln_support(x: np.ndarray) -> np.ndarray:
+    """``ln x`` elementwise, and 0 wherever ``x`` is at or below 1e-12."""
+    on = x > SUPPORT_EPS
+    return np.where(on, np.log(np.where(on, x, 1.0)), 0.0)
+
+
+def _xlnx(x: np.ndarray) -> np.ndarray:
+    """``x ln x`` elementwise on the same support, so ``0 ln 0 = 0``."""
+    return x * _ln_support(x)
 
 
 def partial_trace(m, dim_a: int, dim_b: int, keep: Subsystem) -> np.ndarray:
-    """Trace out one factor of a ``dim_a * dim_b`` composite matrix.
+    """Trace out one factor of a ``dim_a * dim_b`` composite matrix or stack.
 
     ``keep="A"`` returns the ``dim_a x dim_a`` block sums over the fast index,
     ``keep="B"`` the ``dim_b x dim_b`` sums over the slow index.
     """
-    a = _as_square(m)
-    if dim_a < 1 or dim_b < 1 or a.shape[0] != dim_a * dim_b:
-        raise DimensionError(
-            f"matrix of dim {a.shape[0]} does not factor as {dim_a}x{dim_b}"
-        )
-    r = a.reshape(dim_a, dim_b, dim_a, dim_b)
+    a = _as_stack(m)
+    if dim_a < 1 or dim_b < 1 or a.shape[-1] != dim_a * dim_b:
+        raise DimensionError(f"matrix of dim {a.shape[-1]} does not factor as {dim_a}x{dim_b}")
+    r = a.reshape(a.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
     if keep == "A":
-        return np.einsum("ibjb->ij", r)
+        return np.einsum("...ibjb->...ij", r)
     if keep == "B":
-        return np.einsum("aiaj->ij", r)
+        return np.einsum("...aiaj->...ij", r)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
@@ -64,14 +93,16 @@ class SpectralDecomposition(NamedTuple):
 
 
 def _fix_phases(vecs: np.ndarray) -> None:
-    # make the largest-magnitude component of each column real and positive;
-    # unit columns keep that component away from zero
-    lead = vecs[np.abs(vecs).argmax(axis=0), np.arange(vecs.shape[1])]
-    vecs *= lead.conj() / np.abs(lead)
+    # make the largest-magnitude component of each column real and positive (unit
+    # columns keep it away from zero); all items' columns side by side, d x (n k)
+    d, k = vecs.shape[-2:]
+    cols = vecs.reshape(-1, d, k).swapaxes(0, 1).reshape(d, -1)
+    lead = cols[np.abs(cols).argmax(axis=0), np.arange(cols.shape[1])]
+    vecs *= (lead.conj() / np.abs(lead)).reshape(vecs.shape[:-2] + (1, k))
 
 
 def hermitian_eig(m, tol: float = HERMITIAN_TOL) -> SpectralDecomposition:
-    """Diagonalize a Hermitian matrix with LAPACK (``np.linalg.eigh``).
+    """Diagonalize a Hermitian matrix or stack with LAPACK (``np.linalg.eigh``).
 
     The Hermitian part ``(m + m^dagger) / 2`` is decomposed. Eigenvalues come
     back ascending; each eigenvector is rephased so its largest component is
@@ -79,11 +110,7 @@ def hermitian_eig(m, tol: float = HERMITIAN_TOL) -> SpectralDecomposition:
 
     Raises :class:`NotHermitianError` for inputs off-Hermitian beyond ``tol``.
     """
-    a = _as_square(m)
-    dev = float(np.abs(a - a.conj().T).max())
-    if dev > tol:
-        raise NotHermitianError(f"matrix deviates from Hermitian by {dev:.3e}")
-    lams, vecs = np.linalg.eigh(0.5 * (a + a.conj().T))
+    lams, vecs = np.linalg.eigh(_hermitian_part(_as_stack(m), tol))
     _fix_phases(vecs)
     return SpectralDecomposition(lams, vecs)
 
@@ -95,6 +122,4 @@ def xlogx_matrix(spectrum: SpectralDecomposition) -> np.ndarray:
     noise or an error is decided where the spectrum was validated.
     """
     lams, u = spectrum
-    on = lams > SUPPORT_EPS
-    f = np.where(on, lams * np.log(np.where(on, lams, 1.0)), 0.0)
-    return (u * f) @ u.conj().T
+    return (u * _xlnx(lams)[..., None, :]) @ _dagger(u)

@@ -10,18 +10,13 @@ judges its eigenvalues against any tolerance but the one it was built with.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    InvalidSimplexError,
-    NegativeEigenvalueError,
-    NotHermitianError,
-    ValidationError,
-)
-from .linalg import _as_square, hermitian_deviation, hermitian_eig
+from .errors import DimensionError, InvalidSimplexError, NegativeEigenvalueError, ValidationError
+from .linalg import _as_stack, _dagger, _hermitian_part, _hermitize, _kron, hermitian_eig
 
 DEFAULT_TOL = 1e-10
 SIMPLEX_TOL = 1e-12
@@ -33,26 +28,49 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _hermitian_part(matrix, tol: float, label: str) -> np.ndarray:
-    a = _as_square(matrix)
-    dev = hermitian_deviation(a)
-    if dev > tol:
-        raise NotHermitianError(f"{label} deviates from Hermitian by {dev:.3e}")
-    return _frozen(0.5 * (a + a.conj().T))
+def _positive_tol(value: float, name: str = "tol") -> None:
+    """The check every caller-given tolerance passes: a finite number above zero."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValidationError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_probabilities(ps: tuple[float, ...]) -> None:
+    if min(ps) < 0.0:
+        raise InvalidSimplexError(f"probabilities must be nonnegative, got {ps}")
+    total = sum(ps)
+    if abs(total - 1.0) > SIMPLEX_TOL:
+        raise InvalidSimplexError(f"probabilities sum to {total!r}, expected 1")
+
+
+def _simplex_pair(p1, p2) -> tuple[np.ndarray, np.ndarray]:
+    """``(p1, p2)`` as float arrays once ``p1, p2 >= 0`` and ``p1 + p2 <= 1`` hold."""
+    p1v, p2v = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)
+    if (p1v < -SIMPLEX_TOL).any() or (p2v < -SIMPLEX_TOL).any() or (p1v + p2v > 1.0 + SIMPLEX_TOL).any():
+        raise InvalidSimplexError("need p1 >= 0, p2 >= 0 and p1 + p2 <= 1")
+    return p1v, p2v
+
+
+def _validated(matrix, tol: float, label: str) -> np.ndarray:
+    """The frozen Hermitian part of one finite square matrix, Hermitian within ``tol``."""
+    _positive_tol(tol)
+    a = _as_stack(matrix)
+    if a.ndim != 2:
+        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    return _frozen(_hermitian_part(a, tol, label))
 
 
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit trace.
 
-    ``spectrum`` is the decomposition of ``matrix`` made during validation.
-    Eigenvalues in ``[-tol, 0)`` passed as noise; evaluation counts every
-    eigenvalue at or below 1e-12 as zero.
+    ``spectrum`` is the decomposition of ``matrix`` made during validation at
+    ``tol``. Eigenvalues in ``[-tol, 0)`` passed as noise; evaluation counts every
+    eigenvalue at or below 1e-12 as zero, and ``tol`` bounds off-support mass.
     """
 
-    __slots__ = ("matrix", "spectrum")
+    __slots__ = ("matrix", "spectrum", "tol")
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
-        a = _hermitian_part(matrix, tol, "state")
+        a = _validated(matrix, tol, "state")
         spectrum = hermitian_eig(a, tol=tol)
         low = spectrum.eigenvalues[0]
         if low < -tol:
@@ -66,6 +84,7 @@ class DensityMatrix:
             _frozen(part)
         self.matrix = a
         self.spectrum = spectrum
+        self.tol = tol
 
     @property
     def dim(self) -> int:
@@ -86,7 +105,7 @@ class WeightMatrix:
     __slots__ = ("matrix", "degenerate")
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL, allow_semidefinite: bool = False):
-        a = _hermitian_part(matrix, tol, "weight")
+        a = _validated(matrix, tol, "weight")
         low = hermitian_eig(a, tol=tol).eigenvalues[0]
         if allow_semidefinite:
             if low < -tol:
@@ -138,22 +157,13 @@ class QutritDiagonal:
     p3: float
 
     def __post_init__(self):
-        ps = (self.p1, self.p2, self.p3)
-        if min(ps) < 0.0:
-            raise InvalidSimplexError(f"probabilities must be nonnegative, got {ps}")
-        total = self.p1 + self.p2 + self.p3
-        if abs(total - 1.0) > SIMPLEX_TOL:
-            raise InvalidSimplexError(f"probabilities sum to {total!r}, expected 1")
+        _check_probabilities((self.p1, self.p2, self.p3))
 
 
 def embed_ququart(p1: float, p2: float, p3: float, p4: float) -> BipartiteState:
     """Diagonal four-level state viewed as two qubits (first factor slow)."""
     ps = (p1, p2, p3, p4)
-    if min(ps) < 0.0:
-        raise InvalidSimplexError(f"probabilities must be nonnegative, got {ps}")
-    total = sum(ps)
-    if abs(total - 1.0) > SIMPLEX_TOL:
-        raise InvalidSimplexError(f"probabilities sum to {total!r}, expected 1")
+    _check_probabilities(ps)
     rho = np.diag(np.asarray(ps, dtype=complex))
     return BipartiteState(DensityMatrix(rho), 2, 2)
 
@@ -170,7 +180,7 @@ def product_weight(weight_a: WeightMatrix, weight_b: WeightMatrix) -> WeightMatr
     (semi)definite by construction, so it is not diagonalized again.
     """
     out = WeightMatrix.__new__(WeightMatrix)
-    out.matrix = _frozen(np.kron(weight_a.matrix, weight_b.matrix))
+    out.matrix = _frozen(_kron(weight_a.matrix, weight_b.matrix))
     out.degenerate = weight_a.degenerate or weight_b.degenerate
     return out
 
@@ -181,23 +191,40 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+# Batched samplers draw n items at once as (n, dim, dim) stacks. The public
+# samplers are their n = 1 case, so one seeded item is the same either way.
+def _gaussian(g: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    return g.standard_normal(shape) + 1j * g.standard_normal(shape)
+
+
+def _density_stack(g: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    z = _gaussian(g, (n, dim, dim))
+    w = z @ _dagger(z)
+    return _hermitize(w / np.trace(w, axis1=-2, axis2=-1).real[:, None, None])
+
+
+def _unitary_stack(g: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    q, r = np.linalg.qr(_gaussian(g, (n, dim, dim)))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def _weight_stack(g: np.random.Generator, n: int, dim: int, scale_range: tuple[float, float]) -> np.ndarray:
+    u = g.uniform(*scale_range, size=(n, dim))
+    v = _unitary_stack(g, n, dim)
+    return _hermitize((v * u[:, None, :]) @ _dagger(v))
+
+
 def random_density(dim: int, rng) -> DensityMatrix:
     """Trace-normalized G G^dagger for G with iid complex Gaussian entries."""
     if dim < 2:
         raise DimensionError(f"dim must be >= 2, got {dim}")
-    g = _as_rng(rng)
-    z = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
-    w = z @ z.conj().T
-    return DensityMatrix(w / np.trace(w).real)
+    return DensityMatrix(_density_stack(_as_rng(rng), 1, dim)[0])
 
 
 def haar_unitary(dim: int, rng) -> np.ndarray:
     """QR of a complex Gaussian matrix, phases corrected for Haar measure."""
-    g = _as_rng(rng)
-    z = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _unitary_stack(_as_rng(rng), 1, dim)[0]
 
 
 def random_weight(dim: int, rng, scale_range: tuple[float, float] = DEFAULT_SCALE_RANGE) -> WeightMatrix:
@@ -207,7 +234,4 @@ def random_weight(dim: int, rng, scale_range: tuple[float, float] = DEFAULT_SCAL
     lo, hi = scale_range
     if not (0.0 < lo <= hi):
         raise ValidationError(f"scale_range must satisfy 0 < lo <= hi, got {scale_range}")
-    g = _as_rng(rng)
-    u = g.uniform(lo, hi, size=dim)
-    v = haar_unitary(dim, g)
-    return WeightMatrix((v * u) @ v.conj().T)
+    return WeightMatrix(_weight_stack(_as_rng(rng), 1, dim, scale_range)[0])

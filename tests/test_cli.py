@@ -148,6 +148,25 @@ class TestCheckCommand:
         )
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8"])
+    def test_bad_tol_exits_2(self, runner, tmp_path, tol):
+        # one unmirrored off-diagonal entry: only a working Hermiticity check rejects it
+        m = np.diag([0.25, 0.25, 0.25, 0.25])
+        m[0, 3] = 0.3
+        state = write_matrix(tmp_path / "bad.json", m)
+        wa = write_matrix(tmp_path / "wa.json", np.eye(2))
+        result = runner.invoke(main, ["check", state, wa, wa, "--tol", tol])
+        assert result.exit_code == 2
+        assert "positive and finite" in result.stderr
+
+    def test_leak_is_judged_at_tol(self, runner, example_files, tmp_path):
+        # 8.3e-10 of weighted mass off the support of rho_A is noise at --tol 1e-6
+        state = write_matrix(tmp_path / "s.json", np.diag([0.5, 0.5, 1e-8, -1e-8]))
+        args = ["check", state, example_files["wa"], example_files["wb"], "--tol", "1e-6"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert json.loads(result.output)["subadditivity_holds"] is True
+
     def test_garbage_dims_exits_2(self, runner, example_files):
         result = runner.invoke(
             main,
@@ -273,6 +292,12 @@ class TestAuditCommand:
     def test_unknown_regime_exits_2(self, runner):
         result = runner.invoke(main, ["audit", "--regime", "bogus"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_bad_tol_exits_2(self, runner, tol):
+        result = runner.invoke(main, ["audit", "--n", "10", "--tol", tol])
+        assert result.exit_code == 2
+        assert "positive and finite" in result.stderr
 
     def test_diagonal_regime_wrong_dims_exits_3(self, runner):
         result = runner.invoke(

@@ -249,6 +249,16 @@ class TestClosedForm:
         # p2 = 0 zeroes every term
         assert qutrit_mutual_information_closed_form(1 / 9, 0.0, *EXAMPLE_WEIGHTS) == 0.0
 
+    def test_support_edge_matches_matrix_path(self):
+        # a probability at or below 1e-12 still multiplies the log of a reduced
+        # eigenvalue on the matrix path; the closed form keeps that term too
+        f1, f2, c1, c2 = EXAMPLE_WEIGHTS
+        for p1, p2 in [(5e-13, 0.3), (0.3, 5e-13), (0.6, 0.4 - 5e-13)]:
+            closed = qutrit_mutual_information_closed_form(p1, p2, f1, f2, c1, c2)
+            state = embed_ququart(p1, p2, 1.0 - p1 - p2, 0.0)
+            general = weighted_mutual_information(diag_weight(f1, f2), diag_weight(c1, c2), state)
+            assert abs(closed - general) < 1e-15
+
     def test_p1_zero_convention(self):
         f1, f2, c1, c2 = EXAMPLE_WEIGHTS
         val = qutrit_mutual_information_closed_form(0.0, 0.3, f1, f2, c1, c2)

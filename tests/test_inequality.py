@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wqent.entropy
+import wqent.inequality
 import wqent.states
 from wqent.errors import DimensionError, ValidationError
 from wqent.states import (
@@ -17,7 +20,7 @@ from wqent.states import (
     random_density,
     random_weight,
 )
-from wqent.linalg import hermitian_eig
+from wqent.linalg import hermitian_eig, partial_trace
 from wqent.inequality import (
     AUDIT_REGIMES,
     audit_random,
@@ -26,7 +29,10 @@ from wqent.inequality import (
     qutrit_weight_condition,
     trace_condition,
     _diagonal_report_fields,
+    _report_fields,
 )
+
+REPORT_FIELDS = ("s_ab", "s_a", "s_b", "gap", "condition_lhs", "condition_rhs", "condition_gap")
 
 
 def diag_weight(x1, x2):
@@ -148,8 +154,9 @@ class TestCheckSubadditivity:
 
     def test_rejects_nonpositive_tolerance(self):
         state, wa, wb = worked_setup()
-        with pytest.raises(ValidationError):
-            check_subadditivity(wa, wb, state, tolerance=0.0)
+        for tolerance in (0.0, -1e-8, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError):
+                check_subadditivity(wa, wb, state, tolerance=tolerance)
 
     def test_channel_output_state(self):
         state = embed_ququart(1 / 9, 0.0, 8 / 9, 0.0)
@@ -175,17 +182,88 @@ class TestCheckSubadditivity:
         wa = random_weight(2, rng).matrix
         wb = random_weight(3, rng).matrix
         shapes = []
+        traces = []
 
         def counting(m, *args, **kwargs):
             shapes.append(np.shape(m))
             return hermitian_eig(m, *args, **kwargs)
 
+        def counting_trace(m, *args, **kwargs):
+            traces.append(args)
+            return partial_trace(m, *args, **kwargs)
+
         monkeypatch.setattr(wqent.states, "hermitian_eig", counting)
         monkeypatch.setattr(wqent.entropy, "hermitian_eig", counting)
+        monkeypatch.setattr(wqent.entropy, "partial_trace", counting_trace)
+        monkeypatch.setattr(wqent.inequality, "partial_trace", counting_trace)
         state = BipartiteState(DensityMatrix(rho), 2, 3)
         check_subadditivity(WeightMatrix(wa), WeightMatrix(wb), state, im_tol=math.inf)
         # rho_AB, phi_A, phi_B at validation; rho_A, rho_B in evaluation
         assert shapes == [(6, 6), (2, 2), (3, 3), (2, 2), (3, 3)]
+        # rho_A, rho_B, tr_B(phi rho) and tr_A(phi rho), each taken once
+        assert len(traces) == 4
+
+
+def frame_state(rng, da, db, deficient):
+    """A state diagonal in a random local frame; ``deficient`` empties the last row, so rho_A is singular."""
+    def haar(d):
+        q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+    p = rng.dirichlet(np.ones(da * db)).reshape(da, db)
+    if deficient:
+        p[-1, :] = 0.0
+        p /= p.sum()
+    u = np.kron(haar(da), haar(db))
+    return DensityMatrix((u * p.ravel()) @ u.conj().T)
+
+
+def leaky_state():
+    # rho_A = diag(1, 0), yet phi rho puts 0.16 * 3e-3 = 4.8e-4 of weighted mass
+    # on the kernel of rho_A; the -1.8e-5 eigenvalue passes at tol=2e-5
+    m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    m[0, 3] = m[3, 0] = 3e-3
+    return BipartiteState(DensityMatrix(m, tol=2e-5), 2, 2)
+
+
+LEAK_WEIGHT = np.array([[1.0, 0.4], [0.4, 1.0]], dtype=complex)
+
+
+class TestReportEngine:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(2, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_stack_matches_scalar_checks(self, seed, da, db):
+        rng = np.random.default_rng(seed)
+        states = [random_density(da * db, rng), frame_state(rng, da, db, True), frame_state(rng, da, db, False),
+                  DensityMatrix(np.kron(random_density(da, rng).matrix, random_density(db, rng).matrix))]
+        weights = [(random_weight(da, rng), random_weight(db, rng)) for _ in states]
+        rho = np.stack([s.matrix for s in states])
+        fields = _report_fields(rho, hermitian_eig(rho), np.stack([w.matrix for w, _ in weights]),
+                                np.stack([w.matrix for _, w in weights]), da, db, 1e-10, math.inf)
+        for i, (s, (wa, wb)) in enumerate(zip(states, weights)):
+            rep = check_subadditivity(wa, wb, BipartiteState(s, da, db), im_tol=math.inf)
+            for k in REPORT_FIELDS:
+                assert abs(fields[k][i] - getattr(rep, k)) <= 1e-12, k
+
+    def test_off_support_leak_raises(self):
+        state = leaky_state()
+        weight = WeightMatrix(LEAK_WEIGHT)
+        with pytest.raises(ValidationError, match="outside the support"):
+            check_subadditivity(weight, weight, state, im_tol=math.inf)
+        # the same item inside a stack still fails the whole call
+        good = embed_ququart(0.1, 0.1, 0.8, 0.0).rho.matrix
+        rho = np.stack([good, state.rho.matrix, good])
+        phi = np.stack([LEAK_WEIGHT] * 3)
+        with pytest.raises(ValidationError, match="outside the support"):
+            _report_fields(rho, hermitian_eig(rho), phi, phi, 2, 2, 2e-5, math.inf)
+
+    def test_leak_is_judged_at_the_state_tolerance(self):
+        # 1e-8 and -1e-8 leave rho_A = diag(1, 0) with 8.3e-10 of weighted mass
+        # off its support: noise at tol=1e-6, where the state was validated
+        rho = DensityMatrix(np.diag([0.5, 0.5, 1e-8, -1e-8]), tol=1e-6)
+        _, wa, wb = worked_setup()
+        rep = check_subadditivity(wa, wb, BipartiteState(rho, 2, 2), tolerance=1e-6)
+        assert rep.subadditivity_holds
 
 
 class TestDiagonalEngine:
@@ -262,6 +340,19 @@ class TestAudit:
         summary = audit_random(10, 2, 3, 1, "general-unconstrained")
         assert summary.samples == 10
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_general_violations_reproduce_through_check(self, dims):
+        summary = audit_random(2000, *dims, 1, "general-unconstrained", tolerance=1e-9)
+        assert summary.violations
+        for v in summary.violations:
+            state = BipartiteState(DensityMatrix(v.state), *dims)
+            rep = check_subadditivity(WeightMatrix(v.weight_a), WeightMatrix(v.weight_b), state,
+                                      tolerance=1e-9, im_tol=math.inf)
+            for k in REPORT_FIELDS:
+                assert abs(getattr(rep, k) - getattr(v.report, k)) <= 1e-12, k
+            assert (rep.condition_holds, rep.subadditivity_holds) == (
+                v.report.condition_holds, v.report.subadditivity_holds)
+
     def test_diagonal_regimes_require_qubit_factors(self):
         with pytest.raises(DimensionError):
             audit_random(10, 2, 3, 0, "diagonal-condition-satisfying")
@@ -273,4 +364,7 @@ class TestAudit:
             audit_random(10, 2, 2, -1, "diagonal-unconstrained")
         with pytest.raises(ValidationError):
             audit_random(10, 2, 2, 0, "no-such-regime")
+        for tolerance in (0.0, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                audit_random(10, 2, 2, 0, "diagonal-unconstrained", tolerance=tolerance)
         assert len(AUDIT_REGIMES) == 3

@@ -89,6 +89,16 @@ def test_non_finite_entries_are_rejected(build, bad):
         build(m)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-8])
+@pytest.mark.parametrize(
+    "build", [DensityMatrix, WeightMatrix, Projector], ids=["DensityMatrix", "WeightMatrix", "Projector"]
+)
+def test_tolerance_must_be_positive_and_finite(build, tol):
+    # a NaN tolerance would switch every "> tol" check off
+    with pytest.raises(ValidationError, match="positive and finite"):
+        build(np.diag([1.0, 0.0]), tol=tol)
+
+
 class TestWeightMatrix:
     def test_strict_needs_positive_definite(self):
         WeightMatrix(np.diag([0.75, 0.25]))
@@ -197,6 +207,27 @@ class TestSamplers:
         a = random_density(3, rng)
         b = random_density(3, rng)
         assert np.abs(a.matrix - b.matrix).max() > 1e-3
+
+    def test_seeded_draws_follow_the_one_item_recipe(self):
+        # the public samplers are the n = 1 case of the batched ones; a seeded
+        # draw equals, bit for bit, the recipe written out for one item
+        g = np.random.default_rng(12)
+        z = g.standard_normal((3, 3)) + 1j * g.standard_normal((3, 3))
+        w = z @ z.conj().T
+        density = w / np.trace(w).real
+        u = g.uniform(0.05, 2.0, size=3)
+        z = g.standard_normal((3, 3)) + 1j * g.standard_normal((3, 3))
+        q, r = np.linalg.qr(z)
+        v = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        weight = (v * u) @ v.conj().T
+        z = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
+        q, r = np.linalg.qr(z)
+        unitary = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+        g = np.random.default_rng(12)
+        assert np.array_equal(random_density(3, g).matrix, 0.5 * (density + density.conj().T))
+        assert np.array_equal(random_weight(3, g).matrix, 0.5 * (weight + weight.conj().T))
+        assert np.array_equal(haar_unitary(4, g), unitary)
 
     def test_dim_validation(self):
         with pytest.raises(DimensionError):
