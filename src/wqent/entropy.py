@@ -35,7 +35,7 @@ def _joint_entropy(phi: np.ndarray, spectrum: SpectralDecomposition, im_tol: flo
 
 def _subsystem_entropy(x: np.ndarray, rho_kept: np.ndarray, leak_tol: float, im_tol: float) -> np.ndarray:
     """``-tr(x ln rho_kept)`` on the support of ``rho_kept``, ``x`` leaking at most ``leak_tol`` off it."""
-    lams, u = hermitian_eig(rho_kept)
+    lams, u = hermitian_eig(rho_kept, leak_tol)
     y = _dagger(u) @ x @ u
     off = lams <= SUPPORT_EPS
     if off.any():

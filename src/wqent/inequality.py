@@ -116,9 +116,8 @@ def _report_fields(rho: np.ndarray, spectrum: SpectralDecomposition, phi_a: np.n
     return _fields(s_ab, s_a, s_b, *_condition_sides(phi, rho, phi_a, rho_a, phi_b, rho_b))
 
 
-def _report(fields: dict[str, np.ndarray], i, tolerance: float) -> SubadditivityReport:
-    """Item ``i`` of engine fields as a report; verdicts compare against ``-tolerance``."""
-    values = {k: float(v[i]) for k, v in fields.items()}
+def _report(values: dict[str, float], tolerance: float) -> SubadditivityReport:
+    """Report from Python-float fields; verdicts compare against ``-tolerance``."""
     return SubadditivityReport(**values, condition_holds=values["condition_gap"] >= -tolerance,
                                subadditivity_holds=values["gap"] >= -tolerance, tolerance=tolerance)
 
@@ -141,7 +140,7 @@ def check_subadditivity(
     rho = state.rho
     fields = _report_fields(rho.matrix, rho.spectrum, weight_a.matrix, weight_b.matrix,
                             state.dim_a, state.dim_b, rho.tol, im_tol)
-    return _report(fields, (), tolerance)  # the fields are 0-d: () reads their one item
+    return _report({k: float(v) for k, v in fields.items()}, tolerance)
 
 
 @dataclass(frozen=True)
@@ -180,15 +179,22 @@ def _diagonal_report_fields(probs: np.ndarray, weights: np.ndarray) -> dict[str,
     return _fields(s_ab, s_a, s_b, lhs, rhs)
 
 
+def _diag_stack(rows: np.ndarray) -> np.ndarray:
+    """``(k, m)`` rows as a ``(k, m, m)`` stack of complex diagonal matrices."""
+    out = np.zeros(rows.shape + rows.shape[-1:], dtype=complex)
+    np.einsum("...ii->...i", out)[...] = rows
+    return out
+
+
 def _sample_diagonal(rng: np.random.Generator, n: int, condition_satisfying: bool):
     e = rng.standard_exponential((n, 3))
     probs = e / e.sum(axis=1, keepdims=True)
     lo, hi = DEFAULT_SCALE_RANGE
     weights = rng.uniform(lo, hi, size=(n, 4))
-    f, c = weights[:, :2], weights[:, 2:]
-    # resample weight rows until (phi1 - phi2)(chi2 - chi1) >= 0
-    while condition_satisfying and (bad := (f[:, 0] - f[:, 1]) * (c[:, 1] - c[:, 0]) < 0.0).any():
-        weights[bad] = rng.uniform(lo, hi, size=(int(bad.sum()), 4))
+    # resample weight rows until (phi1 - phi2)(chi2 - chi1) >= 0; only redrawn rows can change
+    w, rows = weights, np.arange(n)
+    while condition_satisfying and (rows := rows[(w[:, 0] - w[:, 1]) * (w[:, 3] - w[:, 2]) < 0.0]).size:
+        weights[rows] = w = rng.uniform(lo, hi, size=(rows.size, 4))
     return probs, weights
 
 
@@ -235,21 +241,22 @@ def audit_random(
         # off-support mass is judged as a default-tol DensityMatrix would judge it
         fields = _report_fields(rho, hermitian_eig(rho), wa, wb, dim_a, dim_b, DEFAULT_TOL, math.inf)
 
-        def matrices(i):
-            return rho[i].copy(), wa[i].copy(), wb[i].copy()
+        def matrices(idx):
+            return rho[idx], wa[idx], wb[idx]
     else:
         if dim_a != 2 or dim_b != 2:
             raise DimensionError(f"regime {regime!r} needs 2x2 factors, got {dim_a}x{dim_b}")
         probs, weights = _sample_diagonal(rng, n, regime == "diagonal-condition-satisfying")
         fields = _diagonal_report_fields(probs, weights)
 
-        def matrices(i):
-            p, w = probs[i].tolist(), weights[i].astype(complex)
-            return np.diag(np.array(p + [0.0], dtype=complex)), np.diag(w[:2]), np.diag(w[2:])
+        def matrices(idx):
+            p, w = np.pad(probs[idx], ((0, 0), (0, 1))), weights[idx]
+            return _diag_stack(p), _diag_stack(w[:, :2]), _diag_stack(w[:, 2:])
 
     gap = fields["gap"]
-    violations = tuple(
-        ViolationRecord(*matrices(i), _report(fields, i, tolerance))
-        for i in np.nonzero(gap < -tolerance)[0].tolist()
-    )
+    idx = np.flatnonzero(gap < -tolerance)
+    # each record holds its own item of the (k, d, d) stacks; each field is read once, as a list
+    columns = zip(*(v[idx].tolist() for v in fields.values()))
+    reports = [_report(dict(zip(fields, row)), tolerance) for row in columns]
+    violations = tuple(map(ViolationRecord, *matrices(idx), reports))
     return AuditSummary(n, violations, float(gap.min()), seed, regime)

@@ -89,11 +89,7 @@ def grid_to_csv(grid: SweepGrid, comments: Sequence[str] = ()) -> str:
     """Render unmasked cells in row-major order, 17 significant digits."""
     lines = [f"# {c}" for c in comments]
     lines.append(f"{grid.axis_names[0]},{grid.axis_names[1]},I")
-    ax0, ax1 = grid.axis_values
-    n0, n1 = grid.values.shape
-    for i in range(n0):
-        for j in range(n1):
-            if grid.mask[i, j]:
-                continue
-            lines.append(f"{ax0[i]:.17g},{ax1[j]:.17g},{grid.values[i, j]:.17g}")
+    ax0, ax1 = ([f"{x:.17g}" for x in ax.tolist()] for ax in grid.axis_values)
+    for a, row, masked in zip(ax0, grid.values.tolist(), grid.mask.tolist()):
+        lines += [f"{a},{b},{v:.17g}" for b, v, m in zip(ax1, row, masked) if not m]
     return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ import wqent.inequality
 import wqent.states
 from wqent.errors import DimensionError, ValidationError
 from wqent.states import (
+    DEFAULT_SCALE_RANGE,
     BipartiteState,
     DensityMatrix,
     QutritDiagonal,
@@ -20,6 +22,7 @@ from wqent.states import (
     random_density,
     random_weight,
 )
+from wqent.cli import matrix_to_dict
 from wqent.linalg import hermitian_eig, partial_trace
 from wqent.inequality import (
     AUDIT_REGIMES,
@@ -28,8 +31,10 @@ from wqent.inequality import (
     qutrit_condition_gap,
     qutrit_weight_condition,
     trace_condition,
+    SubadditivityReport,
     _diagonal_report_fields,
     _report_fields,
+    _sample_diagonal,
 )
 
 REPORT_FIELDS = ("s_ab", "s_a", "s_b", "gap", "condition_lhs", "condition_rhs", "condition_gap")
@@ -203,6 +208,19 @@ class TestCheckSubadditivity:
         # rho_A, rho_B, tr_B(phi rho) and tr_A(phi rho), each taken once
         assert len(traces) == 4
 
+    def test_reduced_states_are_diagonalized_at_the_state_tolerance(self, monkeypatch):
+        _, wa, wb = worked_setup()
+        state = BipartiteState(DensityMatrix(np.diag([0.1, 0.1, 0.8, 0.0]), tol=1e-6), 2, 2)
+        calls = []
+
+        def recording(m, tol=wqent.linalg.HERMITIAN_TOL):
+            calls.append((np.shape(m), tol))
+            return hermitian_eig(m, tol)
+
+        monkeypatch.setattr(wqent.entropy, "hermitian_eig", recording)
+        check_subadditivity(wa, wb, state, tolerance=1e-6)
+        assert calls == [((2, 2), 1e-6), ((2, 2), 1e-6)]
+
 
 def frame_state(rng, da, db, deficient):
     """A state diagonal in a random local frame; ``deficient`` empties the last row, so rho_A is singular."""
@@ -293,6 +311,84 @@ class TestDiagonalEngine:
         # a pure state has zero entropy everywhere
         assert abs(fields["s_ab"][0]) < 1e-14
         assert abs(fields["gap"][0]) < 1e-14
+
+
+def sample_diagonal_full_retest(rng, n, condition_satisfying):
+    """The diagonal sampler as it was when every pass re-tested all n rows."""
+    e = rng.standard_exponential((n, 3))
+    probs = e / e.sum(axis=1, keepdims=True)
+    lo, hi = DEFAULT_SCALE_RANGE
+    weights = rng.uniform(lo, hi, size=(n, 4))
+    f, c = weights[:, :2], weights[:, 2:]
+    while condition_satisfying and (bad := (f[:, 0] - f[:, 1]) * (c[:, 1] - c[:, 0]) < 0.0).any():
+        weights[bad] = rng.uniform(lo, hi, size=(int(bad.sum()), 4))
+    return probs, weights
+
+
+def diagonal_records_per_item(n, seed, tolerance=1e-10):
+    """Violation records of the unconstrained diagonal audit, built one item at a time."""
+    probs, weights = _sample_diagonal(np.random.default_rng(seed), n, False)
+    fields = _diagonal_report_fields(probs, weights)
+    out = []
+    for i in np.nonzero(fields["gap"] < -tolerance)[0]:
+        values = {k: float(v[i]) for k, v in fields.items()}
+        report = SubadditivityReport(**values, condition_holds=values["condition_gap"] >= -tolerance,
+                                     subadditivity_holds=values["gap"] >= -tolerance, tolerance=tolerance)
+        p, w = probs[i].tolist(), weights[i].astype(complex)
+        out.append((np.diag(np.array(p + [0.0], dtype=complex)), np.diag(w[:2]), np.diag(w[2:]), report))
+    return out
+
+
+def matrix_json(m):
+    return json.dumps(matrix_to_dict(m)).encode()
+
+
+class TestDiagonalSampler:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("condition_satisfying", [True, False])
+    def test_stream_matches_full_retest(self, seed, condition_satisfying):
+        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        probs, weights = _sample_diagonal(rng_new, 10_000, condition_satisfying)
+        ref_probs, ref_weights = sample_diagonal_full_retest(rng_ref, 10_000, condition_satisfying)
+        assert np.array_equal(probs, ref_probs)
+        assert np.array_equal(weights, ref_weights)
+        # both consumed the same number of draws
+        assert rng_new.random() == rng_ref.random()
+
+
+class TestViolationRecords:
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_records_match_per_item_reference(self, seed):
+        summary = audit_random(20_000, 2, 2, seed, "diagonal-unconstrained")
+        expected = diagonal_records_per_item(20_000, seed)
+        assert len(summary.violations) == len(expected) > 0
+        for v, (state, wa, wb, report) in zip(summary.violations, expected):
+            assert v.report == report
+            for got, want in ((v.state, state), (v.weight_a, wa), (v.weight_b, wb)):
+                assert got.dtype == want.dtype == np.complex128
+                assert got.shape == want.shape
+                assert matrix_json(got) == matrix_json(want)
+
+    @pytest.mark.parametrize("regime, n, seed", [
+        ("diagonal-unconstrained", 2000, 1),
+        ("general-unconstrained", 1000, 4),
+    ])
+    def test_writing_one_record_leaves_the_others(self, regime, n, seed):
+        summary = audit_random(n, 2, 2, seed, regime, tolerance=1e-9)
+        assert len(summary.violations) >= 3
+        before = [(v.state.copy(), v.weight_a.copy(), v.weight_b.copy()) for v in summary.violations]
+        first = summary.violations[0]
+        first.state[...] = 7.0
+        first.weight_a[...] = 7.0
+        first.weight_b[...] = 7.0
+        for v, (state, wa, wb) in zip(summary.violations[1:], before[1:]):
+            assert np.array_equal(v.state, state)
+            assert np.array_equal(v.weight_a, wa)
+            assert np.array_equal(v.weight_b, wb)
+
+    def test_condition_satisfying_records_none(self):
+        for seed in (3, 11):
+            assert audit_random(20_000, 2, 2, seed, "diagonal-condition-satisfying").violations == ()
 
 
 class TestAudit:

@@ -3,7 +3,9 @@ import pytest
 
 from wqent.errors import ValidationError
 from wqent.entropy import qutrit_mutual_information_closed_form
-from wqent.sweeps import grid_to_csv, sweep_probabilities, sweep_weights
+from wqent.sweeps import SweepGrid, grid_to_csv, sweep_probabilities, sweep_weights
+
+from csv_oracle import grid_to_csv_per_cell
 
 
 class TestProbabilitySweep:
@@ -107,3 +109,43 @@ class TestCsv:
         assert phis == sorted(phis)
         chis = [float(r.split(",")[1]) for r in rows[:3]]
         assert chis == [0.0, 0.25, 0.5]
+
+
+def awkward_grid():
+    """Scattered masked cells, signed zeros, subnormals, extremes and an unmasked NaN."""
+    values = np.array([
+        [-0.0, 5e-324, 1e300, 0.1],
+        [-1e-300, np.nan, 2.0 / 3.0, -5e-324],
+        [1.0, -1e300, 0.0, 123456789.0],
+    ])
+    mask = np.array([
+        [False, True, False, False],
+        [False, False, True, False],
+        [True, False, False, True],
+    ])
+    axes = (np.array([-0.0, 1e-17, 0.5]), np.array([0.1, 0.2, 1e300, 5e-324]))
+    return SweepGrid(("x", "y"), axes, values, mask)
+
+
+class TestCsvMatchesPerCellOracle:
+    COMMENTS = [(), ("first comment", "second, with a comma")]
+
+    @pytest.mark.parametrize("comments", COMMENTS)
+    @pytest.mark.parametrize("make", [
+        lambda: sweep_probabilities(97),
+        lambda: sweep_weights("a", 97),
+        lambda: sweep_weights("b", 97),
+        lambda: sweep_probabilities(1),
+        lambda: sweep_weights("a", 1),
+        awkward_grid,
+    ], ids=["prob-97", "weight-a-97", "weight-b-97", "prob-1", "weight-a-1", "awkward"])
+    def test_bytes_equal_oracle(self, make, comments):
+        grid = make()
+        assert grid_to_csv(grid, comments).encode() == grid_to_csv_per_cell(grid, comments).encode()
+
+    def test_awkward_grid_renders_special_values(self):
+        rows = grid_to_csv(awkward_grid()).splitlines()[1:]
+        assert rows[0] == "-0,0.10000000000000001,-0"
+        assert "0.5,0.20000000000000001,-1.0000000000000001e+300" in rows
+        assert "1.0000000000000001e-17,0.20000000000000001,nan" in rows
+        assert len(rows) == 12 - 4
