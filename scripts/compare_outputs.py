@@ -1,0 +1,105 @@
+"""Compare the CLI and script outputs of two wqent source trees byte for byte.
+
+Usage: python scripts/compare_outputs.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts. Every case
+runs in a fresh interpreter with ``PYTHONPATH`` set to one of them: the three
+default sweep CSVs and ``sweep prob --grid-n 1``, diagonal audits (n = 1000 at
+seeds 0-2 in both regimes, n = 1e5 at seed 5), general audits at 2x2 and 2x3,
+``check`` and ``channel`` JSON on the worked example, two ``qutrit`` calls, and
+``scripts/run_worked_example.py`` from the checkout that holds each ``src``.
+A case differs when its exit code, stdout or stderr does. Each differing case
+is named; the exit code is 1 if any case differs, else 0. Two interpreters
+run at a time.
+"""
+
+import argparse
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+
+JOBS = 2
+
+# the worked example: diag(0.1, 0.1, 0.8, 0) split 2x2, weights diag(3/4, 1/4) and diag(1/3, 2/3)
+MATRICES = {
+    "state": [0.1, 0.1, 0.8, 0.0],
+    "wa": [0.75, 0.25],
+    "wb": [1 / 3, 2 / 3],
+    "proj": [1.0, 0.0, 1.0, 0.0],
+}
+
+
+def cases(files: dict) -> dict:
+    """Case name -> arguments after the interpreter; ``{script}`` stands for the worked-example script."""
+    cli = ["-m", "wqent.cli"]
+    out = {
+        "sweep prob": cli + ["sweep", "prob"],
+        "sweep weight a": cli + ["sweep", "weight", "--region", "a"],
+        "sweep weight b": cli + ["sweep", "weight", "--region", "b"],
+        "sweep prob grid-n 1": cli + ["sweep", "prob", "--grid-n", "1"],
+    }
+    for regime in ("diagonal-condition-satisfying", "diagonal-unconstrained"):
+        for seed in range(3):
+            out[f"audit {regime} n=1000 seed={seed}"] = cli + [
+                "audit", "--n", "1000", "--seed", str(seed), "--regime", regime]
+    out["audit diagonal-unconstrained n=100000 seed=5"] = cli + [
+        "audit", "--n", "100000", "--seed", "5", "--regime", "diagonal-unconstrained"]
+    for dims in ("2x2", "2x3"):
+        out[f"audit general-unconstrained {dims} n=2000 seed=1"] = cli + [
+            "audit", "--n", "2000", "--seed", "1", "--dims", dims, "--regime", "general-unconstrained"]
+    out["check worked example"] = cli + ["check", files["state"], files["wa"], files["wb"]]
+    out["channel worked example"] = cli + ["channel", files["state"], files["proj"]]
+    out["qutrit worked example"] = cli + ["qutrit", "0.1", "0.1", "0.75", "0.25", repr(1 / 3), repr(2 / 3)]
+    out["qutrit 0.5 0.5 1 0 0 1"] = cli + ["qutrit", "0.5", "0.5", "1", "0", "0", "1"]
+    out["scripts/run_worked_example.py"] = ["{script}"]
+    return out
+
+
+def write_matrices(directory: pathlib.Path) -> dict:
+    files = {}
+    for name, diag in MATRICES.items():
+        re = [[diag[i] if i == j else 0.0 for j in range(len(diag))] for i in range(len(diag))]
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps({"dim": len(diag), "re": re}))
+        files[name] = str(path)
+    return files
+
+
+def run(src: pathlib.Path, args: list, cwd: str) -> tuple:
+    script = src.parent / "scripts" / "run_worked_example.py"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    argv = [sys.executable] + [str(script) if a == "{script}" else a for a in args]
+    res = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, timeout=600)
+    return res.returncode, res.stdout, res.stderr
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("old_src", type=pathlib.Path)
+    ap.add_argument("new_src", type=pathlib.Path)
+    args = ap.parse_args(argv)
+    trees = [args.old_src.resolve(), args.new_src.resolve()]
+    for src in trees:
+        if not (src / "wqent").is_dir():
+            ap.error(f"{src} holds no wqent package")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        todo = cases(write_matrices(pathlib.Path(tmp)))
+        with ThreadPoolExecutor(JOBS) as pool:
+            results = {name: [pool.submit(run, src, case, tmp) for src in trees] for name, case in todo.items()}
+            differing = []
+            for name, (old, new) in results.items():
+                same = old.result() == new.result()
+                print(f"{'same' if same else 'DIFFERS'}  {name}")
+                if not same:
+                    differing.append(name)
+    print(f"{len(todo) - len(differing)} of {len(todo)} cases identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -35,6 +35,7 @@ from .entropy import (
 )
 from .inequality import (
     AUDIT_REGIMES,
+    SubadditivityReport,
     audit_random,
     check_subadditivity,
     qutrit_condition_gap,
@@ -106,6 +107,14 @@ def matrix_to_dict(m: np.ndarray) -> dict:
         "re": m.real.tolist(),
         "im": m.imag.tolist(),
     }
+
+
+_REPORT_KEYS = tuple(f.name for f in dataclasses.fields(SubadditivityReport))
+
+
+def report_to_dict(report: SubadditivityReport) -> dict:
+    """The report's fields in declaration order; shallow, since every field is a float or a bool."""
+    return {k: getattr(report, k) for k in _REPORT_KEYS}
 
 
 def _fail(code: int, exc: Exception) -> None:
@@ -183,7 +192,7 @@ def check(state_file, weight_a_file, weight_b_file, dims, tol, out):
     wa = WeightMatrix(load_matrix(weight_a_file), tol=tol, allow_semidefinite=True)
     wb = WeightMatrix(load_matrix(weight_b_file), tol=tol, allow_semidefinite=True)
     report = check_subadditivity(wa, wb, state, tolerance=tol)
-    _emit(json.dumps(dataclasses.asdict(report), indent=2) + "\n", out)
+    _emit(json.dumps(report_to_dict(report), indent=2) + "\n", out)
 
 
 @main.command()
@@ -279,7 +288,7 @@ def channel(state_file, projector_file, phi1, phi2, chi1, chi2, tol, out):
     )
     payload = {
         "state": matrix_to_dict(rho_out.matrix),
-        "report": dataclasses.asdict(report),
+        "report": report_to_dict(report),
     }
     _emit(json.dumps(payload, indent=2) + "\n", out)
 
@@ -313,7 +322,7 @@ def audit(n, dims, seed, regime, tol, out):
                 "state": matrix_to_dict(v.state),
                 "weight_a": matrix_to_dict(v.weight_a),
                 "weight_b": matrix_to_dict(v.weight_b),
-                "report": dataclasses.asdict(v.report),
+                "report": report_to_dict(v.report),
             }
             for v in summary.violations
         ],

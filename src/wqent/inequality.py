@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -96,6 +97,7 @@ class SubadditivityReport:
 
 
 def _fields(s_ab, s_a, s_b, lhs, rhs) -> dict[str, np.ndarray]:
+    """The seven numeric report fields, keyed and ordered as in :class:`SubadditivityReport`."""
     return dict(s_ab=s_ab, s_a=s_a, s_b=s_b, gap=s_a + s_b - s_ab,
                 condition_lhs=lhs, condition_rhs=rhs, condition_gap=lhs - rhs)
 
@@ -116,10 +118,15 @@ def _report_fields(rho: np.ndarray, spectrum: SpectralDecomposition, phi_a: np.n
     return _fields(s_ab, s_a, s_b, *_condition_sides(phi, rho, phi_a, rho_a, phi_b, rho_b))
 
 
-def _report(values: dict[str, float], tolerance: float) -> SubadditivityReport:
-    """Report from Python-float fields; verdicts compare against ``-tolerance``."""
-    return SubadditivityReport(**values, condition_holds=values["condition_gap"] >= -tolerance,
-                               subadditivity_holds=values["gap"] >= -tolerance, tolerance=tolerance)
+def _reports(columns: dict[str, list[float]], tolerance: float) -> list[SubadditivityReport]:
+    """One report per item of ``columns`` (a Python-float list per field, in :func:`_fields` order).
+
+    Built positionally; the verdicts compare against ``-tolerance``.
+    """
+    condition_holds = [c >= -tolerance for c in columns["condition_gap"]]
+    subadditivity_holds = [g >= -tolerance for g in columns["gap"]]
+    return list(map(SubadditivityReport, *columns.values(), condition_holds, subadditivity_holds,
+                    repeat(tolerance)))
 
 
 def check_subadditivity(
@@ -140,7 +147,7 @@ def check_subadditivity(
     rho = state.rho
     fields = _report_fields(rho.matrix, rho.spectrum, weight_a.matrix, weight_b.matrix,
                             state.dim_a, state.dim_b, rho.tol, im_tol)
-    return _report({k: float(v) for k, v in fields.items()}, tolerance)
+    return _reports({k: [float(v)] for k, v in fields.items()}, tolerance)[0]
 
 
 @dataclass(frozen=True)
@@ -169,12 +176,21 @@ def _diagonal_report_fields(probs: np.ndarray, weights: np.ndarray) -> dict[str,
     """
     p1, p2, p3 = probs[:, 0], probs[:, 1], probs[:, 2]
     f1, f2, c1, c2 = weights[:, 0], weights[:, 1], weights[:, 2], weights[:, 3]
+    # each support log and each weighted probability w_ij p_k is formed once and shared by the
+    # fields, in the operation order of separate terms, so every sum rounds alike; intermediates
+    # are dropped once spent, which keeps the peak memory of the separate terms
+    ln2, ln3 = _ln_support(p2), _ln_support(p3)
     w11, w12, w21 = f1 * c1, f1 * c2, f2 * c1
-    s_ab = -(w11 * _xlnx(p1) + w12 * _xlnx(p2) + w21 * _xlnx(p3))
+    s_ab = -(w11 * _xlnx(p1) + w12 * (p2 * ln2) + w21 * (p3 * ln3))
+    m1, m2, m3 = w11 * p1, w12 * p2, w21 * p3
+    del w11, w12, w21
+    m12 = m1 + m2
+    lhs = m12 + m3
     a1, b1 = p1 + p2, p1 + p3
-    s_a = -((w11 * p1 + w12 * p2) * _ln_support(a1) + w21 * p3 * _ln_support(p3))
-    s_b = -((w11 * p1 + w21 * p3) * _ln_support(b1) + w12 * p2 * _ln_support(p2))
-    lhs = w11 * p1 + w12 * p2 + w21 * p3
+    s_a = -(m12 * _ln_support(a1) + m3 * ln3)
+    del m12
+    s_b = -((m1 + m3) * _ln_support(b1) + m2 * ln2)
+    del m1, m2, m3, ln2, ln3
     rhs = (f1 * a1 + f2 * p3) * (c1 * b1 + c2 * p2)
     return _fields(s_ab, s_a, s_b, lhs, rhs)
 
@@ -187,8 +203,10 @@ def _diag_stack(rows: np.ndarray) -> np.ndarray:
 
 
 def _sample_diagonal(rng: np.random.Generator, n: int, condition_satisfying: bool):
-    e = rng.standard_exponential((n, 3))
-    probs = e / e.sum(axis=1, keepdims=True)
+    probs = rng.standard_exponential((n, 3))
+    # normalized in place, the row sum term by term: a reduction over the length-3 axis
+    # cost as much as the rest of the sampler
+    probs /= (probs[:, 0] + probs[:, 1] + probs[:, 2])[:, None]
     lo, hi = DEFAULT_SCALE_RANGE
     weights = rng.uniform(lo, hi, size=(n, 4))
     # resample weight rows until (phi1 - phi2)(chi2 - chi1) >= 0; only redrawn rows can change
@@ -256,7 +274,6 @@ def audit_random(
     gap = fields["gap"]
     idx = np.flatnonzero(gap < -tolerance)
     # each record holds its own item of the (k, d, d) stacks; each field is read once, as a list
-    columns = zip(*(v[idx].tolist() for v in fields.values()))
-    reports = [_report(dict(zip(fields, row)), tolerance) for row in columns]
+    reports = _reports({k: v[idx].tolist() for k, v in fields.items()}, tolerance)
     violations = tuple(map(ViolationRecord, *matrices(idx), reports))
     return AuditSummary(n, violations, float(gap.min()), seed, regime)

@@ -58,9 +58,8 @@ def _trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _ln_support(x: np.ndarray) -> np.ndarray:
-    """``ln x`` elementwise, and 0 wherever ``x`` is at or below 1e-12."""
-    on = x > SUPPORT_EPS
-    return np.where(on, np.log(np.where(on, x, 1.0)), 0.0)
+    """``ln x`` elementwise, and 0 wherever ``x`` is at or below 1e-12 (or NaN), in one pass."""
+    return np.log(x, out=np.zeros(x.shape), where=x > SUPPORT_EPS)
 
 
 def _xlnx(x: np.ndarray) -> np.ndarray:

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support_oracle import diagonal_fields_separate_terms
 import wqent.entropy
 import wqent.inequality
 import wqent.states
 from wqent.errors import DimensionError, ValidationError
 from wqent.states import (
     DEFAULT_SCALE_RANGE,
+    DEFAULT_TOL,
     BipartiteState,
     DensityMatrix,
     QutritDiagonal,
@@ -21,11 +23,15 @@ from wqent.states import (
     embed_qutrit,
     random_density,
     random_weight,
+    _density_stack,
+    _weight_stack,
 )
 from wqent.cli import matrix_to_dict
+from wqent.entropy import qutrit_mutual_information_closed_form
 from wqent.linalg import hermitian_eig, partial_trace
 from wqent.inequality import (
     AUDIT_REGIMES,
+    DEFAULT_REPORT_TOL,
     audit_random,
     check_subadditivity,
     qutrit_condition_gap,
@@ -156,6 +162,21 @@ class TestCheckSubadditivity:
         assert not rep.condition_holds
         loose = check_subadditivity(wa, wb, state, tolerance=abs(rep.condition_gap) * 2)
         assert loose.condition_holds
+
+    def test_engine_fields_follow_the_report_field_order(self):
+        # reports are built positionally from the engine's fields, so the orders must agree
+        state, wa, wb = worked_setup()
+        rho = state.rho
+        fields = _report_fields(rho.matrix, rho.spectrum, wa.matrix, wb.matrix, 2, 2, rho.tol, 1e-10)
+        names = [f.name for f in dataclasses.fields(SubadditivityReport)]
+        assert tuple(fields) == REPORT_FIELDS == tuple(names[:7])
+        assert tuple(_diagonal_report_fields(np.array([[0.1, 0.1, 0.8]]), np.ones((1, 4)))) == REPORT_FIELDS
+
+    def test_report_holds_python_scalars(self):
+        state, wa, wb = worked_setup()
+        assert_plain_report(check_subadditivity(wa, wb, state), DEFAULT_REPORT_TOL)
+        tolerance = 2.5e-7
+        assert_plain_report(check_subadditivity(wa, wb, state, tolerance=tolerance), tolerance)
 
     def test_rejects_nonpositive_tolerance(self):
         state, wa, wb = worked_setup()
@@ -303,6 +324,37 @@ class TestDiagonalEngine:
             assert abs(fields["condition_rhs"][i] - rep.condition_rhs) < 1e-12
             assert abs(fields["condition_gap"][i] - rep.condition_gap) < 1e-12
 
+    @pytest.mark.parametrize("edge", [1e-12, np.nextafter(1e-12, np.inf), np.nextafter(1e-12, -np.inf)])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_support_edge_decided_alike_on_every_path(self, edge, position):
+        # x ln x at 1e-12 is about -2.8e-11, so a split support decision shows at 1e-12
+        probs = [0.6, 0.6, 0.6]
+        probs[position] = edge
+        probs[(position + 1) % 3] = 0.4 - edge
+        f1, f2, c1, c2 = 0.75, 0.25, 1 / 3, 2 / 3
+        fields = _diagonal_report_fields(np.array([probs]), np.array([[f1, f2, c1, c2]]))
+        rep = check_subadditivity(diag_weight(f1, f2), diag_weight(c1, c2), embed_ququart(*probs, 0.0),
+                                  im_tol=math.inf)
+        for k in REPORT_FIELDS:
+            assert abs(fields[k][0] - getattr(rep, k)) < 1e-12, k
+        if position < 2:
+            # the closed form takes p3 as 1 - p1 - p2, which cannot land one ulp off 1e-12
+            closed = qutrit_mutual_information_closed_form(probs[0], probs[1], f1, f2, c1, c2)
+            assert abs(closed - rep.gap) < 1e-12
+            assert abs(closed - fields["gap"][0]) < 1e-12
+
+    def test_matches_separate_terms_bit_for_bit(self):
+        probs, weights = _sample_diagonal(np.random.default_rng(5), 10_000, False)
+        edge = [0.0, 1e-12, np.nextafter(1e-12, np.inf), np.nextafter(1e-12, -np.inf), 5e-324]
+        rows = [[x, 0.5, 0.5 - x] for x in edge] + [[0.5 - x, x, 0.5] for x in edge] + [[1.0, 0.0, 0.0]]
+        probs = np.concatenate([probs, rows])
+        weights = np.concatenate([weights, np.tile([0.75, 0.25, 1 / 3, 2 / 3], (len(rows), 1))])
+        fields = _diagonal_report_fields(probs, weights)
+        reference = diagonal_fields_separate_terms(probs, weights)
+        assert tuple(fields) == tuple(reference)
+        for k, v in fields.items():
+            assert v.tobytes() == reference[k].tobytes(), k
+
     def test_handles_zero_probabilities(self):
         probs = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
         weights = np.tile([0.75, 0.25, 1 / 3, 2 / 3], (3, 1))
@@ -337,6 +389,31 @@ def diagonal_records_per_item(n, seed, tolerance=1e-10):
         p, w = probs[i].tolist(), weights[i].astype(complex)
         out.append((np.diag(np.array(p + [0.0], dtype=complex)), np.diag(w[:2]), np.diag(w[2:]), report))
     return out
+
+
+def general_records_per_item(n, dim_a, dim_b, seed, tolerance):
+    """Violation records of the general audit, each report built alone with keywords."""
+    rng = np.random.default_rng(seed)
+    rho = _density_stack(rng, n, dim_a * dim_b)
+    wa = _weight_stack(rng, n, dim_a, DEFAULT_SCALE_RANGE)
+    wb = _weight_stack(rng, n, dim_b, DEFAULT_SCALE_RANGE)
+    fields = _report_fields(rho, hermitian_eig(rho), wa, wb, dim_a, dim_b, DEFAULT_TOL, math.inf)
+    out = []
+    for i in np.nonzero(fields["gap"] < -tolerance)[0]:
+        values = {k: float(v[i]) for k, v in fields.items()}
+        report = SubadditivityReport(**values, condition_holds=values["condition_gap"] >= -tolerance,
+                                     subadditivity_holds=values["gap"] >= -tolerance, tolerance=tolerance)
+        out.append((rho[i], wa[i], wb[i], report))
+    return out
+
+
+def assert_plain_report(report, tolerance):
+    """Python floats and bools throughout, and the caller's own tolerance object."""
+    for k in REPORT_FIELDS:
+        assert type(getattr(report, k)) is float, k
+    assert type(report.condition_holds) is bool
+    assert type(report.subadditivity_holds) is bool
+    assert report.tolerance is tolerance
 
 
 def matrix_json(m):
@@ -385,6 +462,48 @@ class TestViolationRecords:
             assert np.array_equal(v.state, state)
             assert np.array_equal(v.weight_a, wa)
             assert np.array_equal(v.weight_b, wb)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_general_records_match_per_item_reference(self, dims):
+        tolerance = 1e-9
+        summary = audit_random(2000, *dims, 1, "general-unconstrained", tolerance=tolerance)
+        expected = general_records_per_item(2000, *dims, 1, tolerance)
+        assert len(summary.violations) == len(expected) > 0
+        for v, (state, wa, wb, report) in zip(summary.violations, expected):
+            assert v.report == report
+            assert np.array_equal(v.state, state)
+            assert np.array_equal(v.weight_a, wa)
+            assert np.array_equal(v.weight_b, wb)
+
+    @pytest.mark.parametrize("regime, dims", [
+        ("diagonal-unconstrained", (2, 2)),
+        ("general-unconstrained", (2, 2)),
+        ("general-unconstrained", (2, 3)),
+    ])
+    def test_reports_hold_python_scalars(self, regime, dims):
+        tolerance = 3e-9
+        summary = audit_random(2000, *dims, 1, regime, tolerance=tolerance)
+        assert summary.violations
+        for v in summary.violations:
+            assert_plain_report(v.report, tolerance)
+
+    def test_condition_satisfying_reports_hold_python_scalars(self, monkeypatch):
+        # the sign test rules violations out here, so shift every gap below the tolerance
+        # to send each sample through the regime's record path
+        real = wqent.inequality._diagonal_report_fields
+
+        def shifted(probs, weights):
+            fields = real(probs, weights)
+            fields["gap"] = fields["gap"] - 1.0
+            return fields
+
+        monkeypatch.setattr(wqent.inequality, "_diagonal_report_fields", shifted)
+        tolerance = 3e-9
+        summary = audit_random(50, 2, 2, 2, "diagonal-condition-satisfying", tolerance=tolerance)
+        assert len(summary.violations) == 50
+        for v in summary.violations:
+            assert_plain_report(v.report, tolerance)
+            assert v.report.condition_holds and not v.report.subadditivity_holds
 
     def test_condition_satisfying_records_none(self):
         for seed in (3, 11):

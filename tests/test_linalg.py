@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobi_oracle import jacobi_eigvalsh
+from support_oracle import ln_support_two_where
 from wqent.errors import DimensionError, NegativeEigenvalueError, NotHermitianError
-from wqent.linalg import hermitian_eig, partial_trace, xlogx_matrix
+from wqent.linalg import _ln_support, _xlnx, hermitian_eig, partial_trace, xlogx_matrix
 from wqent.states import DensityMatrix
 
 
@@ -158,3 +159,18 @@ def test_xlogx_basis_invariance():
         lhs = xlogx_matrix(hermitian_eig(rho))
         rhs = u @ xlogx_matrix(hermitian_eig(np.diag(p))) @ u.conj().T
         assert np.abs(lhs - rhs).max() < 1e-10
+
+
+# the support threshold itself, one ulp either side, signed zeros, the smallest subnormal, NaN
+SUPPORT_EDGE = [0.0, -0.0, 1e-12, np.nextafter(1e-12, np.inf), np.nextafter(1e-12, -np.inf),
+                5e-324, 1.0, -0.5, np.nan]
+
+
+@pytest.mark.parametrize("x", [np.array(SUPPORT_EDGE)] + [np.array(v) for v in SUPPORT_EDGE],
+                         ids=["vector"] + [f"0d-{v!r}" for v in SUPPORT_EDGE])
+def test_ln_support_matches_two_where_formula_bit_for_bit(x):
+    got, want = _ln_support(x), ln_support_two_where(x)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape == x.shape
+    assert got.tobytes() == want.tobytes()
+    assert _xlnx(x).tobytes() == (x * want).tobytes()

@@ -36,3 +36,11 @@ def test_worked_example_prints_the_gap():
     res = run_script("run_worked_example.py")
     assert res.returncode == 0, res.stderr
     assert "gap  = S_A + S_B - S_AB = 0.0728012633763" in res.stdout.splitlines()
+
+
+def test_compare_outputs_finds_a_tree_identical_to_itself():
+    src = str(ROOT / "src")
+    res = run_script("compare_outputs.py", src, src)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "DIFFERS" not in res.stdout
+    assert res.stdout.splitlines()[-1] == "18 of 18 cases identical"
