@@ -29,22 +29,17 @@ from .states import (
 )
 from .entropy import (
     qutrit_mutual_information_closed_form,
-    reduced_weighted_state,
-    subsystem_weighted_entropy,
     weighted_entropy,
-    weighted_mutual_information,
 )
 from .inequality import (
     AuditSummary,
     SubadditivityReport,
-    TraceCondition,
     ViolationRecord,
     WeightCondition,
     audit_random,
     check_subadditivity,
     qutrit_condition_gap,
     qutrit_weight_condition,
-    trace_condition,
 )
 from .channel import (
     Projector,

@@ -5,12 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ChannelUndefinedError, DimensionError, ValidationError
-from .linalg import hermitian_eig
+from .linalg import DEFAULT_TOL, SUPPORT_EPS, _eigh
 from .states import BipartiteState, DensityMatrix, WeightMatrix, _validated
-from .inequality import DEFAULT_REPORT_TOL, SubadditivityReport, check_subadditivity
-
-IDEMPOTENCE_TOL = 1e-10
-OVERLAP_EPS = 1e-12
+from .inequality import SubadditivityReport, check_subadditivity
 
 
 class Projector:
@@ -18,12 +15,12 @@ class Projector:
 
     __slots__ = ("matrix", "rank")
 
-    def __init__(self, matrix, tol: float = IDEMPOTENCE_TOL):
+    def __init__(self, matrix, tol: float = DEFAULT_TOL):
         a = _validated(matrix, tol, "projector")
         idem = float(np.abs(a @ a - a).max())
         if idem > tol:
             raise ValidationError(f"projector is not idempotent (max |P^2 - P| = {idem:.3e})")
-        lams = hermitian_eig(a, tol=tol).eigenvalues
+        lams = _eigh(a).eigenvalues
         self.rank = int(np.count_nonzero(np.abs(lams - 1.0) <= tol))
         self.matrix = a
 
@@ -53,7 +50,7 @@ def apply_projective_channel(projector: Projector, rho: DensityMatrix) -> Densit
         raise DimensionError(f"projector dim {projector.dim} does not match state dim {rho.dim}")
     prp = projector.matrix @ rho.matrix @ projector.matrix
     overlap = float(np.trace(prp).real)
-    if overlap <= OVERLAP_EPS:
+    if overlap <= SUPPORT_EPS:
         raise ChannelUndefinedError(f"channel undefined: overlap trace {overlap:.3e} vanishes")
     return DensityMatrix(prp / overlap)
 
@@ -63,7 +60,7 @@ def channel_then_check(
     weight_a: WeightMatrix,
     weight_b: WeightMatrix,
     state: BipartiteState,
-    tolerance: float = DEFAULT_REPORT_TOL,
+    tolerance: float = DEFAULT_TOL,
 ) -> tuple[DensityMatrix, SubadditivityReport]:
     """Push the state through the channel, then re-run the subadditivity check."""
     rho_out = apply_projective_channel(projector, state.rho)

@@ -21,6 +21,7 @@ from .errors import (
     MatrixFileError,
     ValidationError,
 )
+from .linalg import DEFAULT_TOL
 from .states import (
     BipartiteState,
     DensityMatrix,
@@ -28,11 +29,7 @@ from .states import (
     WeightMatrix,
     embed_qutrit,
 )
-from .entropy import (
-    qutrit_mutual_information_closed_form,
-    weighted_entropy,
-    weighted_mutual_information,
-)
+from .entropy import qutrit_mutual_information_closed_form, weighted_entropy
 from .inequality import (
     AUDIT_REGIMES,
     SubadditivityReport,
@@ -167,7 +164,7 @@ def main():
 @main.command()
 @click.argument("state_file")
 @click.argument("weight_file")
-@click.option("--tol", default=1e-10, show_default=True, help="validation tolerance")
+@click.option("--tol", default=DEFAULT_TOL, show_default=True, help="validation tolerance")
 @handle_errors
 def entropy(state_file, weight_file, tol):
     """Weighted entropy of STATE_FILE under WEIGHT_FILE, in nats."""
@@ -181,7 +178,7 @@ def entropy(state_file, weight_file, tol):
 @click.argument("weight_a_file")
 @click.argument("weight_b_file")
 @click.option("--dims", default="2x2", show_default=True, help="subsystem dims, e.g. 2x3")
-@click.option("--tol", default=1e-10, show_default=True)
+@click.option("--tol", default=DEFAULT_TOL, show_default=True)
 @click.option("--out", default=None, help="write the JSON report here instead of stdout")
 @handle_errors
 def check(state_file, weight_a_file, weight_b_file, dims, tol, out):
@@ -214,7 +211,7 @@ def qutrit(p1, p2, phi1, phi2, chi1, chi2):
         # clip separator dust so the embedding accepts boundary inputs
         p3 = 0.0
     state = embed_qutrit(QutritDiagonal(p1, p2, p3))
-    general = weighted_mutual_information(_diag_weight(phi1, phi2), _diag_weight(chi1, chi2), state)
+    general = check_subadditivity(_diag_weight(phi1, phi2), _diag_weight(chi1, chi2), state).gap
     delta = abs(value - general)
 
     click.echo(f"mutual_information = {value:.12g}")
@@ -275,7 +272,7 @@ def sweep_weight(region, grid_n, p1, p2, out):
 @click.option("--phi2", default=0.25, show_default=True)
 @click.option("--chi1", default=1.0 / 3.0, show_default=True)
 @click.option("--chi2", default=2.0 / 3.0, show_default=True)
-@click.option("--tol", default=1e-10, show_default=True)
+@click.option("--tol", default=DEFAULT_TOL, show_default=True)
 @click.option("--out", default=None, help="write the JSON result here instead of stdout")
 @handle_errors
 def channel(state_file, projector_file, phi1, phi2, chi1, chi2, tol, out):
@@ -303,7 +300,7 @@ def channel(state_file, projector_file, phi1, phi2, chi1, chi2, tol, out):
     default="diagonal-condition-satisfying",
     show_default=True,
 )
-@click.option("--tol", default=1e-10, show_default=True)
+@click.option("--tol", default=DEFAULT_TOL, show_default=True)
 @click.option("--out", default=None, help="write the JSON summary here instead of stdout")
 @handle_errors
 def audit(n, dims, seed, regime, tol, out):

@@ -4,6 +4,8 @@ Nothing here asserts: every check returns a report with the numbers and the
 boolean verdicts, and the audit collects violations instead of raising.
 One engine over stacks fills every report, one item for ``check_subadditivity``
 and a whole sample for the general audit; the diagonal regimes have a mirror.
+It is the one matrix path: the weighted mutual information is a report's
+``gap`` and the trace condition its ``condition_gap``.
 """
 
 from __future__ import annotations
@@ -16,48 +18,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .linalg import SpectralDecomposition, _kron, _ln_support, _trace_product, _xlnx
-from .linalg import hermitian_eig, partial_trace
-from .states import DEFAULT_SCALE_RANGE, DEFAULT_TOL, BipartiteState, WeightMatrix
+from .linalg import DEFAULT_TOL, SpectralDecomposition, _eigh, _kron, _ln_support, _trace_product, _xlnx
+from .linalg import partial_trace
+from .states import DEFAULT_SCALE_RANGE, BipartiteState, WeightMatrix
 from .states import _density_stack, _positive_tol, _simplex_pair, _weight_stack
 from .entropy import _joint_entropy, _subsystem_entropy
-
-# Fixed slack for the standalone trace-condition verdict; report verdicts use
-# the report's own tolerance instead.
-CONDITION_SLACK = 1e-12
-DEFAULT_REPORT_TOL = 1e-10
 
 AUDIT_REGIMES = (
     "diagonal-condition-satisfying",
     "diagonal-unconstrained",
     "general-unconstrained",
 )
-
-
-def _check_weight_dims(weight_a: WeightMatrix, weight_b: WeightMatrix, state: BipartiteState) -> None:
-    if weight_a.dim != state.dim_a or weight_b.dim != state.dim_b:
-        raise DimensionError(f"weight dims {weight_a.dim}x{weight_b.dim} do not match "
-                             f"state factors {state.dim_a}x{state.dim_b}")
-
-
-def _condition_sides(phi, rho, phi_a, rho_a, phi_b, rho_b) -> tuple[np.ndarray, np.ndarray]:
-    """``tr(phi_AB rho_AB)`` and ``tr(phi_A rho_A) tr(phi_B rho_B)``, item by item."""
-    return _trace_product(phi, rho).real, _trace_product(phi_a, rho_a).real * _trace_product(phi_b, rho_b).real
-
-
-class TraceCondition(NamedTuple):
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def trace_condition(weight_a: WeightMatrix, weight_b: WeightMatrix, state: BipartiteState) -> TraceCondition:
-    """Compare tr(phi_AB rho_AB) against tr(phi_A rho_A) tr(phi_B rho_B)."""
-    _check_weight_dims(weight_a, weight_b, state)
-    rho, dims = state.rho.matrix, (state.dim_a, state.dim_b)
-    lhs, rhs = _condition_sides(_kron(weight_a.matrix, weight_b.matrix), rho, weight_a.matrix,
-                                partial_trace(rho, *dims, "A"), weight_b.matrix, partial_trace(rho, *dims, "B"))
-    return TraceCondition(float(lhs), float(rhs), bool(lhs >= rhs - CONDITION_SLACK))
 
 
 class WeightCondition(NamedTuple):
@@ -74,8 +45,8 @@ def qutrit_weight_condition(phi1: float, phi2: float, chi1: float, chi2: float) 
 def qutrit_condition_gap(p1, p2, phi1, phi2, chi1, chi2):
     """Trace-condition gap of an embedded qutrit in product form.
 
-    Equals ``lhs - rhs`` of :func:`trace_condition` exactly:
-    ``p2 (1 - p1 - p2) (phi1 - phi2) (chi2 - chi1)``.
+    Equals the ``condition_gap`` of :func:`check_subadditivity` on the
+    embedded state: ``p2 (1 - p1 - p2) (phi1 - phi2) (chi2 - chi1)``.
     """
     p1v, p2v = _simplex_pair(p1, p2)
     out = p2v * (1.0 - p1v - p2v) * (np.asarray(phi1, float) - phi2) * (np.asarray(chi2, float) - chi1)
@@ -115,7 +86,10 @@ def _report_fields(rho: np.ndarray, spectrum: SpectralDecomposition, phi_a: np.n
     s_ab = _joint_entropy(phi, spectrum, im_tol)
     s_a = _subsystem_entropy(partial_trace(weighted, dim_a, dim_b, "A"), rho_a, leak_tol, im_tol)
     s_b = _subsystem_entropy(partial_trace(weighted, dim_a, dim_b, "B"), rho_b, leak_tol, im_tol)
-    return _fields(s_ab, s_a, s_b, *_condition_sides(phi, rho, phi_a, rho_a, phi_b, rho_b))
+    # the trace condition compares tr(phi_AB rho_AB) with tr(phi_A rho_A) tr(phi_B rho_B)
+    lhs = _trace_product(phi, rho).real
+    rhs = _trace_product(phi_a, rho_a).real * _trace_product(phi_b, rho_b).real
+    return _fields(s_ab, s_a, s_b, lhs, rhs)
 
 
 def _reports(columns: dict[str, list[float]], tolerance: float) -> list[SubadditivityReport]:
@@ -133,8 +107,8 @@ def check_subadditivity(
     weight_a: WeightMatrix,
     weight_b: WeightMatrix,
     state: BipartiteState,
-    tolerance: float = DEFAULT_REPORT_TOL,
-    im_tol: float = 1e-10,
+    tolerance: float = DEFAULT_TOL,
+    im_tol: float = DEFAULT_TOL,
 ) -> SubadditivityReport:
     """Full report: entropies, gap, trace condition, verdicts.
 
@@ -143,7 +117,9 @@ def check_subadditivity(
     judged at the tolerance the state was validated with.
     """
     _positive_tol(tolerance, "tolerance")
-    _check_weight_dims(weight_a, weight_b, state)
+    if weight_a.dim != state.dim_a or weight_b.dim != state.dim_b:
+        raise DimensionError(f"weight dims {weight_a.dim}x{weight_b.dim} do not match "
+                             f"state factors {state.dim_a}x{state.dim_b}")
     rho = state.rho
     fields = _report_fields(rho.matrix, rho.spectrum, weight_a.matrix, weight_b.matrix,
                             state.dim_a, state.dim_b, rho.tol, im_tol)
@@ -222,7 +198,7 @@ def audit_random(
     dim_b: int,
     seed: int,
     regime: str,
-    tolerance: float = DEFAULT_REPORT_TOL,
+    tolerance: float = DEFAULT_TOL,
 ) -> AuditSummary:
     """Sample n (state, weights) pairs and collect subadditivity violations.
 
@@ -256,8 +232,9 @@ def audit_random(
         rho = _density_stack(rng, n, dim_a * dim_b)
         wa = _weight_stack(rng, n, dim_a, DEFAULT_SCALE_RANGE)
         wb = _weight_stack(rng, n, dim_b, DEFAULT_SCALE_RANGE)
-        # off-support mass is judged as a default-tol DensityMatrix would judge it
-        fields = _report_fields(rho, hermitian_eig(rho), wa, wb, dim_a, dim_b, DEFAULT_TOL, math.inf)
+        # the draws are hermitized, so they are diagonalized unchecked; off-support
+        # mass is judged as a default-tol DensityMatrix would judge it
+        fields = _report_fields(rho, _eigh(rho), wa, wb, dim_a, dim_b, DEFAULT_TOL, math.inf)
 
         def matrices(idx):
             return rho[idx], wa[idx], wb[idx]

@@ -14,9 +14,10 @@ import numpy as np
 
 from .errors import DimensionError, NotHermitianError, ValidationError
 
-# Default tolerance for Hermiticity checks.
-HERMITIAN_TOL = 1e-10
-# Eigenvalues at or below this count as zero when applying matrix functions.
+# The default tolerance of every validation, verdict and trace-realness check.
+DEFAULT_TOL = 1e-10
+# Values at or below this count as zero: eigenvalues and probabilities off the
+# support, simplex slack, and a vanishing channel overlap.
 SUPPORT_EPS = 1e-12
 
 Subsystem = Literal["A", "B"]
@@ -100,7 +101,14 @@ def _fix_phases(vecs: np.ndarray) -> None:
     vecs *= (lead.conj() / np.abs(lead)).reshape(vecs.shape[:-2] + (1, k))
 
 
-def hermitian_eig(m, tol: float = HERMITIAN_TOL) -> SpectralDecomposition:
+def _eigh(a: np.ndarray) -> SpectralDecomposition:
+    """:func:`hermitian_eig` of a stack already finite and exactly Hermitian, unchecked."""
+    lams, vecs = np.linalg.eigh(a)
+    _fix_phases(vecs)
+    return SpectralDecomposition(lams, vecs)
+
+
+def hermitian_eig(m, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
     """Diagonalize a Hermitian matrix or stack with LAPACK (``np.linalg.eigh``).
 
     The Hermitian part ``(m + m^dagger) / 2`` is decomposed. Eigenvalues come
@@ -109,9 +117,7 @@ def hermitian_eig(m, tol: float = HERMITIAN_TOL) -> SpectralDecomposition:
 
     Raises :class:`NotHermitianError` for inputs off-Hermitian beyond ``tol``.
     """
-    lams, vecs = np.linalg.eigh(_hermitian_part(_as_stack(m), tol))
-    _fix_phases(vecs)
-    return SpectralDecomposition(lams, vecs)
+    return _eigh(_hermitian_part(_as_stack(m), tol))
 
 
 def xlogx_matrix(spectrum: SpectralDecomposition) -> np.ndarray:

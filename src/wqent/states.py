@@ -6,6 +6,8 @@ its input as a frozen copy, safe to share; for Hermitian input that is the
 input bit for bit. A ``DensityMatrix`` also keeps the spectrum that its
 validation computed, so evaluation neither diagonalizes the state again nor
 judges its eigenvalues against any tolerance but the one it was built with.
+Finiteness and Hermiticity are checked once, in ``_validated``; the spectra
+are then taken of the exactly Hermitian stored matrix without a second check.
 """
 
 from __future__ import annotations
@@ -16,10 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidSimplexError, NegativeEigenvalueError, ValidationError
-from .linalg import _as_stack, _dagger, _hermitian_part, _hermitize, _kron, hermitian_eig
+from .linalg import DEFAULT_TOL, SUPPORT_EPS, _as_stack, _dagger, _eigh, _hermitian_part, _hermitize, _kron
 
-DEFAULT_TOL = 1e-10
-SIMPLEX_TOL = 1e-12
 DEFAULT_SCALE_RANGE = (0.05, 2.0)
 
 
@@ -34,18 +34,19 @@ def _positive_tol(value: float, name: str = "tol") -> None:
         raise ValidationError(f"{name} must be positive and finite, got {value}")
 
 
+# The simplex checks are written in positive form, so a NaN fails them.
 def _check_probabilities(ps: tuple[float, ...]) -> None:
-    if min(ps) < 0.0:
+    if not all(p >= 0.0 for p in ps):
         raise InvalidSimplexError(f"probabilities must be nonnegative, got {ps}")
     total = sum(ps)
-    if abs(total - 1.0) > SIMPLEX_TOL:
+    if not abs(total - 1.0) <= SUPPORT_EPS:
         raise InvalidSimplexError(f"probabilities sum to {total!r}, expected 1")
 
 
 def _simplex_pair(p1, p2) -> tuple[np.ndarray, np.ndarray]:
     """``(p1, p2)`` as float arrays once ``p1, p2 >= 0`` and ``p1 + p2 <= 1`` hold."""
     p1v, p2v = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)
-    if (p1v < -SIMPLEX_TOL).any() or (p2v < -SIMPLEX_TOL).any() or (p1v + p2v > 1.0 + SIMPLEX_TOL).any():
+    if not ((p1v >= -SUPPORT_EPS) & (p2v >= -SUPPORT_EPS) & (p1v + p2v <= 1.0 + SUPPORT_EPS)).all():
         raise InvalidSimplexError("need p1 >= 0, p2 >= 0 and p1 + p2 <= 1")
     return p1v, p2v
 
@@ -71,7 +72,7 @@ class DensityMatrix:
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
         a = _validated(matrix, tol, "state")
-        spectrum = hermitian_eig(a, tol=tol)
+        spectrum = _eigh(a)
         low = spectrum.eigenvalues[0]
         if low < -tol:
             raise NegativeEigenvalueError(
@@ -106,7 +107,7 @@ class WeightMatrix:
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL, allow_semidefinite: bool = False):
         a = _validated(matrix, tol, "weight")
-        low = hermitian_eig(a, tol=tol).eigenvalues[0]
+        low = _eigh(a).eigenvalues[0]
         if allow_semidefinite:
             if low < -tol:
                 raise NegativeEigenvalueError(

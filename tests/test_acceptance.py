@@ -12,18 +12,13 @@ from click.testing import CliRunner
 from jacobi_oracle import jacobi_eigvalsh
 from wqent.cli import main as cli_main
 from wqent.channel import basis_projector, channel_then_check
-from wqent.entropy import (
-    qutrit_mutual_information_closed_form,
-    weighted_entropy,
-    weighted_mutual_information,
-)
+from wqent.entropy import qutrit_mutual_information_closed_form, weighted_entropy
 from wqent.inequality import (
     _diagonal_report_fields,
     audit_random,
     check_subadditivity,
     qutrit_condition_gap,
     qutrit_weight_condition,
-    trace_condition,
 )
 from wqent.states import (
     BipartiteState,
@@ -94,7 +89,7 @@ def test_02_closed_form_matches_matrix_path(capsys):
     for (p1, p2, p3), (f1, f2, c1, c2) in zip(probs, weights):
         closed = qutrit_mutual_information_closed_form(p1, p2, f1, f2, c1, c2)
         state = embed_ququart(p1, p2, p3, 0.0)
-        general = weighted_mutual_information(diag_weight(f1, f2), diag_weight(c1, c2), state)
+        general = check_subadditivity(diag_weight(f1, f2), diag_weight(c1, c2), state).gap
         worst = max(worst, abs(closed - general))
     dt = time.perf_counter() - t0
     ok = worst <= 1e-10 and dt < 1.0
@@ -116,10 +111,10 @@ def test_03_condition_gap_identity(capsys):
     for i in range(300):
         p1, p2, p3 = probs[i]
         f1, f2, c1, c2 = weights[i]
-        cond = trace_condition(
+        rep = check_subadditivity(
             diag_weight(f1, f2), diag_weight(c1, c2), embed_ququart(p1, p2, p3, 0.0)
         )
-        worst_matrix = max(worst_matrix, abs((cond.lhs - cond.rhs) - ident[i]))
+        worst_matrix = max(worst_matrix, abs(rep.condition_gap - ident[i]))
     dt = time.perf_counter() - t0
     ok = worst <= 1e-12 and worst_matrix <= 1e-12 and dt < 1.0
     verdict(

@@ -239,6 +239,18 @@ class TestSweepCommands:
         result = runner.invoke(main, ["sweep", "weight"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["weight", "--region", "a", "--p1", "nan"],
+        ["weight", "--region", "b", "--p2", "inf"],
+        ["prob", "--phi1", "inf"],
+        ["prob", "--chi2", "nan"],
+    ])
+    def test_non_finite_input_exits_2(self, runner, args):
+        result = runner.invoke(main, ["sweep", *args, "--grid-n", "5"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error:")
+        assert result.stdout == ""
+
 
 class TestChannelCommand:
     def test_worked_example(self, runner, example_files):

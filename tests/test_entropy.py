@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wqent.inequality
 from wqent.errors import DimensionError, InvalidSimplexError, ValidationError
 from wqent.linalg import hermitian_eig, partial_trace, xlogx_matrix
 from wqent.states import (
@@ -19,13 +20,8 @@ from wqent.states import (
     random_density,
     random_weight,
 )
-from wqent.entropy import (
-    qutrit_mutual_information_closed_form,
-    reduced_weighted_state,
-    subsystem_weighted_entropy,
-    weighted_entropy,
-    weighted_mutual_information,
-)
+from wqent.entropy import qutrit_mutual_information_closed_form, weighted_entropy
+from wqent.inequality import check_subadditivity
 
 EXAMPLE_WEIGHTS = (0.75, 0.25, 1 / 3, 2 / 3)
 EXAMPLE_PROBS = (0.1, 0.1)
@@ -108,54 +104,63 @@ class TestWeightedEntropy:
         assert abs(weighted_entropy(phi, rho) - expected) < 1e-13
 
 
+def reduced_weighted_states(monkeypatch, wa, wb, state):
+    """``tr_B(phi rho)`` and ``tr_A(phi rho)`` as one check hands them to the subsystem entropy kernel."""
+    seen = []
+    kernel = wqent.inequality._subsystem_entropy
+
+    def recording(x, *args):
+        seen.append(x)
+        return kernel(x, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(wqent.inequality, "_subsystem_entropy", recording)
+        check_subadditivity(wa, wb, state, im_tol=math.inf)
+    return seen
+
+
 class TestReducedWeightedState:
-    def test_worked_example_values(self):
+    def test_worked_example_values(self, monkeypatch):
         state, wa, wb = worked_setup()
-        phi_ab = product_weight(wa, wb)
-        xa = reduced_weighted_state(phi_ab, state, "A")
-        xb = reduced_weighted_state(phi_ab, state, "B")
+        xa, xb = reduced_weighted_states(monkeypatch, wa, wb, state)
         # tr_B(phi rho) = diag(w11 p1 + w12 p2, w21 p3), weights w = phi x chi
         assert np.abs(xa - np.diag([0.25 * 0.1 + 0.5 * 0.1, (1 / 12) * 0.8])).max() < 1e-15
         assert np.abs(xb - np.diag([0.25 * 0.1 + (1 / 12) * 0.8, 0.5 * 0.1])).max() < 1e-15
 
-    def test_identity_weight_reduces_to_marginal(self):
+    def test_identity_weight_reduces_to_marginal(self, monkeypatch):
         rng = np.random.default_rng(10)
         rho = random_density(6, rng)
         state = BipartiteState(rho, 2, 3)
-        phi_ab = WeightMatrix(np.eye(6))
-        xa = reduced_weighted_state(phi_ab, state, "A")
+        xa, _ = reduced_weighted_states(monkeypatch, WeightMatrix(np.eye(2)), WeightMatrix(np.eye(3)), state)
         assert np.abs(xa - partial_trace(rho.matrix, 2, 3, "A")).max() < 1e-12
 
-    def test_trace_identity(self):
+    def test_trace_identity(self, monkeypatch):
         # tr of either reduction equals tr(phi_AB rho_AB)
         rng = np.random.default_rng(12)
         for _ in range(20):
             rho = random_density(4, rng)
             state = BipartiteState(rho, 2, 2)
-            phi_ab = product_weight(random_weight(2, rng), random_weight(2, rng))
-            full = np.einsum("ij,ji->", phi_ab.matrix, rho.matrix)
-            for keep in ("A", "B"):
-                x = reduced_weighted_state(phi_ab, state, keep)
+            wa, wb = random_weight(2, rng), random_weight(2, rng)
+            full = np.einsum("ij,ji->", product_weight(wa, wb).matrix, rho.matrix)
+            for x in reduced_weighted_states(monkeypatch, wa, wb, state):
                 assert abs(np.trace(x) - full) < 1e-12
 
 
 class TestSubsystemEntropy:
     def test_worked_example_sides(self):
         state, wa, wb = worked_setup()
-        phi_ab = product_weight(wa, wb)
-        s_a = subsystem_weighted_entropy(phi_ab, state, "A")
-        s_b = subsystem_weighted_entropy(phi_ab, state, "B")
+        rep = check_subadditivity(wa, wb, state)
         ea = -((0.25 * 0.1 + 0.5 * 0.1) * math.log(0.2) + (1 / 12) * 0.8 * math.log(0.8))
         eb = -((0.25 * 0.1 + (1 / 12) * 0.8) * math.log(0.9) + 0.5 * 0.1 * math.log(0.1))
-        assert abs(s_a - ea) < 1e-13
-        assert abs(s_b - eb) < 1e-13
+        assert abs(rep.s_a - ea) < 1e-13
+        assert abs(rep.s_b - eb) < 1e-13
 
     def test_identity_weight_gives_marginal_von_neumann(self):
         rng = np.random.default_rng(21)
         rho = random_density(4, rng)
         state = BipartiteState(rho, 2, 2)
-        phi_ab = WeightMatrix(np.eye(4))
-        s_a = subsystem_weighted_entropy(phi_ab, state, "A")
+        ident = WeightMatrix(np.eye(2))
+        s_a = check_subadditivity(ident, ident, state).s_a
         rho_a = partial_trace(rho.matrix, 2, 2, "A")
         expected = -np.trace(xlogx_matrix(hermitian_eig(rho_a))).real
         assert abs(s_a - expected) < 1e-12
@@ -163,8 +168,7 @@ class TestSubsystemEntropy:
     def test_singular_marginal_is_fine(self):
         # the embedded qutrit has rho_B with a hard zero only when p2 = 0
         state = embed_ququart(0.5, 0.0, 0.5, 0.0)
-        phi_ab = product_weight(diag_weight(0.75, 0.25), diag_weight(1 / 3, 2 / 3))
-        s_b = subsystem_weighted_entropy(phi_ab, state, "B")
+        s_b = check_subadditivity(diag_weight(0.75, 0.25), diag_weight(1 / 3, 2 / 3), state).s_b
         # rho_B = diag(1, 0): support log is 0 there, so s_b = 0
         assert abs(s_b) < 1e-12
 
@@ -174,17 +178,16 @@ class TestSubsystemEntropy:
         wa = random_weight(2, rng)
         wb = random_weight(2, rng)
         state = BipartiteState(rho, 2, 2)
-        phi_ab = product_weight(wa, wb)
-        with pytest.raises(ValidationError, match="imaginary"):
-            subsystem_weighted_entropy(phi_ab, state, "A")
-        val = subsystem_weighted_entropy(phi_ab, state, "A", im_tol=math.inf)
+        with pytest.raises(ValidationError, match="subsystem entropy trace has imaginary"):
+            check_subadditivity(wa, wb, state)
+        val = check_subadditivity(wa, wb, state, im_tol=math.inf).s_a
         assert math.isfinite(val)
 
 
 class TestMutualInformation:
     def test_worked_example(self):
         state, wa, wb = worked_setup()
-        mi = weighted_mutual_information(wa, wb, state)
+        mi = check_subadditivity(wa, wb, state).gap
         assert abs(mi - 0.0728) < 5e-4
         assert abs(mi - 0.07280126337634046) < 1e-12
 
@@ -195,7 +198,7 @@ class TestMutualInformation:
             rb = random_density(3, rng)
             rho = DensityMatrix(np.kron(ra.matrix, rb.matrix))
             state = BipartiteState(rho, 2, 3)
-            mi = weighted_mutual_information(random_weight(2, rng), random_weight(3, rng), state)
+            mi = check_subadditivity(random_weight(2, rng), random_weight(3, rng), state).gap
             assert abs(mi) < 1e-9
 
     def test_identity_weights_give_classical_mi(self):
@@ -206,7 +209,7 @@ class TestMutualInformation:
             p = rng.dirichlet(np.ones(4))
             state = embed_ququart(*p)
             ident = WeightMatrix(np.eye(2))
-            mi = weighted_mutual_information(ident, ident, state)
+            mi = check_subadditivity(ident, ident, state).gap
             joint = p.reshape(2, 2)
             pa = joint.sum(axis=1)
             pb = joint.sum(axis=0)
@@ -242,7 +245,7 @@ class TestClosedForm:
             f1, f2, c1, c2 = rng.uniform(0.05, 2.0, size=4)
             closed = qutrit_mutual_information_closed_form(p1, p2, f1, f2, c1, c2)
             state = embed_ququart(p1, p2, p3, 0.0)
-            general = weighted_mutual_information(diag_weight(f1, f2), diag_weight(c1, c2), state)
+            general = check_subadditivity(diag_weight(f1, f2), diag_weight(c1, c2), state).gap
             assert abs(closed - general) < 1e-10
 
     def test_channel_output_state_gives_zero(self):
@@ -256,7 +259,7 @@ class TestClosedForm:
         for p1, p2 in [(5e-13, 0.3), (0.3, 5e-13), (0.6, 0.4 - 5e-13)]:
             closed = qutrit_mutual_information_closed_form(p1, p2, f1, f2, c1, c2)
             state = embed_ququart(p1, p2, 1.0 - p1 - p2, 0.0)
-            general = weighted_mutual_information(diag_weight(f1, f2), diag_weight(c1, c2), state)
+            general = check_subadditivity(diag_weight(f1, f2), diag_weight(c1, c2), state).gap
             assert abs(closed - general) < 1e-15
 
     def test_p1_zero_convention(self):
@@ -293,6 +296,18 @@ class TestClosedForm:
         with pytest.raises(ValidationError):
             qutrit_mutual_information_closed_form(0.1, 0.1, -0.5, 0.25, 1 / 3, 2 / 3)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", range(6))
+    def test_rejects_non_finite_inputs(self, bad, position):
+        good = [*EXAMPLE_PROBS, *EXAMPLE_WEIGHTS]
+        error = InvalidSimplexError if position < 2 else ValidationError
+        # alone, and as one bad cell among good ones in an array call
+        for value in (bad, np.array([good[position], bad])):
+            args = good.copy()
+            args[position] = value
+            with pytest.raises(error):
+                qutrit_mutual_information_closed_form(*args)
+
     @given(
         st.floats(0.001, 0.998),
         st.floats(0.001, 0.998),
@@ -307,5 +322,5 @@ class TestClosedForm:
             return
         closed = qutrit_mutual_information_closed_form(p1, p2, f1, f2, c1, c2)
         state = embed_ququart(p1, p2, 1.0 - p1 - p2, 0.0)
-        general = weighted_mutual_information(diag_weight(f1, f2), diag_weight(c1, c2), state)
+        general = check_subadditivity(diag_weight(f1, f2), diag_weight(c1, c2), state).gap
         assert abs(closed - general) < 1e-10

@@ -1,48 +1,52 @@
 import dataclasses
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
+import scipy.linalg
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from support_oracle import diagonal_fields_separate_terms
 import wqent.entropy
 import wqent.inequality
+import wqent.linalg
 import wqent.states
-from wqent.errors import DimensionError, ValidationError
+from wqent.errors import DimensionError, InvalidSimplexError, ValidationError
 from wqent.states import (
     DEFAULT_SCALE_RANGE,
-    DEFAULT_TOL,
     BipartiteState,
     DensityMatrix,
     QutritDiagonal,
     WeightMatrix,
     embed_ququart,
     embed_qutrit,
+    product_weight,
     random_density,
     random_weight,
     _density_stack,
     _weight_stack,
 )
-from wqent.cli import matrix_to_dict
-from wqent.entropy import qutrit_mutual_information_closed_form
-from wqent.linalg import hermitian_eig, partial_trace
+from wqent.cli import main as cli_main, matrix_to_dict
+from wqent.channel import Projector
+from wqent.entropy import qutrit_mutual_information_closed_form, weighted_entropy
+from wqent.linalg import DEFAULT_TOL, _eigh, _hermitian_part, hermitian_eig, partial_trace
 from wqent.inequality import (
     AUDIT_REGIMES,
-    DEFAULT_REPORT_TOL,
     audit_random,
     check_subadditivity,
     qutrit_condition_gap,
     qutrit_weight_condition,
-    trace_condition,
     SubadditivityReport,
     _diagonal_report_fields,
     _report_fields,
     _sample_diagonal,
 )
 
+EXAMPLE_WEIGHTS = (0.75, 0.25, 1 / 3, 2 / 3)
 REPORT_FIELDS = ("s_ab", "s_a", "s_b", "gap", "condition_lhs", "condition_rhs", "condition_gap")
 
 
@@ -58,11 +62,11 @@ def worked_setup():
 class TestTraceCondition:
     def test_worked_example(self):
         state, wa, wb = worked_setup()
-        cond = trace_condition(wa, wb, state)
-        assert abs(cond.lhs - 0.14166666666666666) < 1e-15
-        assert abs(cond.rhs - 0.35 * (0.9 / 3 + 2 * 0.1 / 3)) < 1e-15
-        assert abs(cond.rhs - 0.12833333333333333) < 1e-15
-        assert cond.holds
+        rep = check_subadditivity(wa, wb, state)
+        assert abs(rep.condition_lhs - 0.14166666666666666) < 1e-15
+        assert abs(rep.condition_rhs - 0.35 * (0.9 / 3 + 2 * 0.1 / 3)) < 1e-15
+        assert abs(rep.condition_rhs - 0.12833333333333333) < 1e-15
+        assert rep.condition_holds
 
     def test_product_state_is_equality(self):
         rng = np.random.default_rng(3)
@@ -70,22 +74,22 @@ class TestTraceCondition:
             ra = random_density(2, rng)
             rb = random_density(2, rng)
             state = BipartiteState(DensityMatrix(np.kron(ra.matrix, rb.matrix)), 2, 2)
-            cond = trace_condition(random_weight(2, rng), random_weight(2, rng), state)
-            assert abs(cond.lhs - cond.rhs) < 1e-12
-            assert cond.holds
+            rep = check_subadditivity(random_weight(2, rng), random_weight(2, rng), state)
+            assert abs(rep.condition_lhs - rep.condition_rhs) < 1e-12
+            assert rep.condition_holds
 
     def test_identity_weights_are_equality(self):
         rng = np.random.default_rng(4)
         state = BipartiteState(random_density(4, rng), 2, 2)
         ident = WeightMatrix(np.eye(2))
-        cond = trace_condition(ident, ident, state)
-        assert abs(cond.lhs - 1.0) < 1e-12
-        assert abs(cond.rhs - 1.0) < 1e-12
+        rep = check_subadditivity(ident, ident, state)
+        assert abs(rep.condition_lhs - 1.0) < 1e-12
+        assert abs(rep.condition_rhs - 1.0) < 1e-12
 
     def test_dim_mismatch(self):
         state, wa, _ = worked_setup()
         with pytest.raises(DimensionError):
-            trace_condition(wa, WeightMatrix(np.eye(3)), state)
+            check_subadditivity(wa, WeightMatrix(np.eye(3)), state)
 
 
 class TestQutritCondition:
@@ -108,9 +112,9 @@ class TestQutritCondition:
             p1, p2, p3 = rng.dirichlet((1.0, 1.0, 1.0))
             f1, f2, c1, c2 = rng.uniform(0.05, 2.0, size=4)
             state = embed_ququart(p1, p2, p3, 0.0)
-            cond = trace_condition(diag_weight(f1, f2), diag_weight(c1, c2), state)
+            rep = check_subadditivity(diag_weight(f1, f2), diag_weight(c1, c2), state)
             ident = qutrit_condition_gap(p1, p2, f1, f2, c1, c2)
-            assert abs((cond.lhs - cond.rhs) - ident) < 1e-12
+            assert abs(rep.condition_gap - ident) < 1e-12
 
     def test_gap_sign_follows_weight_condition(self):
         # for interior states the trace condition holds iff the sign test does
@@ -122,6 +126,12 @@ class TestQutritCondition:
             value = qutrit_weight_condition(f1, f2, c1, c2).value
             if abs(value) > 1e-9:
                 assert (gap > 0) == (value > 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_gap_rejects_non_finite_probability(self, bad):
+        for p1, p2 in ((bad, 0.1), (0.1, bad)):
+            with pytest.raises(InvalidSimplexError):
+                qutrit_condition_gap(p1, p2, *EXAMPLE_WEIGHTS)
 
     def test_worked_example_gap(self):
         gap = qutrit_condition_gap(0.1, 0.1, 0.75, 0.25, 1 / 3, 2 / 3)
@@ -174,7 +184,7 @@ class TestCheckSubadditivity:
 
     def test_report_holds_python_scalars(self):
         state, wa, wb = worked_setup()
-        assert_plain_report(check_subadditivity(wa, wb, state), DEFAULT_REPORT_TOL)
+        assert_plain_report(check_subadditivity(wa, wb, state), DEFAULT_TOL)
         tolerance = 2.5e-7
         assert_plain_report(check_subadditivity(wa, wb, state, tolerance=tolerance), tolerance)
 
@@ -212,15 +222,15 @@ class TestCheckSubadditivity:
 
         def counting(m, *args, **kwargs):
             shapes.append(np.shape(m))
-            return hermitian_eig(m, *args, **kwargs)
+            return _eigh(m, *args, **kwargs)
 
         def counting_trace(m, *args, **kwargs):
             traces.append(args)
             return partial_trace(m, *args, **kwargs)
 
-        monkeypatch.setattr(wqent.states, "hermitian_eig", counting)
-        monkeypatch.setattr(wqent.entropy, "hermitian_eig", counting)
-        monkeypatch.setattr(wqent.entropy, "partial_trace", counting_trace)
+        # hermitian_eig reaches the solver through wqent.linalg._eigh, so it is counted too
+        for module in (wqent.linalg, wqent.states, wqent.entropy, wqent.inequality):
+            monkeypatch.setattr(module, "_eigh", counting)
         monkeypatch.setattr(wqent.inequality, "partial_trace", counting_trace)
         state = BipartiteState(DensityMatrix(rho), 2, 3)
         check_subadditivity(WeightMatrix(wa), WeightMatrix(wb), state, im_tol=math.inf)
@@ -229,18 +239,38 @@ class TestCheckSubadditivity:
         # rho_A, rho_B, tr_B(phi rho) and tr_A(phi rho), each taken once
         assert len(traces) == 4
 
-    def test_reduced_states_are_diagonalized_at_the_state_tolerance(self, monkeypatch):
-        _, wa, wb = worked_setup()
-        state = BipartiteState(DensityMatrix(np.diag([0.1, 0.1, 0.8, 0.0]), tol=1e-6), 2, 2)
-        calls = []
+    def test_inputs_are_checked_once_at_construction(self, monkeypatch):
+        labels = []
 
-        def recording(m, tol=wqent.linalg.HERMITIAN_TOL):
-            calls.append((np.shape(m), tol))
-            return hermitian_eig(m, tol)
+        def counting(a, tol, label="matrix"):
+            labels.append(label)
+            return _hermitian_part(a, tol, label)
 
-        monkeypatch.setattr(wqent.entropy, "hermitian_eig", recording)
-        check_subadditivity(wa, wb, state, tolerance=1e-6)
-        assert calls == [((2, 2), 1e-6), ((2, 2), 1e-6)]
+        for module in (wqent.linalg, wqent.states):
+            monkeypatch.setattr(module, "_hermitian_part", counting)
+        state, wa, wb = worked_setup()
+        Projector(np.diag([1.0, 0.0, 1.0, 0.0]))
+        assert labels == ["state", "weight", "weight", "projector"]
+        check_subadditivity(wa, wb, state)
+        weighted_entropy(product_weight(wa, wb), state.rho)
+        audit_random(20, 2, 3, 0, "general-unconstrained")
+        assert len(labels) == 4
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(2, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_partial_traces_are_exactly_hermitian(self, seed, da, db):
+        # evaluation diagonalizes reduced states and audit draws unchecked, which is
+        # sound only while they are exactly Hermitian and _eigh matches the checked path
+        rng = np.random.default_rng(seed)
+        skewed = random_density(da * db, rng).matrix + 1e-9 * rng.standard_normal((da * db,) * 2)
+        validated = np.stack([random_density(da * db, rng).matrix, frame_state(rng, da, db, True).matrix,
+                              DensityMatrix(skewed, tol=1e-6).matrix])
+        for rho in (validated, _density_stack(rng, 5, da * db)):
+            for m in (rho, partial_trace(rho, da, db, "A"), partial_trace(rho, da, db, "B")):
+                assert np.array_equal(m, m.conj().swapaxes(-1, -2))
+                got, want = _eigh(m), hermitian_eig(m)
+                assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+                assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
 
 
 def frame_state(rng, da, db, deficient):
@@ -363,6 +393,83 @@ class TestDiagonalEngine:
         # a pure state has zero entropy everywhere
         assert abs(fields["s_ab"][0]) < 1e-14
         assert abs(fields["gap"][0]) < 1e-14
+
+
+class TestCommutingFamily:
+    """The weighted Gibbs inequality: for diagonal states and diagonal product weights,
+    ``gap = sum w p ln(p / q) >= sum w (p - q) = condition_gap`` with ``q = p_A p_B``,
+    so the trace condition implies subadditivity there, with room to spare."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(2, 5), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_gap_bounds_condition_gap(self, seed, da, db, sparse):
+        rng = np.random.default_rng(seed)
+        p = rng.dirichlet(np.ones(da * db))
+        if sparse:
+            # exact zeros, down to whole empty rows and columns of the joint distribution
+            p[rng.random(da * db) < 0.4] = 0.0
+            p[rng.integers(da * db)] += 1.0
+            p /= p.sum()
+        state = BipartiteState(DensityMatrix(np.diag(p)), da, db)
+        wa = WeightMatrix(np.diag(rng.uniform(*DEFAULT_SCALE_RANGE, size=da)))
+        wb = WeightMatrix(np.diag(rng.uniform(*DEFAULT_SCALE_RANGE, size=db)))
+        rep = check_subadditivity(wa, wb, state)
+        assert rep.gap - rep.condition_gap >= -1e-12
+        assert rep.subadditivity_holds or not rep.condition_holds
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_diagonal_regimes_bound_condition_gap(self, seed, condition_satisfying):
+        probs, weights = _sample_diagonal(np.random.default_rng(seed), 2000, condition_satisfying)
+        fields = _diagonal_report_fields(probs, weights)
+        assert (fields["gap"] - fields["condition_gap"]).min() >= -1e-12
+
+
+COUNTEREXAMPLE = pathlib.Path(__file__).parent / "fixtures" / "noncommuting_counterexample"
+
+
+def counterexample_matrices():
+    """``rho``, ``phi_A`` and ``phi_B`` of the committed fixture, read without wqent."""
+    return [np.array(json.loads((COUNTEREXAMPLE / f"{k}.json").read_text())["re"])
+            for k in ("rho", "phi_a", "phi_b")]
+
+
+def logm_gap(rho, phi_a, phi_b):
+    """``S_A + S_B - S_AB`` from scipy's Schur-based ``logm``.
+
+    It shares neither wqent's eigensolver nor its support rule.
+    """
+    da, db = len(phi_a), len(phi_b)
+    weighted = np.kron(phi_a, phi_b) @ rho
+    blocks = weighted.reshape(da, db, da, db)
+    marg = rho.reshape(da, db, da, db)
+    s_ab = -np.trace(weighted @ scipy.linalg.logm(rho))
+    s_a = -np.trace(np.einsum("ibjb->ij", blocks) @ scipy.linalg.logm(np.einsum("ibjb->ij", marg)))
+    s_b = -np.trace(np.einsum("aiaj->ij", blocks) @ scipy.linalg.logm(np.einsum("aiaj->ij", marg)))
+    return complex(s_a + s_b - s_ab)
+
+
+class TestNonCommutingCounterexample:
+    """Outside the commuting family the trace condition does not imply subadditivity."""
+
+    def test_condition_holds_and_subadditivity_fails(self):
+        rho, phi_a, phi_b = counterexample_matrices()
+        state = BipartiteState(DensityMatrix(rho), 2, 2)
+        rep = check_subadditivity(WeightMatrix(phi_a), WeightMatrix(phi_b), state)
+        assert rep.condition_holds and rep.condition_gap > 7e-3
+        assert not rep.subadditivity_holds and rep.gap < -8e-3
+        oracle = logm_gap(rho, phi_a, phi_b)
+        assert abs(oracle.imag) < 1e-12
+        assert abs(rep.gap - oracle.real) < 1e-12
+
+    def test_cli_check_reports_it(self):
+        files = [str(COUNTEREXAMPLE / f"{k}.json") for k in ("rho", "phi_a", "phi_b")]
+        result = CliRunner().invoke(cli_main, ["check", *files, "--dims", "2x2"])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert report["condition_holds"] is True
+        assert report["subadditivity_holds"] is False
+        assert abs(report["gap"] - logm_gap(*counterexample_matrices()).real) < 1e-12
 
 
 def sample_diagonal_full_retest(rng, n, condition_satisfying):

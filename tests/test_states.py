@@ -142,6 +142,13 @@ class TestQutritDiagonal:
         with pytest.raises(InvalidSimplexError):
             QutritDiagonal(0.3, 0.3, 0.3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # each position, since min() over a tuple holding NaN depends on where the NaN sits
+        for ps in ((bad, 0.5, 0.5), (0.5, bad, 0.5), (0.5, 0.5, bad)):
+            with pytest.raises(InvalidSimplexError):
+                QutritDiagonal(*ps)
+
     @given(st.floats(0.01, 0.98), st.floats(0.01, 0.98))
     @settings(max_examples=50, deadline=None)
     def test_valid_triples_embed(self, p1, p2):
