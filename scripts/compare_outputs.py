@@ -6,7 +6,8 @@ OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts. Every case
 runs in a fresh interpreter with ``PYTHONPATH`` set to one of them: the three
 default sweep CSVs and ``sweep prob --grid-n 1``, diagonal audits (n = 1000 at
 seeds 0-2 in both regimes, n = 1e5 at seed 5), general audits at 2x2 and 2x3,
-``check`` and ``channel`` JSON on the worked example, two ``qutrit`` calls, and
+``check`` and ``channel`` JSON on the worked example (at the default ``--tol``
+and at ``--tol 1e-6``), two ``qutrit`` calls, and
 ``scripts/run_worked_example.py`` from the checkout that holds each ``src``.
 A case differs when its exit code, stdout or stderr does. Each differing case
 is named; the exit code is 1 if any case differs, else 0. Two interpreters
@@ -51,8 +52,10 @@ def cases(files: dict) -> dict:
     for dims in ("2x2", "2x3"):
         out[f"audit general-unconstrained {dims} n=2000 seed=1"] = cli + [
             "audit", "--n", "2000", "--seed", "1", "--dims", dims, "--regime", "general-unconstrained"]
-    out["check worked example"] = cli + ["check", files["state"], files["wa"], files["wb"]]
-    out["channel worked example"] = cli + ["channel", files["state"], files["proj"]]
+    for tol in ([], ["--tol", "1e-6"]):
+        name = " ".join(["worked example"] + tol)
+        out[f"check {name}"] = cli + ["check", files["state"], files["wa"], files["wb"]] + tol
+        out[f"channel {name}"] = cli + ["channel", files["state"], files["proj"]] + tol
     out["qutrit worked example"] = cli + ["qutrit", "0.1", "0.1", "0.75", "0.25", repr(1 / 3), repr(2 / 3)]
     out["qutrit 0.5 0.5 1 0 0 1"] = cli + ["qutrit", "0.5", "0.5", "1", "0", "0", "1"]
     out["scripts/run_worked_example.py"] = ["{script}"]

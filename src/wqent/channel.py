@@ -45,14 +45,14 @@ def basis_projector(dim: int, indices) -> Projector:
 
 
 def apply_projective_channel(projector: Projector, rho: DensityMatrix) -> DensityMatrix:
-    """``P rho P / tr(P rho P)``; undefined when the overlap trace vanishes."""
+    """``P rho P / tr(P rho P)``, validated at ``rho.tol``; undefined when the overlap trace vanishes."""
     if projector.dim != rho.dim:
         raise DimensionError(f"projector dim {projector.dim} does not match state dim {rho.dim}")
     prp = projector.matrix @ rho.matrix @ projector.matrix
     overlap = float(np.trace(prp).real)
     if overlap <= SUPPORT_EPS:
         raise ChannelUndefinedError(f"channel undefined: overlap trace {overlap:.3e} vanishes")
-    return DensityMatrix(prp / overlap)
+    return DensityMatrix(prp / overlap, rho.tol)
 
 
 def channel_then_check(
@@ -60,9 +60,8 @@ def channel_then_check(
     weight_a: WeightMatrix,
     weight_b: WeightMatrix,
     state: BipartiteState,
-    tolerance: float = DEFAULT_TOL,
 ) -> tuple[DensityMatrix, SubadditivityReport]:
-    """Push the state through the channel, then re-run the subadditivity check."""
+    """Push the state through the channel, then re-run the subadditivity check at the state's ``tol``."""
     rho_out = apply_projective_channel(projector, state.rho)
     state_out = BipartiteState(rho_out, state.dim_a, state.dim_b)
-    return rho_out, check_subadditivity(weight_a, weight_b, state_out, tolerance)
+    return rho_out, check_subadditivity(weight_a, weight_b, state_out)

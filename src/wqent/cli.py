@@ -39,7 +39,7 @@ from .inequality import (
     qutrit_weight_condition,
 )
 from .channel import Projector, channel_then_check
-from .sweeps import grid_to_csv, sweep_probabilities, sweep_weights
+from .sweeps import PROB_SWEEP_WEIGHTS, WEIGHT_SWEEP_PROBS, grid_to_csv, sweep_probabilities, sweep_weights
 
 EXIT_VALIDATION = 2
 EXIT_DIMENSION = 3
@@ -153,7 +153,14 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _diag_weight(x1: float, x2: float) -> WeightMatrix:
-    return WeightMatrix(np.diag([complex(x1), complex(x2)]), allow_semidefinite=True)
+    return WeightMatrix(np.diag([complex(x1), complex(x2)]))
+
+
+def _prob_sweep_weights(f):
+    """The ``--phi1 --phi2 --chi1 --chi2`` options, in that order, defaulting to ``PROB_SWEEP_WEIGHTS``."""
+    for name, value in reversed(tuple(zip(("phi1", "phi2", "chi1", "chi2"), PROB_SWEEP_WEIGHTS))):
+        f = click.option(f"--{name}", default=value, show_default=True)(f)
+    return f
 
 
 @click.group()
@@ -169,7 +176,7 @@ def main():
 def entropy(state_file, weight_file, tol):
     """Weighted entropy of STATE_FILE under WEIGHT_FILE, in nats."""
     rho = DensityMatrix(load_matrix(state_file), tol=tol)
-    phi = WeightMatrix(load_matrix(weight_file), tol=tol, allow_semidefinite=True)
+    phi = WeightMatrix(load_matrix(weight_file), tol=tol)
     click.echo(f"{weighted_entropy(phi, rho):.12g}")
 
 
@@ -186,9 +193,9 @@ def check(state_file, weight_a_file, weight_b_file, dims, tol, out):
     dim_a, dim_b = _parse_dims(dims)
     rho = DensityMatrix(load_matrix(state_file), tol=tol)
     state = BipartiteState(rho, dim_a, dim_b)
-    wa = WeightMatrix(load_matrix(weight_a_file), tol=tol, allow_semidefinite=True)
-    wb = WeightMatrix(load_matrix(weight_b_file), tol=tol, allow_semidefinite=True)
-    report = check_subadditivity(wa, wb, state, tolerance=tol)
+    wa = WeightMatrix(load_matrix(weight_a_file), tol=tol)
+    wb = WeightMatrix(load_matrix(weight_b_file), tol=tol)
+    report = check_subadditivity(wa, wb, state)
     _emit(json.dumps(report_to_dict(report), indent=2) + "\n", out)
 
 
@@ -231,10 +238,7 @@ def sweep():
 
 @sweep.command("prob")
 @click.option("--grid-n", default=97, show_default=True, help="cells per axis")
-@click.option("--phi1", default=0.75, show_default=True)
-@click.option("--phi2", default=0.25, show_default=True)
-@click.option("--chi1", default=1.0 / 3.0, show_default=True)
-@click.option("--chi2", default=2.0 / 3.0, show_default=True)
+@_prob_sweep_weights
 @click.option("--out", default=None, help="output CSV path (default stdout)")
 @handle_errors
 def sweep_prob(grid_n, phi1, phi2, chi1, chi2, out):
@@ -251,8 +255,8 @@ def sweep_prob(grid_n, phi1, phi2, chi1, chi2, out):
 @sweep.command("weight")
 @click.option("--region", type=click.Choice(["a", "b"]), required=True)
 @click.option("--grid-n", default=97, show_default=True, help="samples per axis")
-@click.option("--p1", default=0.25, show_default=True)
-@click.option("--p2", default=0.125, show_default=True)
+@click.option("--p1", default=WEIGHT_SWEEP_PROBS[0], show_default=True)
+@click.option("--p2", default=WEIGHT_SWEEP_PROBS[1], show_default=True)
 @click.option("--out", default=None, help="output CSV path (default stdout)")
 @handle_errors
 def sweep_weight(region, grid_n, p1, p2, out):
@@ -268,10 +272,7 @@ def sweep_weight(region, grid_n, p1, p2, out):
 @main.command()
 @click.argument("state_file")
 @click.argument("projector_file")
-@click.option("--phi1", default=0.75, show_default=True)
-@click.option("--phi2", default=0.25, show_default=True)
-@click.option("--chi1", default=1.0 / 3.0, show_default=True)
-@click.option("--chi2", default=2.0 / 3.0, show_default=True)
+@_prob_sweep_weights
 @click.option("--tol", default=DEFAULT_TOL, show_default=True)
 @click.option("--out", default=None, help="write the JSON result here instead of stdout")
 @handle_errors
@@ -280,9 +281,7 @@ def channel(state_file, projector_file, phi1, phi2, chi1, chi2, tol, out):
     rho = DensityMatrix(load_matrix(state_file), tol=tol)
     state = BipartiteState(rho, 2, 2)
     proj = Projector(load_matrix(projector_file), tol=tol)
-    rho_out, report = channel_then_check(
-        proj, _diag_weight(phi1, phi2), _diag_weight(chi1, chi2), state, tolerance=tol
-    )
+    rho_out, report = channel_then_check(proj, _diag_weight(phi1, phi2), _diag_weight(chi1, chi2), state)
     payload = {
         "state": matrix_to_dict(rho_out.matrix),
         "report": report_to_dict(report),

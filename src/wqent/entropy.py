@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 from .linalg import DEFAULT_TOL, SUPPORT_EPS, SpectralDecomposition, _dagger, _eigh, _ln_support, _trace_product
 from .linalg import xlogx_matrix
-from .states import DensityMatrix, WeightMatrix, _simplex_pair
+from .states import DensityMatrix, WeightMatrix, _nonnegative_weights, _simplex_pair
 
 
 def _real_part(t: np.ndarray, im_tol: float, what: str) -> np.ndarray:
@@ -72,9 +72,7 @@ def qutrit_mutual_information_closed_form(p1, p2, phi1, phi2, chi1, chi2):
     evaluate. A NaN or infinite probability or weight raises.
     """
     p1v, p2v = _simplex_pair(p1, p2)
-    f1, f2, c1, c2 = (np.asarray(x, dtype=float) for x in (phi1, phi2, chi1, chi2))
-    if not all(((w >= 0.0) & (w < np.inf)).all() for w in (f1, f2, c1, c2)):
-        raise ValidationError("weights must be nonnegative and finite")
+    f1, f2, c1, c2 = _nonnegative_weights(phi1, phi2, chi1, chi2)
     p3 = 1.0 - p1v - p2v
     a1 = p1v + p2v
     b1 = p1v + p3

@@ -21,7 +21,7 @@ from .errors import DimensionError, ValidationError
 from .linalg import DEFAULT_TOL, SpectralDecomposition, _eigh, _kron, _ln_support, _trace_product, _xlnx
 from .linalg import partial_trace
 from .states import DEFAULT_SCALE_RANGE, BipartiteState, WeightMatrix
-from .states import _density_stack, _positive_tol, _simplex_pair, _weight_stack
+from .states import _density_stack, _nonnegative_weights, _positive_tol, _simplex_pair, _weight_stack
 from .entropy import _joint_entropy, _subsystem_entropy
 
 AUDIT_REGIMES = (
@@ -37,8 +37,9 @@ class WeightCondition(NamedTuple):
 
 
 def qutrit_weight_condition(phi1: float, phi2: float, chi1: float, chi2: float) -> WeightCondition:
-    """Sign test ``(phi1 - phi2)(chi2 - chi1) >= 0`` for embedded qutrits."""
-    value = (phi1 - phi2) * (chi2 - chi1)
+    """Sign test ``(phi1 - phi2)(chi2 - chi1) >= 0`` for embedded qutrits; weights nonnegative and finite."""
+    f1, f2, c1, c2 = _nonnegative_weights(phi1, phi2, chi1, chi2)
+    value = (f1 - f2) * (c2 - c1)
     return WeightCondition(float(value), bool(value >= 0.0))
 
 
@@ -49,7 +50,8 @@ def qutrit_condition_gap(p1, p2, phi1, phi2, chi1, chi2):
     embedded state: ``p2 (1 - p1 - p2) (phi1 - phi2) (chi2 - chi1)``.
     """
     p1v, p2v = _simplex_pair(p1, p2)
-    out = p2v * (1.0 - p1v - p2v) * (np.asarray(phi1, float) - phi2) * (np.asarray(chi2, float) - chi1)
+    f1, f2, c1, c2 = _nonnegative_weights(phi1, phi2, chi1, chi2)
+    out = p2v * (1.0 - p1v - p2v) * (f1 - f2) * (c2 - c1)
     return float(out) if out.ndim == 0 else out
 
 
@@ -107,23 +109,22 @@ def check_subadditivity(
     weight_a: WeightMatrix,
     weight_b: WeightMatrix,
     state: BipartiteState,
-    tolerance: float = DEFAULT_TOL,
     im_tol: float = DEFAULT_TOL,
 ) -> SubadditivityReport:
     """Full report: entropies, gap, trace condition, verdicts.
 
-    Both verdicts compare their gap against ``-tolerance`` so a marginal
-    negative within noise still counts as holding. Off-support mass is
-    judged at the tolerance the state was validated with.
+    Everything is judged at the ``tol`` the state was validated with, which
+    the report carries as ``tolerance``: both verdicts compare their gap
+    against ``-tol``, so a marginal negative within noise still counts as
+    holding, and ``tol`` bounds off-support mass.
     """
-    _positive_tol(tolerance, "tolerance")
     if weight_a.dim != state.dim_a or weight_b.dim != state.dim_b:
         raise DimensionError(f"weight dims {weight_a.dim}x{weight_b.dim} do not match "
                              f"state factors {state.dim_a}x{state.dim_b}")
     rho = state.rho
     fields = _report_fields(rho.matrix, rho.spectrum, weight_a.matrix, weight_b.matrix,
                             state.dim_a, state.dim_b, rho.tol, im_tol)
-    return _reports({k: [float(v)] for k, v in fields.items()}, tolerance)[0]
+    return _reports({k: [float(v)] for k, v in fields.items()}, rho.tol)[0]
 
 
 @dataclass(frozen=True)
@@ -230,11 +231,11 @@ def audit_random(
 
     if regime == "general-unconstrained":
         rho = _density_stack(rng, n, dim_a * dim_b)
-        wa = _weight_stack(rng, n, dim_a, DEFAULT_SCALE_RANGE)
-        wb = _weight_stack(rng, n, dim_b, DEFAULT_SCALE_RANGE)
+        wa = _weight_stack(rng, n, dim_a)
+        wb = _weight_stack(rng, n, dim_b)
         # the draws are hermitized, so they are diagonalized unchecked; off-support
-        # mass is judged as a default-tol DensityMatrix would judge it
-        fields = _report_fields(rho, _eigh(rho), wa, wb, dim_a, dim_b, DEFAULT_TOL, math.inf)
+        # mass is judged at the audit's tolerance
+        fields = _report_fields(rho, _eigh(rho), wa, wb, dim_a, dim_b, tolerance, math.inf)
 
         def matrices(idx):
             return rho[idx], wa[idx], wb[idx]

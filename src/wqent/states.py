@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidSimplexError, NegativeEigenvalueError, ValidationError
-from .linalg import DEFAULT_TOL, SUPPORT_EPS, _as_stack, _dagger, _eigh, _hermitian_part, _hermitize, _kron
+from .linalg import DEFAULT_TOL, SUPPORT_EPS, SpectralDecomposition, _as_stack, _dagger, _eigh, _hermitian_part
+from .linalg import _hermitize, _kron
 
 DEFAULT_SCALE_RANGE = (0.05, 2.0)
 
@@ -51,6 +52,14 @@ def _simplex_pair(p1, p2) -> tuple[np.ndarray, np.ndarray]:
     return p1v, p2v
 
 
+def _nonnegative_weights(*weights) -> list[np.ndarray]:
+    """The weights as float arrays once every entry is nonnegative and finite (a NaN fails)."""
+    arrays = [np.asarray(w, dtype=float) for w in weights]
+    if not all(((w >= 0.0) & (w < np.inf)).all() for w in arrays):
+        raise ValidationError("weights must be nonnegative and finite")
+    return arrays
+
+
 def _validated(matrix, tol: float, label: str) -> np.ndarray:
     """The frozen Hermitian part of one finite square matrix, Hermitian within ``tol``."""
     _positive_tol(tol)
@@ -58,6 +67,16 @@ def _validated(matrix, tol: float, label: str) -> np.ndarray:
     if a.ndim != 2:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     return _frozen(_hermitian_part(a, tol, label))
+
+
+def _psd(matrix, tol: float, label: str) -> tuple[np.ndarray, SpectralDecomposition]:
+    """:func:`_validated` and its spectrum, once no eigenvalue lies below ``-tol``."""
+    a = _validated(matrix, tol, label)
+    spectrum = _eigh(a)
+    low = spectrum.eigenvalues[0]
+    if low < -tol:
+        raise NegativeEigenvalueError(f"{label} is not positive semidefinite (min eigenvalue {low:.3e})")
+    return a, spectrum
 
 
 class DensityMatrix:
@@ -71,13 +90,7 @@ class DensityMatrix:
     __slots__ = ("matrix", "spectrum", "tol")
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
-        a = _validated(matrix, tol, "state")
-        spectrum = _eigh(a)
-        low = spectrum.eigenvalues[0]
-        if low < -tol:
-            raise NegativeEigenvalueError(
-                f"state is not positive semidefinite (min eigenvalue {low:.3e})"
-            )
+        a, spectrum = _psd(matrix, tol, "state")
         tr = complex(np.trace(a))
         if abs(tr - 1.0) > tol:
             raise ValidationError(f"state trace {tr.real:.12g} differs from 1 beyond {tol:.1e}")
@@ -96,28 +109,18 @@ class DensityMatrix:
 
 
 class WeightMatrix:
-    """Hermitian positive definite observable weight.
+    """Hermitian positive semidefinite observable weight.
 
-    With ``allow_semidefinite=True`` a zero eigenvalue (within ``tol``) is
-    accepted and flagged on ``degenerate``; callers hitting that case should
-    expect entropy weights to kill the corresponding directions.
+    Eigenvalues in ``[-tol, 0)`` pass as noise, as for a state. A minimum
+    eigenvalue at or below ``tol`` is flagged on ``degenerate``: such a weight
+    kills the corresponding directions in every entropy it enters.
     """
 
     __slots__ = ("matrix", "degenerate")
 
-    def __init__(self, matrix, tol: float = DEFAULT_TOL, allow_semidefinite: bool = False):
-        a = _validated(matrix, tol, "weight")
-        low = _eigh(a).eigenvalues[0]
-        if allow_semidefinite:
-            if low < -tol:
-                raise NegativeEigenvalueError(
-                    f"weight is not positive semidefinite (min eigenvalue {low:.3e})"
-                )
-            self.degenerate = bool(low <= tol)
-        else:
-            if low <= 0.0:
-                raise ValidationError(f"weight is not positive definite (min eigenvalue {low:.3e})")
-            self.degenerate = False
+    def __init__(self, matrix, tol: float = DEFAULT_TOL):
+        a, spectrum = _psd(matrix, tol, "weight")
+        self.degenerate = bool(spectrum.eigenvalues[0] <= tol)
         self.matrix = a
 
     @property
@@ -178,7 +181,7 @@ def product_weight(weight_a: WeightMatrix, weight_b: WeightMatrix) -> WeightMatr
     """``phi_A (x) phi_B``, degenerate when either factor is.
 
     The Kronecker product of two validated weights is Hermitian and positive
-    (semi)definite by construction, so it is not diagonalized again.
+    semidefinite by construction, so it is not diagonalized again.
     """
     out = WeightMatrix.__new__(WeightMatrix)
     out.matrix = _frozen(_kron(weight_a.matrix, weight_b.matrix))
@@ -210,8 +213,8 @@ def _unitary_stack(g: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return q * (d / np.abs(d))[:, None, :]
 
 
-def _weight_stack(g: np.random.Generator, n: int, dim: int, scale_range: tuple[float, float]) -> np.ndarray:
-    u = g.uniform(*scale_range, size=(n, dim))
+def _weight_stack(g: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    u = g.uniform(*DEFAULT_SCALE_RANGE, size=(n, dim))
     v = _unitary_stack(g, n, dim)
     return _hermitize((v * u[:, None, :]) @ _dagger(v))
 
@@ -228,11 +231,8 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
     return _unitary_stack(_as_rng(rng), 1, dim)[0]
 
 
-def random_weight(dim: int, rng, scale_range: tuple[float, float] = DEFAULT_SCALE_RANGE) -> WeightMatrix:
-    """Random positive definite weight: Haar frame, uniform spectrum."""
+def random_weight(dim: int, rng) -> WeightMatrix:
+    """Random positive definite weight: Haar frame, spectrum uniform on ``DEFAULT_SCALE_RANGE``."""
     if dim < 2:
         raise DimensionError(f"dim must be >= 2, got {dim}")
-    lo, hi = scale_range
-    if not (0.0 < lo <= hi):
-        raise ValidationError(f"scale_range must satisfy 0 < lo <= hi, got {scale_range}")
-    return WeightMatrix(_weight_stack(_as_rng(rng), 1, dim, scale_range)[0])
+    return WeightMatrix(_weight_stack(_as_rng(rng), 1, dim)[0])

@@ -37,7 +37,7 @@ EXAMPLE_WEIGHTS = (0.75, 0.25, 1 / 3, 2 / 3)
 
 
 def diag_weight(x1, x2):
-    return WeightMatrix(np.diag([x1, x2]).astype(complex), allow_semidefinite=True)
+    return WeightMatrix(np.diag([x1, x2]).astype(complex))
 
 
 def verdict(capsys, num, label, ok, detail):

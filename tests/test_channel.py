@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from wqent.errors import ChannelUndefinedError, DimensionError, ValidationError
-from wqent.states import DensityMatrix, QutritDiagonal, WeightMatrix, embed_qutrit, random_density
+from wqent.states import (
+    BipartiteState, DensityMatrix, QutritDiagonal, WeightMatrix, embed_qutrit, random_density,
+)
 from wqent.channel import Projector, apply_projective_channel, basis_projector, channel_then_check
 
 
 def diag_weight(x1, x2):
-    return WeightMatrix(np.diag([x1, x2]).astype(complex), allow_semidefinite=True)
+    return WeightMatrix(np.diag([x1, x2]).astype(complex))
 
 
 class TestProjector:
@@ -64,6 +66,15 @@ class TestApplyChannel:
             assert np.abs(comp @ out.matrix).max() < 1e-12
             assert np.abs(out.matrix @ comp).max() < 1e-12
             assert abs(np.trace(out.matrix) - 1.0) < 1e-12
+
+    def test_output_keeps_the_input_tol(self):
+        # a -1e-8 eigenvalue is noise at tol=1e-6; the identity channel must not re-judge it at 1e-10
+        rho = DensityMatrix(np.diag([0.4 + 1e-8, 0.35, 0.25, -1e-8]), tol=1e-6)
+        out = apply_projective_channel(Projector(np.eye(4)), rho)
+        assert out.tol == rho.tol
+        wa, wb = diag_weight(0.75, 0.25), diag_weight(1 / 3, 2 / 3)
+        _, rep = channel_then_check(Projector(np.eye(4)), wa, wb, BipartiteState(rho, 2, 2))
+        assert rep.tolerance == 1e-6
 
     def test_vanishing_overlap_is_undefined(self):
         rho = DensityMatrix(np.diag([0.0, 1.0]))

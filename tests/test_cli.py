@@ -263,6 +263,16 @@ class TestChannelCommand:
         assert abs(diag[2] - 8 / 9) <= 1e-15
         assert abs(payload["report"]["gap"]) < 1e-10
 
+    def test_tol_is_kept_through_the_channel(self, runner, tmp_path):
+        # the -1e-8 eigenvalue passes at --tol 1e-6, so the channel output must not be re-judged at 1e-10
+        state = write_matrix(tmp_path / "s.json", np.diag([0.4 + 1e-8, 0.35, 0.25, -1e-8]))
+        ident = write_matrix(tmp_path / "p.json", np.eye(4))
+        assert runner.invoke(main, ["channel", state, ident]).exit_code == 2
+        result = runner.invoke(main, ["channel", state, ident, "--tol", "1e-6"])
+        assert result.exit_code == 0, result.stderr
+        assert '"tolerance": 1e-06' in result.output
+        assert json.loads(result.output)["report"]["tolerance"] == 1e-6
+
     def test_vanishing_overlap_exits_4(self, runner, example_files, tmp_path):
         state = write_matrix(tmp_path / "s.json", np.diag([0.0, 1.0, 0.0, 0.0]))
         result = runner.invoke(main, ["channel", state, example_files["proj"]])

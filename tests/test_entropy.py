@@ -35,7 +35,7 @@ def worked_setup():
 
 
 def diag_weight(x1, x2):
-    return WeightMatrix(np.diag([x1, x2]).astype(complex), allow_semidefinite=True)
+    return WeightMatrix(np.diag([x1, x2]).astype(complex))
 
 
 class TestWeightedEntropy:

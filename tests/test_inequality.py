@@ -51,12 +51,17 @@ REPORT_FIELDS = ("s_ab", "s_a", "s_b", "gap", "condition_lhs", "condition_rhs", 
 
 
 def diag_weight(x1, x2):
-    return WeightMatrix(np.diag([x1, x2]).astype(complex), allow_semidefinite=True)
+    return WeightMatrix(np.diag([x1, x2]).astype(complex))
 
 
 def worked_setup():
     state = embed_qutrit(QutritDiagonal(0.1, 0.1, 0.8))
     return state, diag_weight(0.75, 0.25), diag_weight(1 / 3, 2 / 3)
+
+
+def ququart_at(probs, tol):
+    """``embed_ququart(*probs)``, validated at ``tol`` instead of the default."""
+    return BipartiteState(DensityMatrix(np.diag(np.asarray(probs, dtype=complex)), tol=tol), 2, 2)
 
 
 class TestTraceCondition:
@@ -127,6 +132,18 @@ class TestQutritCondition:
             if abs(value) > 1e-9:
                 assert (gap > 0) == (value > 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_weights_must_be_nonnegative_and_finite(self, bad, slot):
+        # the closed form and both qutrit helpers share one weight check
+        weights = list(EXAMPLE_WEIGHTS)
+        weights[slot] = bad
+        for call in (lambda: qutrit_weight_condition(*weights),
+                     lambda: qutrit_condition_gap(0.1, 0.1, *weights),
+                     lambda: qutrit_mutual_information_closed_form(0.1, 0.1, *weights)):
+            with pytest.raises(ValidationError, match="weights must be nonnegative and finite"):
+                call()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_gap_rejects_non_finite_probability(self, bad):
         for p1, p2 in ((bad, 0.1), (0.1, bad)):
@@ -163,14 +180,14 @@ class TestCheckSubadditivity:
                 assert rep.condition_holds
 
     def test_flags_use_report_tolerance(self):
-        # a genuine violation flips the flag at tight tolerance
-        state = embed_ququart(0.03, 0.6, 0.37, 0.0)
+        # a genuine violation flips the flag at tight tolerance; the verdicts read the state's tol
+        probs = (0.03, 0.6, 0.37, 0.0)
         wa = diag_weight(0.1, 1.9)  # phi1 < phi2
         wb = diag_weight(0.1, 1.9)  # chi2 > chi1 -> sign test fails
-        rep = check_subadditivity(wa, wb, state, tolerance=1e-10)
+        rep = check_subadditivity(wa, wb, ququart_at(probs, 1e-10))
         assert rep.condition_gap < 0
         assert not rep.condition_holds
-        loose = check_subadditivity(wa, wb, state, tolerance=abs(rep.condition_gap) * 2)
+        loose = check_subadditivity(wa, wb, ququart_at(probs, abs(rep.condition_gap) * 2))
         assert loose.condition_holds
 
     def test_engine_fields_follow_the_report_field_order(self):
@@ -186,13 +203,13 @@ class TestCheckSubadditivity:
         state, wa, wb = worked_setup()
         assert_plain_report(check_subadditivity(wa, wb, state), DEFAULT_TOL)
         tolerance = 2.5e-7
-        assert_plain_report(check_subadditivity(wa, wb, state, tolerance=tolerance), tolerance)
+        assert_plain_report(check_subadditivity(wa, wb, ququart_at((0.1, 0.1, 0.8, 0.0), tolerance)), tolerance)
 
-    def test_rejects_nonpositive_tolerance(self):
-        state, wa, wb = worked_setup()
-        for tolerance in (0.0, -1e-8, math.nan, math.inf, -math.inf):
-            with pytest.raises(ValidationError):
-                check_subadditivity(wa, wb, state, tolerance=tolerance)
+    def test_report_tolerance_is_the_state_tol(self):
+        _, wa, wb = worked_setup()
+        state = ququart_at((0.1, 0.1, 0.8, 0.0), 1e-6)
+        rep = check_subadditivity(wa, wb, state)
+        assert rep.tolerance == state.rho.tol == 1e-6
 
     def test_channel_output_state(self):
         state = embed_ququart(1 / 9, 0.0, 8 / 9, 0.0)
@@ -208,7 +225,7 @@ class TestCheckSubadditivity:
         m[0, 1] = 1e-8
         state = BipartiteState(DensityMatrix(m, tol=1e-6), 2, 2)
         _, wa, wb = worked_setup()
-        rep = check_subadditivity(wa, wb, state, tolerance=1e-6)
+        rep = check_subadditivity(wa, wb, state)
         assert abs(rep.gap - 0.07280126337634046) < 1e-7
         assert rep.subadditivity_holds
 
@@ -331,7 +348,7 @@ class TestReportEngine:
         # off its support: noise at tol=1e-6, where the state was validated
         rho = DensityMatrix(np.diag([0.5, 0.5, 1e-8, -1e-8]), tol=1e-6)
         _, wa, wb = worked_setup()
-        rep = check_subadditivity(wa, wb, BipartiteState(rho, 2, 2), tolerance=1e-6)
+        rep = check_subadditivity(wa, wb, BipartiteState(rho, 2, 2))
         assert rep.subadditivity_holds
 
 
@@ -502,9 +519,9 @@ def general_records_per_item(n, dim_a, dim_b, seed, tolerance):
     """Violation records of the general audit, each report built alone with keywords."""
     rng = np.random.default_rng(seed)
     rho = _density_stack(rng, n, dim_a * dim_b)
-    wa = _weight_stack(rng, n, dim_a, DEFAULT_SCALE_RANGE)
-    wb = _weight_stack(rng, n, dim_b, DEFAULT_SCALE_RANGE)
-    fields = _report_fields(rho, hermitian_eig(rho), wa, wb, dim_a, dim_b, DEFAULT_TOL, math.inf)
+    wa = _weight_stack(rng, n, dim_a)
+    wb = _weight_stack(rng, n, dim_b)
+    fields = _report_fields(rho, hermitian_eig(rho), wa, wb, dim_a, dim_b, tolerance, math.inf)
     out = []
     for i in np.nonzero(fields["gap"] < -tolerance)[0]:
         values = {k: float(v[i]) for k, v in fields.items()}
@@ -636,10 +653,10 @@ class TestAudit:
     def test_violation_records_are_reproducible(self):
         summary = audit_random(500, 2, 2, 7, "diagonal-unconstrained", tolerance=1e-9)
         v = summary.violations[0]
-        state = BipartiteState(DensityMatrix(v.state), 2, 2)
-        wa = WeightMatrix(v.weight_a, allow_semidefinite=True)
-        wb = WeightMatrix(v.weight_b, allow_semidefinite=True)
-        rep = check_subadditivity(wa, wb, state, tolerance=1e-9)
+        state = BipartiteState(DensityMatrix(v.state, tol=1e-9), 2, 2)
+        wa = WeightMatrix(v.weight_a)
+        wb = WeightMatrix(v.weight_b)
+        rep = check_subadditivity(wa, wb, state)
         assert abs(rep.gap - v.report.gap) < 1e-12
         assert not rep.subadditivity_holds
 
@@ -667,9 +684,9 @@ class TestAudit:
         summary = audit_random(2000, *dims, 1, "general-unconstrained", tolerance=1e-9)
         assert summary.violations
         for v in summary.violations:
-            state = BipartiteState(DensityMatrix(v.state), *dims)
+            state = BipartiteState(DensityMatrix(v.state, tol=1e-9), *dims)
             rep = check_subadditivity(WeightMatrix(v.weight_a), WeightMatrix(v.weight_b), state,
-                                      tolerance=1e-9, im_tol=math.inf)
+                                      im_tol=math.inf)
             for k in REPORT_FIELDS:
                 assert abs(getattr(rep, k) - getattr(v.report, k)) <= 1e-12, k
             assert (rep.condition_holds, rep.subadditivity_holds) == (

@@ -43,4 +43,4 @@ def test_compare_outputs_finds_a_tree_identical_to_itself():
     res = run_script("compare_outputs.py", src, src)
     assert res.returncode == 0, res.stdout + res.stderr
     assert "DIFFERS" not in res.stdout
-    assert res.stdout.splitlines()[-1] == "18 of 18 cases identical"
+    assert res.stdout.splitlines()[-1] == "20 of 20 cases identical"

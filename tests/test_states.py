@@ -13,6 +13,7 @@ from wqent.errors import (
 from wqent.channel import Projector
 from wqent.linalg import hermitian_eig
 from wqent.states import (
+    DEFAULT_SCALE_RANGE,
     BipartiteState,
     DensityMatrix,
     QutritDiagonal,
@@ -100,20 +101,26 @@ def test_tolerance_must_be_positive_and_finite(build, tol):
 
 
 class TestWeightMatrix:
-    def test_strict_needs_positive_definite(self):
-        WeightMatrix(np.diag([0.75, 0.25]))
-        with pytest.raises(ValidationError, match="positive definite"):
-            WeightMatrix(np.diag([1.0, 0.0]))
-
     def test_relaxed_flags_degenerate(self):
-        w = WeightMatrix(np.diag([1.0, 0.0]), allow_semidefinite=True)
+        w = WeightMatrix(np.diag([1.0, 0.0]))
         assert w.degenerate
-        w2 = WeightMatrix(np.diag([1.0, 0.5]), allow_semidefinite=True)
+        w2 = WeightMatrix(np.diag([1.0, 0.5]))
         assert not w2.degenerate
 
     def test_relaxed_still_rejects_negative(self):
         with pytest.raises(ValidationError):
-            WeightMatrix(np.diag([1.0, -0.1]), allow_semidefinite=True)
+            WeightMatrix(np.diag([1.0, -0.1]))
+
+    def test_one_psd_rule_as_for_states(self):
+        # a zero eigenvalue is accepted and flagged; eigenvalues in [-tol, 0) pass as noise;
+        # below -tol the weight fails with the state's message, naming the weight
+        assert WeightMatrix(np.diag([1.0, 0.0])).degenerate
+        assert WeightMatrix(np.diag([1.0, 5e-11])).degenerate
+        assert not WeightMatrix(np.diag([1.0, 2e-10])).degenerate
+        assert WeightMatrix(np.diag([1.0, -1e-8]), tol=1e-6).degenerate
+        with pytest.raises(NegativeEigenvalueError) as err:
+            WeightMatrix(np.diag([1.0, -1e-8]))
+        assert str(err.value) == "weight is not positive semidefinite (min eigenvalue -1.000e-08)"
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
@@ -181,7 +188,7 @@ def test_product_weight_layout_and_flag():
     assert np.abs(wab.matrix - np.diag([0.25, 0.5, 1 / 12, 1 / 6])).max() < 1e-15
     assert not wab.degenerate
 
-    wz = WeightMatrix(np.diag([1.0, 0.0]), allow_semidefinite=True)
+    wz = WeightMatrix(np.diag([1.0, 0.0]))
     assert product_weight(wa, wz).degenerate
     with pytest.raises(ValueError):
         wab.matrix[0, 0] = 1.0
@@ -196,14 +203,12 @@ class TestSamplers:
         assert abs(np.trace(a.matrix) - 1.0) < 1e-12
 
     def test_random_weight_spectrum_range(self):
-        w = random_weight(4, 77, scale_range=(0.3, 0.9))
+        w = random_weight(4, 77)
         lams = hermitian_eig(w.matrix).eigenvalues
-        assert lams.min() > 0.3 - 1e-10
-        assert lams.max() < 0.9 + 1e-10
-
-    def test_random_weight_rejects_bad_range(self):
-        with pytest.raises(ValidationError):
-            random_weight(3, 0, scale_range=(0.0, 1.0))
+        lo, hi = DEFAULT_SCALE_RANGE
+        assert lams.min() > lo - 1e-10
+        assert lams.max() < hi + 1e-10
+        assert not w.degenerate
 
     def test_haar_unitary_is_unitary(self):
         u = haar_unitary(5, 31)
