@@ -6,8 +6,10 @@ OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts. Every case
 runs in a fresh interpreter with ``PYTHONPATH`` set to one of them: the three
 default sweep CSVs and ``sweep prob --grid-n 1``, diagonal audits (n = 1000 at
 seeds 0-2 in both regimes, n = 1e5 at seed 5), general audits at 2x2 and 2x3,
-``check`` and ``channel`` JSON on the worked example (at the default ``--tol``
-and at ``--tol 1e-6``), two ``qutrit`` calls, and
+``entropy`` of the worked-example state under its product weight, ``check``
+and ``channel`` JSON on the worked example (at the default ``--tol`` and at
+``--tol 1e-6``), ``check`` on the committed non-commuting counterexample in
+``tests/fixtures/``, two ``qutrit`` calls, and
 ``scripts/run_worked_example.py`` from the checkout that holds each ``src``.
 A case differs when its exit code, stdout or stderr does. Each differing case
 is named; the exit code is 1 if any case differs, else 0. Two interpreters
@@ -24,12 +26,15 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
 JOBS = 2
+COUNTEREXAMPLE = pathlib.Path(__file__).resolve().parents[1] / "tests/fixtures/noncommuting_counterexample"
 
 # the worked example: diag(0.1, 0.1, 0.8, 0) split 2x2, weights diag(3/4, 1/4) and diag(1/3, 2/3)
+# and their product
 MATRICES = {
     "state": [0.1, 0.1, 0.8, 0.0],
     "wa": [0.75, 0.25],
     "wb": [1 / 3, 2 / 3],
+    "wab": [a * b for a in (0.75, 0.25) for b in (1 / 3, 2 / 3)],
     "proj": [1.0, 0.0, 1.0, 0.0],
 }
 
@@ -52,10 +57,13 @@ def cases(files: dict) -> dict:
     for dims in ("2x2", "2x3"):
         out[f"audit general-unconstrained {dims} n=2000 seed=1"] = cli + [
             "audit", "--n", "2000", "--seed", "1", "--dims", dims, "--regime", "general-unconstrained"]
+    out["entropy worked example"] = cli + ["entropy", files["state"], files["wab"]]
     for tol in ([], ["--tol", "1e-6"]):
         name = " ".join(["worked example"] + tol)
         out[f"check {name}"] = cli + ["check", files["state"], files["wa"], files["wb"]] + tol
         out[f"channel {name}"] = cli + ["channel", files["state"], files["proj"]] + tol
+    out["check noncommuting counterexample"] = cli + [
+        "check", *(str(COUNTEREXAMPLE / f"{k}.json") for k in ("rho", "phi_a", "phi_b"))]
     out["qutrit worked example"] = cli + ["qutrit", "0.1", "0.1", "0.75", "0.25", repr(1 / 3), repr(2 / 3)]
     out["qutrit 0.5 0.5 1 0 0 1"] = cli + ["qutrit", "0.5", "0.5", "1", "0", "0", "1"]
     out["scripts/run_worked_example.py"] = ["{script}"]

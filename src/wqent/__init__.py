@@ -23,7 +23,6 @@ from .states import (
     embed_ququart,
     embed_qutrit,
     haar_unitary,
-    product_weight,
     random_density,
     random_weight,
 )

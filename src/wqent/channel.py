@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ChannelUndefinedError, DimensionError, ValidationError
-from .linalg import DEFAULT_TOL, SUPPORT_EPS, _eigh
+from .linalg import DEFAULT_TOL, SUPPORT_EPS
 from .states import BipartiteState, DensityMatrix, WeightMatrix, _validated
 from .inequality import SubadditivityReport, check_subadditivity
 
@@ -20,8 +20,8 @@ class Projector:
         idem = float(np.abs(a @ a - a).max())
         if idem > tol:
             raise ValidationError(f"projector is not idempotent (max |P^2 - P| = {idem:.3e})")
-        lams = _eigh(a).eigenvalues
-        self.rank = int(np.count_nonzero(np.abs(lams - 1.0) <= tol))
+        # the trace of a Hermitian idempotent is its rank
+        self.rank = round(float(np.trace(a).real))
         self.matrix = a
 
     @property

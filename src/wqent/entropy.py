@@ -4,7 +4,11 @@ The weighted entropy of a state rho under a weight phi is
 ``-tr(phi rho ln rho)``; at phi = identity it is the von Neumann entropy.
 Subsystem entropies never isolate a reduced weight on its own: only the
 product ``psi_X rho_X = tr_other(phi_AB rho_AB)`` is well defined when the
-reduction of rho is singular, so that product is what gets evaluated. Each
+reduction of rho is singular, so that product is what gets evaluated.
+Every entropy is the real part of its trace. The joint trace is one of two
+Hermitian matrices, so it is real up to rounding; the real part of a
+subsystem trace is the entropy of the symmetrised reduced weighted state
+``tr_other((phi rho + rho phi) / 2)``, which is Hermitian. Each
 formula is written once, as a kernel over ``(..., d, d)`` stacks; the report
 engine in :mod:`wqent.inequality` is the one caller of the subsystem kernel.
 """
@@ -14,26 +18,18 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .linalg import DEFAULT_TOL, SUPPORT_EPS, SpectralDecomposition, _dagger, _eigh, _ln_support, _trace_product
+from .linalg import SUPPORT_EPS, SpectralDecomposition, _dagger, _eigh, _ln_support, _trace_product
 from .linalg import xlogx_matrix
 from .states import DensityMatrix, WeightMatrix, _nonnegative_weights, _simplex_pair
 
 
-def _real_part(t: np.ndarray, im_tol: float, what: str) -> np.ndarray:
-    """``t.real``, once no item's imaginary part exceeds ``im_tol``."""
-    im = abs(t.imag)
-    if (im > im_tol).any():
-        raise ValidationError(f"{what} has imaginary part {t.imag.flat[im.argmax()]:.3e}")
-    return t.real
+def _joint_entropy(phi: np.ndarray, spectrum: SpectralDecomposition) -> np.ndarray:
+    """``-tr(phi rho ln rho)`` from the spectrum of rho, item by item; the real part of the trace."""
+    return -_trace_product(phi, xlogx_matrix(spectrum)).real
 
 
-def _joint_entropy(phi: np.ndarray, spectrum: SpectralDecomposition, im_tol: float) -> np.ndarray:
-    """``-tr(phi rho ln rho)`` from the spectrum of rho, item by item."""
-    return -_real_part(_trace_product(phi, xlogx_matrix(spectrum)), im_tol, "entropy trace")
-
-
-def _subsystem_entropy(x: np.ndarray, rho_kept: np.ndarray, leak_tol: float, im_tol: float) -> np.ndarray:
-    """``-tr(x ln rho_kept)`` on the support of ``rho_kept``, ``x`` leaking at most ``leak_tol`` off it.
+def _subsystem_entropy(x: np.ndarray, rho_kept: np.ndarray, leak_tol: float) -> np.ndarray:
+    """``-Re tr(x ln rho_kept)`` on the support of ``rho_kept``, ``x`` leaking at most ``leak_tol`` off it.
 
     ``rho_kept`` is a partial trace of a validated (exactly Hermitian) state, so it is
     exactly Hermitian too and is diagonalized without a second check.
@@ -46,20 +42,19 @@ def _subsystem_entropy(x: np.ndarray, rho_kept: np.ndarray, leak_tol: float, im_
         if leak > leak_tol:
             raise ValidationError(f"reduced weighted state has {leak:.3e} of mass outside the support "
                                   "of the reduced state")
-    t = np.einsum("...ii,...i->...", y, _ln_support(lams))
-    return -_real_part(t, im_tol, "subsystem entropy trace")
+    return -np.einsum("...ii,...i->...", y, _ln_support(lams)).real
 
 
 def weighted_entropy(phi: WeightMatrix, rho: DensityMatrix) -> float:
     """``-tr(phi rho ln rho)`` with the 0 ln 0 = 0 convention.
 
     Evaluated on the spectrum ``rho`` was validated with; eigenvalues at or
-    below 1e-12 count as zero. The trace of two Hermitian factors is real, so
-    its imaginary part is rounding and must stay within the default tolerance.
+    below 1e-12 count as zero. The trace of two Hermitian factors is real up to
+    rounding, so its real part is kept.
     """
     if phi.dim != rho.dim:
         raise DimensionError(f"weight dim {phi.dim} does not match state dim {rho.dim}")
-    return float(_joint_entropy(phi.matrix, rho.spectrum, DEFAULT_TOL))
+    return float(_joint_entropy(phi.matrix, rho.spectrum))
 
 
 def qutrit_mutual_information_closed_form(p1, p2, phi1, phi2, chi1, chi2):

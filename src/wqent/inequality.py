@@ -10,7 +10,6 @@ It is the one matrix path: the weighted mutual information is a report's
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
@@ -76,18 +75,18 @@ def _fields(s_ab, s_a, s_b, lhs, rhs) -> dict[str, np.ndarray]:
 
 
 def _report_fields(rho: np.ndarray, spectrum: SpectralDecomposition, phi_a: np.ndarray, phi_b: np.ndarray,
-                   dim_a: int, dim_b: int, leak_tol: float, im_tol: float) -> dict[str, np.ndarray]:
+                   dim_a: int, dim_b: int, leak_tol: float) -> dict[str, np.ndarray]:
     """Report fields of ``(..., d, d)`` stacks (``spectrum`` decomposes ``rho``), each partial trace taken once.
 
-    Raises if any item leaks over ``leak_tol`` off a reduced support or has an imaginary trace over ``im_tol``.
+    Raises if any item leaks over ``leak_tol`` off a reduced support.
     """
     phi = _kron(phi_a, phi_b)
     weighted = phi @ rho
     rho_a = partial_trace(rho, dim_a, dim_b, "A")
     rho_b = partial_trace(rho, dim_a, dim_b, "B")
-    s_ab = _joint_entropy(phi, spectrum, im_tol)
-    s_a = _subsystem_entropy(partial_trace(weighted, dim_a, dim_b, "A"), rho_a, leak_tol, im_tol)
-    s_b = _subsystem_entropy(partial_trace(weighted, dim_a, dim_b, "B"), rho_b, leak_tol, im_tol)
+    s_ab = _joint_entropy(phi, spectrum)
+    s_a = _subsystem_entropy(partial_trace(weighted, dim_a, dim_b, "A"), rho_a, leak_tol)
+    s_b = _subsystem_entropy(partial_trace(weighted, dim_a, dim_b, "B"), rho_b, leak_tol)
     # the trace condition compares tr(phi_AB rho_AB) with tr(phi_A rho_A) tr(phi_B rho_B)
     lhs = _trace_product(phi, rho).real
     rhs = _trace_product(phi_a, rho_a).real * _trace_product(phi_b, rho_b).real
@@ -105,12 +104,8 @@ def _reports(columns: dict[str, list[float]], tolerance: float) -> list[Subaddit
                     repeat(tolerance)))
 
 
-def check_subadditivity(
-    weight_a: WeightMatrix,
-    weight_b: WeightMatrix,
-    state: BipartiteState,
-    im_tol: float = DEFAULT_TOL,
-) -> SubadditivityReport:
+def check_subadditivity(weight_a: WeightMatrix, weight_b: WeightMatrix,
+                        state: BipartiteState) -> SubadditivityReport:
     """Full report: entropies, gap, trace condition, verdicts.
 
     Everything is judged at the ``tol`` the state was validated with, which
@@ -123,7 +118,7 @@ def check_subadditivity(
                              f"state factors {state.dim_a}x{state.dim_b}")
     rho = state.rho
     fields = _report_fields(rho.matrix, rho.spectrum, weight_a.matrix, weight_b.matrix,
-                            state.dim_a, state.dim_b, rho.tol, im_tol)
+                            state.dim_a, state.dim_b, rho.tol)
     return _reports({k: [float(v)] for k, v in fields.items()}, rho.tol)[0]
 
 
@@ -212,8 +207,6 @@ def audit_random(
       genuine violations are expected and get recorded.
     - ``general-unconstrained``: dense random states and weights of any
       requested factor dims, drawn as stacks and run through one engine call.
-      Entropy traces are kept as real parts since the non-commuting case
-      has a genuine imaginary component.
 
     The diagonal regimes model the zero-padded qutrit family, which is what
     the sign condition is about, so they require 2x2 factors.
@@ -235,7 +228,7 @@ def audit_random(
         wb = _weight_stack(rng, n, dim_b)
         # the draws are hermitized, so they are diagonalized unchecked; off-support
         # mass is judged at the audit's tolerance
-        fields = _report_fields(rho, _eigh(rho), wa, wb, dim_a, dim_b, tolerance, math.inf)
+        fields = _report_fields(rho, _eigh(rho), wa, wb, dim_a, dim_b, tolerance)
 
         def matrices(idx):
             return rho[idx], wa[idx], wb[idx]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidSimplexError, NegativeEigenvalueError, ValidationError
 from .linalg import DEFAULT_TOL, SUPPORT_EPS, SpectralDecomposition, _as_stack, _dagger, _eigh, _hermitian_part
-from .linalg import _hermitize, _kron
+from .linalg import _hermitize
 
 DEFAULT_SCALE_RANGE = (0.05, 2.0)
 
@@ -175,18 +175,6 @@ def embed_ququart(p1: float, p2: float, p3: float, p4: float) -> BipartiteState:
 def embed_qutrit(q: QutritDiagonal) -> BipartiteState:
     """Embed a qutrit as a ququart by appending a zero-probability level."""
     return embed_ququart(q.p1, q.p2, q.p3, 0.0)
-
-
-def product_weight(weight_a: WeightMatrix, weight_b: WeightMatrix) -> WeightMatrix:
-    """``phi_A (x) phi_B``, degenerate when either factor is.
-
-    The Kronecker product of two validated weights is Hermitian and positive
-    semidefinite by construction, so it is not diagonalized again.
-    """
-    out = WeightMatrix.__new__(WeightMatrix)
-    out.matrix = _frozen(_kron(weight_a.matrix, weight_b.matrix))
-    out.degenerate = weight_a.degenerate or weight_b.degenerate
-    return out
 
 
 def _as_rng(seed) -> np.random.Generator:

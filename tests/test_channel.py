@@ -35,6 +35,11 @@ class TestProjector:
         p = Projector(np.outer(v, v))
         assert p.rank == 1
 
+    def test_rank_counts_a_projector_scaled_within_tol(self):
+        # entries of P^2 - P stay below 1e-10 while the one eigenvalue, 1 - 3e-10, lies 3e-10 from 1
+        u = np.ones(4) / 2
+        assert Projector((1 - 3e-10) * np.outer(u, u)).rank == 1
+
     def test_basis_projector_validates_indices(self):
         with pytest.raises(ValidationError):
             basis_projector(3, (0, 0))

@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,11 +19,11 @@ from wqent.states import (
     embed_ququart,
     embed_qutrit,
     haar_unitary,
-    product_weight,
     random_density,
     random_weight,
 )
 from wqent.entropy import qutrit_mutual_information_closed_form, weighted_entropy
+from wqent.cli import main as cli_main, matrix_to_dict, report_to_dict
 from wqent.inequality import check_subadditivity
 
 EXAMPLE_WEIGHTS = (0.75, 0.25, 1 / 3, 2 / 3)
@@ -51,7 +54,7 @@ class TestWeightedEntropy:
 
     def test_worked_example_joint(self):
         state, wa, wb = worked_setup()
-        phi_ab = product_weight(wa, wb)
+        phi_ab = WeightMatrix(np.kron(wa.matrix, wb.matrix))
         s = weighted_entropy(phi_ab, state.rho)
         expected = -(
             0.25 * 0.1 * math.log(0.1)
@@ -115,7 +118,7 @@ def reduced_weighted_states(monkeypatch, wa, wb, state):
 
     with monkeypatch.context() as m:
         m.setattr(wqent.inequality, "_subsystem_entropy", recording)
-        check_subadditivity(wa, wb, state, im_tol=math.inf)
+        check_subadditivity(wa, wb, state)
     return seen
 
 
@@ -141,7 +144,7 @@ class TestReducedWeightedState:
             rho = random_density(4, rng)
             state = BipartiteState(rho, 2, 2)
             wa, wb = random_weight(2, rng), random_weight(2, rng)
-            full = np.einsum("ij,ji->", product_weight(wa, wb).matrix, rho.matrix)
+            full = np.einsum("ij,ji->", np.kron(wa.matrix, wb.matrix), rho.matrix)
             for x in reduced_weighted_states(monkeypatch, wa, wb, state):
                 assert abs(np.trace(x) - full) < 1e-12
 
@@ -172,16 +175,66 @@ class TestSubsystemEntropy:
         # rho_B = diag(1, 0): support log is 0 there, so s_b = 0
         assert abs(s_b) < 1e-12
 
-    def test_imaginary_part_raises_by_default(self):
-        rng = np.random.default_rng(0)
-        rho = random_density(4, rng)
-        wa = random_weight(2, rng)
-        wb = random_weight(2, rng)
-        state = BipartiteState(rho, 2, 2)
-        with pytest.raises(ValidationError, match="subsystem entropy trace has imaginary"):
-            check_subadditivity(wa, wb, state)
-        val = check_subadditivity(wa, wb, state, im_tol=math.inf).s_a
-        assert math.isfinite(val)
+    def test_noncommuting_state_matches_the_symmetrised_logm_oracle(self):
+        # s_X is the entropy of the Hermitian reduced weighted state tr_other((phi rho + rho phi) / 2)
+        wa, wb, state = noncommuting_setup()
+        rep = check_subadditivity(wa, wb, state)
+        rho, phi = state.rho.matrix, np.kron(wa.matrix, wb.matrix)
+        sym = ((phi @ rho + rho @ phi) / 2).reshape(2, 2, 2, 2)
+        marg = rho.reshape(2, 2, 2, 2)
+        for got, keep in ((rep.s_a, "ibjb->ij"), (rep.s_b, "aiaj->ij")):
+            h = np.einsum(keep, sym)
+            assert np.array_equal(h, h.conj().T)
+            want = -np.trace(h @ scipy.linalg.logm(np.einsum(keep, marg)))
+            assert abs(want.imag) < 1e-12
+            assert abs(got - want.real) < 1e-10
+
+    def test_cli_check_evaluates_a_noncommuting_state(self, tmp_path):
+        wa, wb, state = noncommuting_setup()
+        files = []
+        for name, m in (("rho", state.rho.matrix), ("wa", wa.matrix), ("wb", wb.matrix)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(matrix_to_dict(m)))
+            files.append(str(path))
+        result = CliRunner().invoke(cli_main, ["check", *files])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output) == report_to_dict(check_subadditivity(wa, wb, state))
+
+
+def noncommuting_setup():
+    """Two random 2x2 weights and a random 4x4 state that commutes with neither."""
+    rng = np.random.default_rng(0)
+    rho = random_density(4, rng)
+    return random_weight(2, rng), random_weight(2, rng), BipartiteState(rho, 2, 2)
+
+
+def frame_setup(seed):
+    """A full-rank state and two weights, all diagonal in one random product frame (the commuting family)."""
+    rng = np.random.default_rng(seed)
+    ua, ub = haar_unitary(2, rng), haar_unitary(2, rng)
+    u = np.kron(ua, ub)
+    p = rng.dirichlet(np.ones(4))
+    rho = DensityMatrix((u * p) @ u.conj().T)
+    wa = WeightMatrix((ua * rng.uniform(0.05, 2.0, 2)) @ ua.conj().T)
+    wb = WeightMatrix((ub * rng.uniform(0.05, 2.0, 2)) @ ub.conj().T)
+    return wa, wb, BipartiteState(rho, 2, 2)
+
+
+class TestWeightScaling:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_entropies_scale_linearly_with_one_weight(self, seed):
+        wa, wb, state = frame_setup(seed)
+        wab = WeightMatrix(np.kron(wa.matrix, wb.matrix))
+        base = check_subadditivity(wa, wb, state)
+        for c in (1e-6, 1e9):
+            # c times an exactly Hermitian matrix is exactly Hermitian
+            joint, want = weighted_entropy(WeightMatrix(c * wab.matrix), state.rho), c * base.s_ab
+            assert abs(joint - want) <= 1e-12 * abs(want)
+            for rep in (check_subadditivity(WeightMatrix(c * wa.matrix), wb, state),
+                        check_subadditivity(wa, WeightMatrix(c * wb.matrix), state)):
+                for k in ("s_ab", "s_a", "s_b"):
+                    want = c * getattr(base, k)
+                    assert abs(getattr(rep, k) - want) <= 1e-12 * abs(want), (c, k)
 
 
 class TestMutualInformation:

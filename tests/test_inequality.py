@@ -24,7 +24,6 @@ from wqent.states import (
     WeightMatrix,
     embed_ququart,
     embed_qutrit,
-    product_weight,
     random_density,
     random_weight,
     _density_stack,
@@ -194,7 +193,7 @@ class TestCheckSubadditivity:
         # reports are built positionally from the engine's fields, so the orders must agree
         state, wa, wb = worked_setup()
         rho = state.rho
-        fields = _report_fields(rho.matrix, rho.spectrum, wa.matrix, wb.matrix, 2, 2, rho.tol, 1e-10)
+        fields = _report_fields(rho.matrix, rho.spectrum, wa.matrix, wb.matrix, 2, 2, rho.tol)
         names = [f.name for f in dataclasses.fields(SubadditivityReport)]
         assert tuple(fields) == REPORT_FIELDS == tuple(names[:7])
         assert tuple(_diagonal_report_fields(np.array([[0.1, 0.1, 0.8]]), np.ones((1, 4)))) == REPORT_FIELDS
@@ -250,7 +249,7 @@ class TestCheckSubadditivity:
             monkeypatch.setattr(module, "_eigh", counting)
         monkeypatch.setattr(wqent.inequality, "partial_trace", counting_trace)
         state = BipartiteState(DensityMatrix(rho), 2, 3)
-        check_subadditivity(WeightMatrix(wa), WeightMatrix(wb), state, im_tol=math.inf)
+        check_subadditivity(WeightMatrix(wa), WeightMatrix(wb), state)
         # rho_AB, phi_A, phi_B at validation; rho_A, rho_B in evaluation
         assert shapes == [(6, 6), (2, 2), (3, 3), (2, 2), (3, 3)]
         # rho_A, rho_B, tr_B(phi rho) and tr_A(phi rho), each taken once
@@ -263,13 +262,15 @@ class TestCheckSubadditivity:
             labels.append(label)
             return _hermitian_part(a, tol, label)
 
+        _, wa, wb = worked_setup()
+        wab = WeightMatrix(np.kron(wa.matrix, wb.matrix))
         for module in (wqent.linalg, wqent.states):
             monkeypatch.setattr(module, "_hermitian_part", counting)
         state, wa, wb = worked_setup()
         Projector(np.diag([1.0, 0.0, 1.0, 0.0]))
         assert labels == ["state", "weight", "weight", "projector"]
         check_subadditivity(wa, wb, state)
-        weighted_entropy(product_weight(wa, wb), state.rho)
+        weighted_entropy(wab, state.rho)
         audit_random(20, 2, 3, 0, "general-unconstrained")
         assert len(labels) == 4
 
@@ -325,9 +326,9 @@ class TestReportEngine:
         weights = [(random_weight(da, rng), random_weight(db, rng)) for _ in states]
         rho = np.stack([s.matrix for s in states])
         fields = _report_fields(rho, hermitian_eig(rho), np.stack([w.matrix for w, _ in weights]),
-                                np.stack([w.matrix for _, w in weights]), da, db, 1e-10, math.inf)
+                                np.stack([w.matrix for _, w in weights]), da, db, 1e-10)
         for i, (s, (wa, wb)) in enumerate(zip(states, weights)):
-            rep = check_subadditivity(wa, wb, BipartiteState(s, da, db), im_tol=math.inf)
+            rep = check_subadditivity(wa, wb, BipartiteState(s, da, db))
             for k in REPORT_FIELDS:
                 assert abs(fields[k][i] - getattr(rep, k)) <= 1e-12, k
 
@@ -335,13 +336,13 @@ class TestReportEngine:
         state = leaky_state()
         weight = WeightMatrix(LEAK_WEIGHT)
         with pytest.raises(ValidationError, match="outside the support"):
-            check_subadditivity(weight, weight, state, im_tol=math.inf)
+            check_subadditivity(weight, weight, state)
         # the same item inside a stack still fails the whole call
         good = embed_ququart(0.1, 0.1, 0.8, 0.0).rho.matrix
         rho = np.stack([good, state.rho.matrix, good])
         phi = np.stack([LEAK_WEIGHT] * 3)
         with pytest.raises(ValidationError, match="outside the support"):
-            _report_fields(rho, hermitian_eig(rho), phi, phi, 2, 2, 2e-5, math.inf)
+            _report_fields(rho, hermitian_eig(rho), phi, phi, 2, 2, 2e-5)
 
     def test_leak_is_judged_at_the_state_tolerance(self):
         # 1e-8 and -1e-8 leave rho_A = diag(1, 0) with 8.3e-10 of weighted mass
@@ -362,7 +363,7 @@ class TestDiagonalEngine:
             p1, p2, p3 = probs[i]
             f1, f2, c1, c2 = weights[i]
             state = embed_ququart(p1, p2, p3, 0.0)
-            rep = check_subadditivity(diag_weight(f1, f2), diag_weight(c1, c2), state, im_tol=math.inf)
+            rep = check_subadditivity(diag_weight(f1, f2), diag_weight(c1, c2), state)
             assert abs(fields["s_ab"][i] - rep.s_ab) < 1e-12
             assert abs(fields["s_a"][i] - rep.s_a) < 1e-12
             assert abs(fields["s_b"][i] - rep.s_b) < 1e-12
@@ -380,8 +381,7 @@ class TestDiagonalEngine:
         probs[(position + 1) % 3] = 0.4 - edge
         f1, f2, c1, c2 = 0.75, 0.25, 1 / 3, 2 / 3
         fields = _diagonal_report_fields(np.array([probs]), np.array([[f1, f2, c1, c2]]))
-        rep = check_subadditivity(diag_weight(f1, f2), diag_weight(c1, c2), embed_ququart(*probs, 0.0),
-                                  im_tol=math.inf)
+        rep = check_subadditivity(diag_weight(f1, f2), diag_weight(c1, c2), embed_ququart(*probs, 0.0))
         for k in REPORT_FIELDS:
             assert abs(fields[k][0] - getattr(rep, k)) < 1e-12, k
         if position < 2:
@@ -521,7 +521,7 @@ def general_records_per_item(n, dim_a, dim_b, seed, tolerance):
     rho = _density_stack(rng, n, dim_a * dim_b)
     wa = _weight_stack(rng, n, dim_a)
     wb = _weight_stack(rng, n, dim_b)
-    fields = _report_fields(rho, hermitian_eig(rho), wa, wb, dim_a, dim_b, tolerance, math.inf)
+    fields = _report_fields(rho, hermitian_eig(rho), wa, wb, dim_a, dim_b, tolerance)
     out = []
     for i in np.nonzero(fields["gap"] < -tolerance)[0]:
         values = {k: float(v[i]) for k, v in fields.items()}
@@ -685,8 +685,7 @@ class TestAudit:
         assert summary.violations
         for v in summary.violations:
             state = BipartiteState(DensityMatrix(v.state, tol=1e-9), *dims)
-            rep = check_subadditivity(WeightMatrix(v.weight_a), WeightMatrix(v.weight_b), state,
-                                      im_tol=math.inf)
+            rep = check_subadditivity(WeightMatrix(v.weight_a), WeightMatrix(v.weight_b), state)
             for k in REPORT_FIELDS:
                 assert abs(getattr(rep, k) - getattr(v.report, k)) <= 1e-12, k
             assert (rep.condition_holds, rep.subadditivity_holds) == (

@@ -21,7 +21,6 @@ from wqent.states import (
     embed_ququart,
     embed_qutrit,
     haar_unitary,
-    product_weight,
     random_density,
     random_weight,
 )
@@ -179,19 +178,6 @@ def test_embed_ququart_general():
     assert np.array_equal(np.diag(state.rho.matrix).real, [0.4, 0.3, 0.2, 0.1])
     with pytest.raises(InvalidSimplexError):
         embed_ququart(0.5, 0.5, 0.5, -0.5)
-
-
-def test_product_weight_layout_and_flag():
-    wa = WeightMatrix(np.diag([0.75, 0.25]))
-    wb = WeightMatrix(np.diag([1 / 3, 2 / 3]))
-    wab = product_weight(wa, wb)
-    assert np.abs(wab.matrix - np.diag([0.25, 0.5, 1 / 12, 1 / 6])).max() < 1e-15
-    assert not wab.degenerate
-
-    wz = WeightMatrix(np.diag([1.0, 0.0]))
-    assert product_weight(wa, wz).degenerate
-    with pytest.raises(ValueError):
-        wab.matrix[0, 0] = 1.0
 
 
 class TestSamplers:
