@@ -1,4 +1,4 @@
-"""Compare the CLI and script outputs of two wqent source trees byte for byte.
+"""Compare the CLI outputs of two wqent source trees byte for byte.
 
 Usage: python scripts/compare_outputs.py OLD_SRC NEW_SRC
 
@@ -9,11 +9,10 @@ seeds 0-2 in both regimes, n = 1e5 at seed 5), general audits at 2x2 and 2x3,
 ``entropy`` of the worked-example state under its product weight, ``check``
 and ``channel`` JSON on the worked example (at the default ``--tol`` and at
 ``--tol 1e-6``), ``check`` on the committed non-commuting counterexample in
-``tests/fixtures/``, two ``qutrit`` calls, and
-``scripts/run_worked_example.py`` from the checkout that holds each ``src``.
-A case differs when its exit code, stdout or stderr does. Each differing case
-is named; the exit code is 1 if any case differs, else 0. Two interpreters
-run at a time.
+``tests/fixtures/``, two ``qutrit`` calls, and one failing call per error
+exit code (2 to 5). A case differs when its exit code, stdout or stderr does.
+Each differing case is named; the exit code is 1 if any case differs, else 0.
+Two interpreters run at a time.
 """
 
 import argparse
@@ -36,11 +35,13 @@ MATRICES = {
     "wb": [1 / 3, 2 / 3],
     "wab": [a * b for a in (0.75, 0.25) for b in (1 / 3, 2 / 3)],
     "proj": [1.0, 0.0, 1.0, 0.0],
+    "proj_dead": [0.0, 0.0, 0.0, 1.0],  # annihilates the state: channel undefined
 }
+TRUNCATED = '{"dim": 4, "re": [[1, 0'
 
 
 def cases(files: dict) -> dict:
-    """Case name -> arguments after the interpreter; ``{script}`` stands for the worked-example script."""
+    """Case name -> arguments after the interpreter."""
     cli = ["-m", "wqent.cli"]
     out = {
         "sweep prob": cli + ["sweep", "prob"],
@@ -66,7 +67,12 @@ def cases(files: dict) -> dict:
         "check", *(str(COUNTEREXAMPLE / f"{k}.json") for k in ("rho", "phi_a", "phi_b"))]
     out["qutrit worked example"] = cli + ["qutrit", "0.1", "0.1", "0.75", "0.25", repr(1 / 3), repr(2 / 3)]
     out["qutrit 0.5 0.5 1 0 0 1"] = cli + ["qutrit", "0.5", "0.5", "1", "0", "0", "1"]
-    out["scripts/run_worked_example.py"] = ["{script}"]
+    out["exit 2: sweep prob grid-n 0"] = cli + ["sweep", "prob", "--grid-n", "0"]
+    out["exit 3: audit diagonal-unconstrained 2x3"] = cli + [
+        "audit", "--dims", "2x3", "--regime", "diagonal-unconstrained"]
+    out["exit 4: channel worked example diag(0, 0, 0, 1)"] = cli + [
+        "channel", files["state"], files["proj_dead"]]
+    out["exit 5: entropy truncated file"] = cli + ["entropy", files["truncated"], files["wab"]]
     return out
 
 
@@ -77,14 +83,15 @@ def write_matrices(directory: pathlib.Path) -> dict:
         path = directory / f"{name}.json"
         path.write_text(json.dumps({"dim": len(diag), "re": re}))
         files[name] = str(path)
+    path = directory / "truncated.json"
+    path.write_text(TRUNCATED)
+    files["truncated"] = str(path)
     return files
 
 
 def run(src: pathlib.Path, args: list, cwd: str) -> tuple:
-    script = src.parent / "scripts" / "run_worked_example.py"
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
-    argv = [sys.executable] + [str(script) if a == "{script}" else a for a in args]
-    res = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, timeout=600)
+    res = subprocess.run([sys.executable] + args, cwd=cwd, env=env, capture_output=True, timeout=600)
     return res.returncode, res.stdout, res.stderr
 
 

@@ -8,9 +8,7 @@ objects with keys ``dim``, ``re`` and optionally ``im`` (dim x dim arrays).
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
-import sys
 
 import click
 import numpy as np
@@ -41,10 +39,14 @@ from .inequality import (
 from .channel import Projector, channel_then_check
 from .sweeps import PROB_SWEEP_WEIGHTS, WEIGHT_SWEEP_PROBS, grid_to_csv, sweep_probabilities, sweep_weights
 
-EXIT_VALIDATION = 2
-EXIT_DIMENSION = 3
-EXIT_CHANNEL = 4
-EXIT_PARSE = 5
+# Exit code per error type, first match wins. The first three are plain
+# ValueErrors, so ValidationError must come last.
+EXIT_CODES = (
+    (MatrixFileError, 5),
+    (DimensionError, 3),
+    (ChannelUndefinedError, 4),
+    (ValidationError, 2),
+)
 
 CROSS_CHECK_WARN = 1e-9
 
@@ -57,11 +59,7 @@ def load_matrix(path: str) -> np.ndarray:
     except OSError as exc:
         raise MatrixFileError(f"{path}: cannot read file ({exc.strerror or exc})") from exc
     except json.JSONDecodeError as exc:
-        raise MatrixFileError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}",
-            row=exc.lineno,
-            column=exc.colno,
-        ) from exc
+        raise MatrixFileError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     if not isinstance(data, dict):
         raise MatrixFileError(f"{path}: top level must be an object")
     if "dim" not in data or "re" not in data:
@@ -84,17 +82,16 @@ def _real_rows(path: str, name: str, rows, dim: int) -> np.ndarray:
     out = np.empty((dim, dim))
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
-            raise MatrixFileError(
-                f"{path}: '{name}' row {i} must have {dim} entries", row=i
-            )
+            raise MatrixFileError(f"{path}: '{name}' row {i} must have {dim} entries")
         for j, v in enumerate(row):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise MatrixFileError(f"{path}: '{name}' entry at row {i}, column {j} is not a number")
+            try:
+                out[i, j] = v
+            except OverflowError as exc:
                 raise MatrixFileError(
-                    f"{path}: '{name}' entry at row {i}, column {j} is not a number",
-                    row=i,
-                    column=j,
-                )
-            out[i, j] = v
+                    f"{path}: '{name}' entry at row {i}, column {j} is too large for a float"
+                ) from exc
     return out
 
 
@@ -112,28 +109,6 @@ _REPORT_KEYS = tuple(f.name for f in dataclasses.fields(SubadditivityReport))
 def report_to_dict(report: SubadditivityReport) -> dict:
     """The report's fields in declaration order; shallow, since every field is a float or a bool."""
     return {k: getattr(report, k) for k in _REPORT_KEYS}
-
-
-def _fail(code: int, exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(code)
-
-
-def handle_errors(f):
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
-        try:
-            return f(*args, **kwargs)
-        except MatrixFileError as exc:
-            _fail(EXIT_PARSE, exc)
-        except DimensionError as exc:
-            _fail(EXIT_DIMENSION, exc)
-        except ChannelUndefinedError as exc:
-            _fail(EXIT_CHANNEL, exc)
-        except ValidationError as exc:
-            _fail(EXIT_VALIDATION, exc)
-
-    return wrapper
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
@@ -163,7 +138,18 @@ def _prob_sweep_weights(f):
     return f
 
 
-@click.group()
+class _ExitCodeGroup(click.Group):
+    """Turns an error type listed in ``EXIT_CODES``, raised by any command, into its exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except tuple(t for t, _ in EXIT_CODES) as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(next(code for t, code in EXIT_CODES if isinstance(exc, t)))
+
+
+@click.group(cls=_ExitCodeGroup)
 def main():
     """Weighted entropies and subadditivity checks for small qudit systems."""
 
@@ -172,7 +158,6 @@ def main():
 @click.argument("state_file")
 @click.argument("weight_file")
 @click.option("--tol", default=DEFAULT_TOL, show_default=True, help="validation tolerance")
-@handle_errors
 def entropy(state_file, weight_file, tol):
     """Weighted entropy of STATE_FILE under WEIGHT_FILE, in nats."""
     rho = DensityMatrix(load_matrix(state_file), tol=tol)
@@ -187,7 +172,6 @@ def entropy(state_file, weight_file, tol):
 @click.option("--dims", default="2x2", show_default=True, help="subsystem dims, e.g. 2x3")
 @click.option("--tol", default=DEFAULT_TOL, show_default=True)
 @click.option("--out", default=None, help="write the JSON report here instead of stdout")
-@handle_errors
 def check(state_file, weight_a_file, weight_b_file, dims, tol, out):
     """Subadditivity report for a bipartite state, as JSON."""
     dim_a, dim_b = _parse_dims(dims)
@@ -206,7 +190,6 @@ def check(state_file, weight_a_file, weight_b_file, dims, tol, out):
 @click.argument("phi2", type=float)
 @click.argument("chi1", type=float)
 @click.argument("chi2", type=float)
-@handle_errors
 def qutrit(p1, p2, phi1, phi2, chi1, chi2):
     """Closed-form mutual information of a diagonal qutrit, cross-checked."""
     value = qutrit_mutual_information_closed_form(p1, p2, phi1, phi2, chi1, chi2)
@@ -240,7 +223,6 @@ def sweep():
 @click.option("--grid-n", default=97, show_default=True, help="cells per axis")
 @_prob_sweep_weights
 @click.option("--out", default=None, help="output CSV path (default stdout)")
-@handle_errors
 def sweep_prob(grid_n, phi1, phi2, chi1, chi2, out):
     """Mutual information over the (p1, p2) simplex at fixed weights."""
     grid = sweep_probabilities(grid_n, phi1, phi2, chi1, chi2)
@@ -258,7 +240,6 @@ def sweep_prob(grid_n, phi1, phi2, chi1, chi2, out):
 @click.option("--p1", default=WEIGHT_SWEEP_PROBS[0], show_default=True)
 @click.option("--p2", default=WEIGHT_SWEEP_PROBS[1], show_default=True)
 @click.option("--out", default=None, help="output CSV path (default stdout)")
-@handle_errors
 def sweep_weight(region, grid_n, p1, p2, out):
     """Mutual information over a (phi1, chi1) rectangle at a fixed state."""
     grid = sweep_weights(region, grid_n, p1, p2)
@@ -275,7 +256,6 @@ def sweep_weight(region, grid_n, p1, p2, out):
 @_prob_sweep_weights
 @click.option("--tol", default=DEFAULT_TOL, show_default=True)
 @click.option("--out", default=None, help="write the JSON result here instead of stdout")
-@handle_errors
 def channel(state_file, projector_file, phi1, phi2, chi1, chi2, tol, out):
     """Apply the projective channel, then re-check subadditivity (2x2 systems)."""
     rho = DensityMatrix(load_matrix(state_file), tol=tol)
@@ -301,7 +281,6 @@ def channel(state_file, projector_file, phi1, phi2, chi1, chi2, tol, out):
 )
 @click.option("--tol", default=DEFAULT_TOL, show_default=True)
 @click.option("--out", default=None, help="write the JSON summary here instead of stdout")
-@handle_errors
 def audit(n, dims, seed, regime, tol, out):
     """Randomized subadditivity audit; violations land in the JSON summary."""
     dim_a, dim_b = _parse_dims(dims)

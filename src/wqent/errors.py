@@ -26,12 +26,4 @@ class ChannelUndefinedError(ValueError):
 
 
 class MatrixFileError(ValueError):
-    """A matrix file failed to parse.
-
-    Carries the offending row/column position when one can be named.
-    """
-
-    def __init__(self, message: str, *, row: int | None = None, column: int | None = None):
-        super().__init__(message)
-        self.row = row
-        self.column = column
+    """A matrix file failed to parse; the message names the row and column when it can."""

@@ -219,7 +219,7 @@ def audit_random(
     if regime not in AUDIT_REGIMES:
         raise ValidationError(f"unknown regime {regime!r}, expected one of {AUDIT_REGIMES}")
     if dim_a < 2 or dim_b < 2:
-        raise DimensionError(f"factor dims must be >= 2, got {dim_a}x{dim_b}")
+        raise ValidationError(f"factor dims must be >= 2, got {dim_a}x{dim_b}")
     rng = np.random.default_rng(seed)
 
     if regime == "general-unconstrained":

@@ -177,12 +177,6 @@ def embed_qutrit(q: QutritDiagonal) -> BipartiteState:
     return embed_ququart(q.p1, q.p2, q.p3, 0.0)
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 # Batched samplers draw n items at once as (n, dim, dim) stacks. The public
 # samplers are their n = 1 case, so one seeded item is the same either way.
 def _gaussian(g: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -211,16 +205,16 @@ def random_density(dim: int, rng) -> DensityMatrix:
     """Trace-normalized G G^dagger for G with iid complex Gaussian entries."""
     if dim < 2:
         raise DimensionError(f"dim must be >= 2, got {dim}")
-    return DensityMatrix(_density_stack(_as_rng(rng), 1, dim)[0])
+    return DensityMatrix(_density_stack(np.random.default_rng(rng), 1, dim)[0])
 
 
 def haar_unitary(dim: int, rng) -> np.ndarray:
     """QR of a complex Gaussian matrix, phases corrected for Haar measure."""
-    return _unitary_stack(_as_rng(rng), 1, dim)[0]
+    return _unitary_stack(np.random.default_rng(rng), 1, dim)[0]
 
 
 def random_weight(dim: int, rng) -> WeightMatrix:
     """Random positive definite weight: Haar frame, spectrum uniform on ``DEFAULT_SCALE_RANGE``."""
     if dim < 2:
         raise DimensionError(f"dim must be >= 2, got {dim}")
-    return WeightMatrix(_weight_stack(_as_rng(rng), 1, dim)[0])
+    return WeightMatrix(_weight_stack(np.random.default_rng(rng), 1, dim)[0])

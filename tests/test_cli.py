@@ -65,6 +65,24 @@ class TestEntropyCommand:
         assert result.exit_code == 2
         assert "NaN or infinite" in result.stderr
 
+    def test_infinity_entry_exits_2(self, runner, tmp_path):
+        state = tmp_path / "s.json"
+        state.write_text('{"dim": 2, "re": [[Infinity, 0], [0, 0]]}')
+        weight = write_matrix(tmp_path / "w.json", np.eye(2))
+        result = runner.invoke(main, ["entropy", str(state), weight])
+        assert result.exit_code == 2
+        assert "NaN or infinite" in result.stderr
+
+    @pytest.mark.parametrize("command", ["entropy", "check"])
+    def test_integer_too_large_for_a_float_exits_5(self, runner, tmp_path, command):
+        state = tmp_path / "s.json"
+        state.write_text('{"dim": 2, "re": [[0, 0], [0, 1%s]]}' % ("0" * 400))
+        weight = write_matrix(tmp_path / "w.json", np.eye(2))
+        weights = [weight] if command == "entropy" else [weight, weight]
+        result = runner.invoke(main, [command, str(state), *weights])
+        assert result.exit_code == 5
+        assert "row 1, column 1 is too large for a float" in result.stderr
+
     def test_tol_accepts_noise_eigenvalue(self, runner, tmp_path):
         p = [0.4 + 1e-8, 0.35, 0.25, -1e-8]
         w = [0.5, 1.0, 1.5, 2.0]
@@ -320,6 +338,11 @@ class TestAuditCommand:
         result = runner.invoke(main, ["audit", "--n", "10", "--tol", tol])
         assert result.exit_code == 2
         assert "positive and finite" in result.stderr
+
+    def test_factor_dim_below_two_exits_2(self, runner):
+        result = runner.invoke(main, ["audit", "--n", "10", "--dims", "1x2"])
+        assert result.exit_code == 2
+        assert "factor dims must be >= 2" in result.stderr
 
     def test_diagonal_regime_wrong_dims_exits_3(self, runner):
         result = runner.invoke(

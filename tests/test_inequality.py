@@ -691,6 +691,11 @@ class TestAudit:
             assert (rep.condition_holds, rep.subadditivity_holds) == (
                 v.report.condition_holds, v.report.subadditivity_holds)
 
+    def test_factor_dims_below_two_are_a_validation_error(self):
+        # the same rule and type as BipartiteState; a regime's 2x2 need stays a DimensionError
+        with pytest.raises(ValidationError, match="factor dims must be >= 2"):
+            audit_random(10, 1, 2, 0, "general-unconstrained")
+
     def test_diagonal_regimes_require_qubit_factors(self):
         with pytest.raises(DimensionError):
             audit_random(10, 2, 3, 0, "diagonal-condition-satisfying")
