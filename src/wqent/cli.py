@@ -48,8 +48,6 @@ EXIT_CODES = (
     (ValidationError, 2),
 )
 
-CROSS_CHECK_WARN = 1e-9
-
 
 def load_matrix(path: str) -> np.ndarray:
     """Read a JSON matrix file into a complex array."""
@@ -60,6 +58,10 @@ def load_matrix(path: str) -> np.ndarray:
         raise MatrixFileError(f"{path}: cannot read file ({exc.strerror or exc})") from exc
     except json.JSONDecodeError as exc:
         raise MatrixFileError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except UnicodeDecodeError as exc:
+        raise MatrixFileError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    except RecursionError as exc:
+        raise MatrixFileError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(data, dict):
         raise MatrixFileError(f"{path}: top level must be an object")
     if "dim" not in data or "re" not in data:
@@ -196,11 +198,7 @@ def qutrit(p1, p2, phi1, phi2, chi1, chi2):
     cond = qutrit_weight_condition(phi1, phi2, chi1, chi2)
     gap = qutrit_condition_gap(p1, p2, phi1, phi2, chi1, chi2)
 
-    p3 = 1.0 - p1 - p2
-    if p3 < 0.0:
-        # clip separator dust so the embedding accepts boundary inputs
-        p3 = 0.0
-    state = embed_qutrit(QutritDiagonal(p1, p2, p3))
+    state = embed_qutrit(QutritDiagonal(p1, p2, 1.0 - p1 - p2))
     general = check_subadditivity(_diag_weight(phi1, phi2), _diag_weight(chi1, chi2), state).gap
     delta = abs(value - general)
 
@@ -208,7 +206,7 @@ def qutrit(p1, p2, phi1, phi2, chi1, chi2):
     click.echo(f"weight_condition_value = {cond.value:.12g} ({'holds' if cond.holds else 'fails'})")
     click.echo(f"condition_gap = {gap:.12g}")
     click.echo(f"cross_check_delta = {delta:.12g}")
-    if delta > CROSS_CHECK_WARN:
+    if delta > DEFAULT_TOL:
         click.echo(
             f"warning: closed form and matrix path disagree by {delta:.3e}", err=True
         )

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 from .linalg import SUPPORT_EPS, SpectralDecomposition, _dagger, _eigh, _ln_support, _trace_product
 from .linalg import xlogx_matrix
-from .states import DensityMatrix, WeightMatrix, _nonnegative_weights, _simplex_pair
+from .states import DensityMatrix, WeightMatrix, _nonnegative_weights, _simplex
 
 
 def _joint_entropy(phi: np.ndarray, spectrum: SpectralDecomposition) -> np.ndarray:
@@ -66,9 +66,9 @@ def qutrit_mutual_information_closed_form(p1, p2, phi1, phi2, chi1, chi2):
     Weights must be nonnegative and finite; zero weights let region boundaries
     evaluate. A NaN or infinite probability or weight raises.
     """
-    p1v, p2v = _simplex_pair(p1, p2)
+    p1v, p2v = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)
+    p1v, p2v, p3 = _simplex(p1v, p2v, 1.0 - p1v - p2v)
     f1, f2, c1, c2 = _nonnegative_weights(phi1, phi2, chi1, chi2)
-    p3 = 1.0 - p1v - p2v
     a1 = p1v + p2v
     b1 = p1v + p3
     safe_p1 = np.where(p1v > SUPPORT_EPS, p1v, 1.0)

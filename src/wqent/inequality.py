@@ -20,7 +20,7 @@ from .errors import DimensionError, ValidationError
 from .linalg import DEFAULT_TOL, SpectralDecomposition, _eigh, _kron, _ln_support, _trace_product, _xlnx
 from .linalg import partial_trace
 from .states import DEFAULT_SCALE_RANGE, BipartiteState, WeightMatrix
-from .states import _density_stack, _nonnegative_weights, _positive_tol, _simplex_pair, _weight_stack
+from .states import _density_stack, _nonnegative_weights, _positive_tol, _simplex, _weight_stack
 from .entropy import _joint_entropy, _subsystem_entropy
 
 AUDIT_REGIMES = (
@@ -48,9 +48,10 @@ def qutrit_condition_gap(p1, p2, phi1, phi2, chi1, chi2):
     Equals the ``condition_gap`` of :func:`check_subadditivity` on the
     embedded state: ``p2 (1 - p1 - p2) (phi1 - phi2) (chi2 - chi1)``.
     """
-    p1v, p2v = _simplex_pair(p1, p2)
+    p1v, p2v = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)
+    p1v, p2v, p3 = _simplex(p1v, p2v, 1.0 - p1v - p2v)
     f1, f2, c1, c2 = _nonnegative_weights(phi1, phi2, chi1, chi2)
-    out = p2v * (1.0 - p1v - p2v) * (f1 - f2) * (c2 - c1)
+    out = p2v * p3 * (f1 - f2) * (c2 - c1)
     return float(out) if out.ndim == 0 else out
 
 

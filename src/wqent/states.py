@@ -35,21 +35,16 @@ def _positive_tol(value: float, name: str = "tol") -> None:
         raise ValidationError(f"{name} must be positive and finite, got {value}")
 
 
-# The simplex checks are written in positive form, so a NaN fails them.
-def _check_probabilities(ps: tuple[float, ...]) -> None:
-    if not all(p >= 0.0 for p in ps):
-        raise InvalidSimplexError(f"probabilities must be nonnegative, got {ps}")
-    total = sum(ps)
-    if not abs(total - 1.0) <= SUPPORT_EPS:
-        raise InvalidSimplexError(f"probabilities sum to {total!r}, expected 1")
+def _simplex(*ps) -> list[np.ndarray]:
+    """The probabilities as float arrays once each is ``>= -SUPPORT_EPS`` and they sum to 1 within it.
 
-
-def _simplex_pair(p1, p2) -> tuple[np.ndarray, np.ndarray]:
-    """``(p1, p2)`` as float arrays once ``p1, p2 >= 0`` and ``p1 + p2 <= 1`` hold."""
-    p1v, p2v = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)
-    if not ((p1v >= -SUPPORT_EPS) & (p2v >= -SUPPORT_EPS) & (p1v + p2v <= 1.0 + SUPPORT_EPS)).all():
-        raise InvalidSimplexError("need p1 >= 0, p2 >= 0 and p1 + p2 <= 1")
-    return p1v, p2v
+    The one simplex rule. It is written in positive form, so a NaN fails it; the sum
+    is formed only once no entry is negative, so it never meets ``inf - inf``.
+    """
+    arrays = [np.asarray(p, dtype=float) for p in ps]
+    if not (all((p >= -SUPPORT_EPS).all() for p in arrays) and (abs(sum(arrays) - 1.0) <= SUPPORT_EPS).all()):
+        raise InvalidSimplexError(f"probabilities must be >= -{SUPPORT_EPS:g} and sum to 1 within {SUPPORT_EPS:g}")
+    return arrays
 
 
 def _nonnegative_weights(*weights) -> list[np.ndarray]:
@@ -161,14 +156,12 @@ class QutritDiagonal:
     p3: float
 
     def __post_init__(self):
-        _check_probabilities((self.p1, self.p2, self.p3))
+        _simplex(self.p1, self.p2, self.p3)
 
 
 def embed_ququart(p1: float, p2: float, p3: float, p4: float) -> BipartiteState:
     """Diagonal four-level state viewed as two qubits (first factor slow)."""
-    ps = (p1, p2, p3, p4)
-    _check_probabilities(ps)
-    rho = np.diag(np.asarray(ps, dtype=complex))
+    rho = np.diag(np.asarray(_simplex(p1, p2, p3, p4), dtype=complex))
     return BipartiteState(DensityMatrix(rho), 2, 2)
 
 

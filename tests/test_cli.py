@@ -113,6 +113,35 @@ class TestEntropyCommand:
         result = runner.invoke(main, ["entropy", str(tmp_path / "nope.json"), weight])
         assert result.exit_code == 5
 
+    @pytest.mark.parametrize("content, message", [
+        (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+        (b"\xff\xfe{\x00}\x00", "not UTF-8 text"),
+    ], ids=["nested", "utf16"])
+    def test_unreadable_json_exits_5(self, runner, tmp_path, content, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        weight = write_matrix(tmp_path / "w.json", np.eye(2))
+        result = runner.invoke(main, ["entropy", str(bad), weight])
+        assert result.exit_code == 5
+        assert result.stderr.startswith(f"error: {bad}: {message}")
+
+    @pytest.mark.parametrize("content, message", [
+        ("[]", "top level must be an object"),
+        ('{"dim": 2}', "required keys 'dim' and 're' missing"),
+        ('{"dim": 0, "re": []}', "'dim' must be a positive integer, got 0"),
+        ('{"dim": true, "re": []}', "'dim' must be a positive integer, got True"),
+        ('{"dim": 2.0, "re": []}', "'dim' must be a positive integer, got 2.0"),
+        ('{"dim": 2, "re": [[1, 0]]}', "'re' must be a list of 2 rows, found 1"),
+        ('{"dim": 2, "re": "x"}', "'re' must be a list of 2 rows, found str"),
+    ])
+    def test_malformed_structure_exits_5(self, runner, tmp_path, content, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        weight = write_matrix(tmp_path / "w.json", np.eye(2))
+        result = runner.invoke(main, ["entropy", str(bad), weight])
+        assert result.exit_code == 5
+        assert result.stderr == f"error: {bad}: {message}\n"
+
     def test_wrong_row_length_reports_row(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"dim": 2, "re": [[1.0, 0.0], [0.0]]}')
@@ -217,6 +246,26 @@ class TestQutritCommand:
     def test_invalid_simplex_exits_2(self, runner):
         result = runner.invoke(main, ["qutrit", "0.7", "0.4", "1", "1", "1", "1"])
         assert result.exit_code == 2
+
+    def test_boundary_input_is_evaluated_as_given(self, runner):
+        # p3 = 1 - p1 - p2 is -1e-13: the cross-check embeds that p3, not a clipped one
+        result = runner.invoke(main, ["qutrit", "0.5", "0.5000000000001", "0.75", "0.25", str(1 / 3), str(2 / 3)])
+        assert result.exit_code == 0
+        delta = float(result.output.split("cross_check_delta = ")[1])
+        assert delta <= 1e-15
+
+    def test_negative_dust_after_double_dash(self, runner):
+        result = runner.invoke(main, ["qutrit", "--", "-1e-13", "0.3", "0.75", "0.25", str(1 / 3), str(2 / 3)])
+        assert result.exit_code == 0
+        assert "cross_check_delta = 0\n" in result.output
+
+    def test_cross_check_warns_above_default_tol(self, runner, monkeypatch):
+        closed_form = qutrit_mutual_information_closed_form
+        monkeypatch.setattr("wqent.cli.qutrit_mutual_information_closed_form",
+                            lambda *args: closed_form(*args) + 5e-10)
+        result = runner.invoke(main, ["qutrit", "0.1", "0.1", "0.75", "0.25", str(1 / 3), str(2 / 3)])
+        assert result.exit_code == 0
+        assert result.stderr.startswith("warning: closed form and matrix path disagree by 5.0")
 
     def test_zero_prints_without_sign(self, runner):
         result = runner.invoke(main, ["qutrit", "0.5", "0.5", "1", "0", "0", "1"])

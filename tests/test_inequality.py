@@ -154,6 +154,39 @@ class TestQutritCondition:
         assert abs(gap - 0.1 * 0.8 * 0.5 * (1 / 3)) < 1e-15
 
 
+class TestOneSimplexRule:
+    """Every qutrit entry point judges ``(p1, p2, 1 - p1 - p2)`` by the same rule."""
+
+    @pytest.mark.parametrize("p1, p2, accepted", [
+        (0.5, 0.5000000000001, True),
+        (-1e-13, 0.3, True),
+        (0.3, -1e-13, True),
+        (0.7, 0.3, True),
+        (0.5, 0.500000000002, False),
+        (-2e-12, 0.5, False),
+        (math.nan, 0.5, False),
+        (0.5, math.nan, False),
+    ])
+    def test_entry_points_agree_at_the_edge(self, p1, p2, accepted):
+        calls = (lambda: qutrit_mutual_information_closed_form(p1, p2, *EXAMPLE_WEIGHTS),
+                 lambda: qutrit_condition_gap(p1, p2, *EXAMPLE_WEIGHTS),
+                 lambda: embed_qutrit(QutritDiagonal(p1, p2, 1.0 - p1 - p2)))
+        for call in calls:
+            if accepted:
+                call()
+            else:
+                with pytest.raises(InvalidSimplexError):
+                    call()
+
+    def test_negative_dust_is_evaluated_as_given(self):
+        assert embed_qutrit(QutritDiagonal(0.3, 0.7, -1e-13)).rho.spectrum.eigenvalues[0] == -1e-13
+        # the closed form's own triple: p3 = 1 - p1 - p2 is about -1e-13 here
+        p1, p2 = 0.3, 0.7000000000001
+        state = embed_qutrit(QutritDiagonal(p1, p2, 1.0 - p1 - p2))
+        gap = check_subadditivity(diag_weight(0.75, 0.25), diag_weight(1 / 3, 2 / 3), state).gap
+        assert abs(gap - qutrit_mutual_information_closed_form(p1, p2, *EXAMPLE_WEIGHTS)) <= 1e-15
+
+
 class TestCheckSubadditivity:
     def test_worked_example_report(self):
         state, wa, wb = worked_setup()
