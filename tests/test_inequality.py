@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import pathlib
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support_oracle import diagonal_fields_separate_terms
 import wqent.entropy
 import wqent.inequality
 import wqent.linalg
@@ -40,6 +41,8 @@ from wqent.inequality import (
     qutrit_condition_gap,
     qutrit_weight_condition,
     SubadditivityReport,
+    ViolationRecord,
+    _diag_stack,
     _diagonal_report_fields,
     _report_fields,
     _sample_diagonal,
@@ -423,14 +426,17 @@ class TestDiagonalEngine:
             assert abs(closed - rep.gap) < 1e-12
             assert abs(closed - fields["gap"][0]) < 1e-12
 
-    def test_matches_separate_terms_bit_for_bit(self):
+    def test_matches_batched_engine_bit_for_bit(self):
         probs, weights = _sample_diagonal(np.random.default_rng(5), 10_000, False)
         edge = [0.0, 1e-12, np.nextafter(1e-12, np.inf), np.nextafter(1e-12, -np.inf), 5e-324]
         rows = [[x, 0.5, 0.5 - x] for x in edge] + [[0.5 - x, x, 0.5] for x in edge] + [[1.0, 0.0, 0.0]]
         probs = np.concatenate([probs, rows])
         weights = np.concatenate([weights, np.tile([0.75, 0.25, 1 / 3, 2 / 3], (len(rows), 1))])
         fields = _diagonal_report_fields(probs, weights)
-        reference = diagonal_fields_separate_terms(probs, weights)
+        # the same samples as the diagonal 4x4 stacks the audit records, through the dense engine
+        rho = _diag_stack(np.pad(probs, ((0, 0), (0, 1))))
+        reference = _report_fields(rho, _eigh(rho), _diag_stack(weights[:, :2]), _diag_stack(weights[:, 2:]),
+                                   2, 2, DEFAULT_TOL)
         assert tuple(fields) == tuple(reference)
         for k, v in fields.items():
             assert v.tobytes() == reference[k].tobytes(), k
@@ -665,6 +671,144 @@ class TestViolationRecords:
     def test_condition_satisfying_records_none(self):
         for seed in (3, 11):
             assert audit_random(20_000, 2, 2, seed, "diagonal-condition-satisfying").violations == ()
+
+
+def assert_same_audit(got, want):
+    """Same ``min_gap`` bits, same reports, same record matrices down to dtype, shape and bytes."""
+    assert np.float64(got.min_gap).tobytes() == np.float64(want.min_gap).tobytes()
+    assert (got.samples, got.seed, got.regime) == (want.samples, want.seed, want.regime)
+    assert len(got.violations) == len(want.violations)
+    for g, w in zip(got.violations, want.violations):
+        assert g.report == w.report
+        for a, b in ((g.state, w.state), (g.weight_a, w.weight_a), (g.weight_b, w.weight_b)):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+
+
+class TestChunkedScan:
+    """Every regime is evaluated chunk by chunk; where the chunks fall must not show in the summary."""
+
+    @pytest.fixture
+    def shifted_diagonal(self, monkeypatch):
+        # shift every gap by 0.1 so that both regimes record a mix of violators and holders;
+        # the shift is elementwise, so it does not depend on where a chunk starts
+        real = wqent.inequality._diagonal_report_fields
+        sizes = []
+
+        def shifted(probs, weights):
+            sizes.append(len(probs))
+            fields = real(probs, weights)
+            fields["gap"] = fields["gap"] - 0.1
+            return fields
+
+        monkeypatch.setattr(wqent.inequality, "_diagonal_report_fields", shifted)
+        return sizes
+
+    @pytest.mark.parametrize("n", [1, 6, 7, 8, 50])
+    @pytest.mark.parametrize("regime", AUDIT_REGIMES[:2])
+    def test_diagonal_chunk_boundaries_leave_no_trace(self, monkeypatch, shifted_diagonal, regime, n):
+        tolerance = 1e-9
+        whole = audit_random(n, 2, 2, 2, regime, tolerance=tolerance)
+        assert shifted_diagonal == [n]
+        shifted_diagonal.clear()
+        # 7 embedded 4x4 states per chunk
+        monkeypatch.setattr(wqent.inequality, "_CHUNK_ENTRIES", 7 * 16)
+        chunked = audit_random(n, 2, 2, 2, regime, tolerance=tolerance)
+        assert shifted_diagonal == [7] * (n // 7) + [n % 7] * (n % 7 > 0)
+        assert_same_audit(chunked, whole)
+        if n == 50:
+            assert 0 < len(whole.violations) < n
+
+    def test_default_chunk_sizes(self):
+        sizes = {dims: wqent.inequality._chunk_items(dims[0] * dims[1])
+                 for dims in ((2, 2), (2, 3), (3, 3), (4, 4))}
+        assert sizes == {(2, 2): 8192, (2, 3): 3640, (3, 3): 1618, (4, 4): 512}
+
+    @pytest.mark.parametrize("n", [299, 300])
+    def test_general_within_one_chunk_matches_whole_sample(self, monkeypatch, n):
+        monkeypatch.setattr(wqent.inequality, "_CHUNK_ENTRIES", 300 * 16)
+        tolerance = 1e-9
+        summary = audit_random(n, 2, 2, 24, "general-unconstrained", tolerance=tolerance)
+        expected = general_records_per_item(n, 2, 2, 24, tolerance)
+        assert len(summary.violations) == len(expected) > 0
+        for v, (state, wa, wb, report) in zip(summary.violations, expected):
+            assert v.report == report
+            assert np.array_equal(v.state, state)
+            assert np.array_equal(v.weight_a, wa)
+            assert np.array_equal(v.weight_b, wb)
+
+    def test_general_above_one_chunk_records_reproduce(self, monkeypatch):
+        # 400 items per chunk at 2x3: 13 chunks, each drawing its states, then its A and B weights
+        monkeypatch.setattr(wqent.inequality, "_CHUNK_ENTRIES", 400 * 36)
+        tolerance = 1e-9
+        summary = audit_random(5000, 2, 3, 2, "general-unconstrained", tolerance=tolerance)
+        assert len(summary.violations) >= 2
+        for v in summary.violations:
+            state = BipartiteState(DensityMatrix(v.state, tol=tolerance), 2, 3)
+            rep = check_subadditivity(WeightMatrix(v.weight_a), WeightMatrix(v.weight_b), state)
+            for k in REPORT_FIELDS:
+                assert abs(getattr(rep, k) - getattr(v.report, k)) <= 1e-12, k
+        assert summary.min_gap == min(v.report.gap for v in summary.violations)
+
+    def test_general_memory_is_bounded_by_the_chunk(self):
+        # evaluated whole, this sample peaks near 150 MB
+        audit_random(10, 4, 4, 0, "general-unconstrained")
+        tracemalloc.start()
+        try:
+            audit_random(5000, 4, 4, 0, "general-unconstrained")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6, peak
+
+
+class TestBulkReports:
+    """Audit reports and records are built without ``__init__``; they must behave as constructed ones do."""
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        reports = [v.report for v in audit_random(2000, 2, 2, 1, "diagonal-unconstrained").violations]
+        assert reports
+        return reports
+
+    def test_equal_and_hash_alike(self, reports):
+        for r in reports:
+            built = SubadditivityReport(**dataclasses.asdict(r))
+            assert r == built and built == r
+            assert hash(r) == hash(built)
+            assert repr(r) == repr(built)
+            assert list(vars(r).items()) == list(vars(built).items())
+            assert dataclasses.asdict(r) == dataclasses.asdict(built)
+
+    def test_replace_and_pickle(self, reports):
+        for r in reports:
+            built = SubadditivityReport(**dataclasses.asdict(r))
+            moved = dataclasses.replace(r, gap=1.0)
+            assert type(moved) is SubadditivityReport
+            assert moved == dataclasses.replace(built, gap=1.0)
+            assert moved.gap == 1.0 and r.gap != 1.0
+            again = pickle.loads(pickle.dumps(r))
+            assert again == built and repr(again) == repr(built)
+
+    def test_frozen(self, reports):
+        r = reports[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.gap = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del r.gap
+
+    def test_violation_records_behave_as_constructed(self):
+        records = audit_random(2000, 2, 2, 1, "diagonal-unconstrained").violations
+        names = [f.name for f in dataclasses.fields(ViolationRecord)]
+        for v in records:
+            built = ViolationRecord(**vars(v))
+            assert list(vars(v)) == list(vars(built)) == names
+            assert repr(v) == repr(built)
+            again = pickle.loads(pickle.dumps(v))
+            assert again.report == v.report and np.array_equal(again.state, v.state)
+            assert dataclasses.replace(v, report=None).state is v.state
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            records[0].report = None
 
 
 class TestAudit:
