@@ -9,8 +9,9 @@ seeds 0-2 in both regimes, n = 1e5 at seed 5), general audits at 2x2 and 2x3,
 ``entropy`` of the worked-example state under its product weight, ``check``
 and ``channel`` JSON on the worked example (at the default ``--tol`` and at
 ``--tol 1e-6``), ``check`` on the committed non-commuting counterexample in
-``tests/fixtures/``, two ``qutrit`` calls, and one failing call per error
-exit code (2 to 5). A case differs when its exit code, stdout or stderr does.
+``tests/fixtures/``, two ``qutrit`` calls, one failing call per error exit
+code (2 to 5), and ``sweep weight`` with an ``--out`` that is a directory.
+A case differs when its exit code, stdout or stderr does.
 Each differing case is named; the exit code is 1 if any case differs, else 0.
 Two interpreters run at a time.
 """
@@ -73,6 +74,8 @@ def cases(files: dict) -> dict:
     out["exit 4: channel worked example diag(0, 0, 0, 1)"] = cli + [
         "channel", files["state"], files["proj_dead"]]
     out["exit 5: entropy truncated file"] = cli + ["entropy", files["truncated"], files["wab"]]
+    out["exit 2: sweep weight a --out a directory"] = cli + [
+        "sweep", "weight", "--region", "a", "--out", files["directory"]]
     return out
 
 
@@ -86,6 +89,7 @@ def write_matrices(directory: pathlib.Path) -> dict:
     path = directory / "truncated.json"
     path.write_text(TRUNCATED)
     files["truncated"] = str(path)
+    files["directory"] = str(directory)
     return files
 
 

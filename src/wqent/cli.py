@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from itertools import repeat
+from operator import attrgetter
 
 import click
 import numpy as np
@@ -30,6 +32,7 @@ from .states import (
 from .entropy import qutrit_mutual_information_closed_form, weighted_entropy
 from .inequality import (
     AUDIT_REGIMES,
+    AuditSummary,
     SubadditivityReport,
     audit_random,
     check_subadditivity,
@@ -121,12 +124,64 @@ def _parse_dims(text: str) -> tuple[int, int]:
         raise ValidationError(f"dims must look like '2x2', got {text!r}") from exc
 
 
+def audit_to_json(summary: AuditSummary, dim_a: int, dim_b: int, tolerance: float) -> str:
+    """The audit payload as ``json.dumps(payload, indent=2)`` writes it, byte for byte.
+
+    The violations are filled from one record template: ``json.dumps`` of a
+    placeholder record at these dims, each value a ``%s``. Every value of every
+    record goes through one ``%`` call. ``str`` of a float is the
+    ``float.__repr__`` that ``json`` writes; the verdicts become ``true`` and
+    ``false``, and non-finite values take ``json``'s spelling first.
+    """
+    text = json.dumps({
+        "regime": summary.regime,
+        "dims": f"{dim_a}x{dim_b}",
+        "samples": summary.samples,
+        "seed": summary.seed,
+        "tolerance": tolerance,
+        "min_gap": summary.min_gap,
+        "violations": [],
+    }, indent=2)
+    records = summary.violations
+    if not records:
+        return text
+
+    def placeholder(dim):
+        return {"dim": dim, "re": [["%s"] * dim] * dim, "im": [["%s"] * dim] * dim}
+
+    template = json.dumps({
+        "state": placeholder(dim_a * dim_b),
+        "weight_a": placeholder(dim_a),
+        "weight_b": placeholder(dim_b),
+        "report": dict.fromkeys(_REPORT_KEYS, "%s"),
+    }, indent=2).replace('"%s"', "%s").replace("\n", "\n    ")
+    # one row per record, its values in template order; the verdicts read 1.0 or 0.0 here
+    k = len(records)
+    matrices = [np.stack([getattr(r, name) for r in records]).reshape(k, -1)
+                for name in ("state", "weight_a", "weight_b")]
+    reports = np.array([*map(attrgetter(*_REPORT_KEYS), (r.report for r in records))], dtype=float)
+    table = np.concatenate([part for m in matrices for part in (m.real, m.imag)] + [reports], axis=1)
+    values = table.ravel().tolist()
+    for i in np.flatnonzero(~np.isfinite(table.ravel())).tolist():
+        values[i] = json.dumps(values[i])
+    width = table.shape[1]
+    for key in ("condition_holds", "subadditivity_holds"):
+        col = width - len(_REPORT_KEYS) + _REPORT_KEYS.index(key)
+        values[col::width] = ["true" if v else "false" for v in values[col::width]]
+    body = ",\n    ".join(repeat(template, k)) % tuple(values)
+    # text ends in '"violations": []\n}'; the records go between the brackets
+    return f"{text[:-3]}\n    {body}\n  ]\n}}"
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"{out}: cannot write file ({exc.strerror or exc})") from exc
 
 
 def _diag_weight(x1: float, x2: float) -> WeightMatrix:
@@ -283,24 +338,7 @@ def audit(n, dims, seed, regime, tol, out):
     """Randomized subadditivity audit; violations land in the JSON summary."""
     dim_a, dim_b = _parse_dims(dims)
     summary = audit_random(n, dim_a, dim_b, seed, regime, tolerance=tol)
-    payload = {
-        "regime": summary.regime,
-        "dims": f"{dim_a}x{dim_b}",
-        "samples": summary.samples,
-        "seed": summary.seed,
-        "tolerance": tol,
-        "min_gap": summary.min_gap,
-        "violations": [
-            {
-                "state": matrix_to_dict(v.state),
-                "weight_a": matrix_to_dict(v.weight_a),
-                "weight_b": matrix_to_dict(v.weight_b),
-                "report": report_to_dict(v.report),
-            }
-            for v in summary.violations
-        ],
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", out)
+    _emit(audit_to_json(summary, dim_a, dim_b, tol) + "\n", out)
 
 
 if __name__ == "__main__":

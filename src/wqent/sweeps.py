@@ -86,10 +86,19 @@ def sweep_weights(
 
 
 def grid_to_csv(grid: SweepGrid, comments: Sequence[str] = ()) -> str:
-    """Render unmasked cells in row-major order, 17 significant digits."""
-    lines = [f"# {c}" for c in comments]
-    lines.append(f"{grid.axis_names[0]},{grid.axis_names[1]},I")
+    """Render unmasked cells in row-major order, 17 significant digits.
+
+    The body is one printf template: each axis value is formatted once, each
+    row is joined from a shared list of ``"b,%.17g"`` cells (masked cells are
+    dropped only in rows that have any), and one ``%`` call formats every
+    unmasked value. Comments and the header stay outside the template.
+    """
+    head = "".join(f"# {c}\n" for c in comments) + f"{grid.axis_names[0]},{grid.axis_names[1]},I\n"
     ax0, ax1 = ([f"{x:.17g}" for x in ax.tolist()] for ax in grid.axis_values)
-    for a, row, masked in zip(ax0, grid.values.tolist(), grid.mask.tolist()):
-        lines += [f"{a},{b},{v:.17g}" for b, v, m in zip(ax1, row, masked) if not m]
-    return "\n".join(lines) + "\n"
+    cells = [f"{b},%.17g" for b in ax1]
+    rows = []
+    for a, masked, partly in zip(ax0, grid.mask.tolist(), grid.mask.any(axis=1).tolist()):
+        kept = [c for c, m in zip(cells, masked) if not m] if partly else cells
+        if kept:
+            rows.append(a + "," + ("\n" + a + ",").join(kept) + "\n")
+    return head + "".join(rows) % tuple(grid.values[~grid.mask].tolist())

@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wqent.cli import main
+from wqent.cli import audit_to_json, main, matrix_to_dict, report_to_dict
 from wqent.entropy import qutrit_mutual_information_closed_form
+from wqent.inequality import AUDIT_REGIMES, AuditSummary, SubadditivityReport, ViolationRecord, audit_random
 
 
 @pytest.fixture
@@ -398,6 +401,103 @@ class TestAuditCommand:
             main, ["audit", "--n", "10", "--dims", "2x3", "--regime", "diagonal-unconstrained"]
         )
         assert result.exit_code == 3
+
+
+class TestUnwritableOut:
+    """An --out that cannot be opened for writing is a validation failure naming the path."""
+
+    @pytest.fixture
+    def commands(self, example_files):
+        return {
+            "check": ["check", example_files["state"], example_files["wa"], example_files["wb"]],
+            "channel": ["channel", example_files["state"], example_files["proj"]],
+            "audit": ["audit", "--n", "10"],
+            "sweep prob": ["sweep", "prob", "--grid-n", "3"],
+            "sweep weight": ["sweep", "weight", "--region", "a", "--grid-n", "3"],
+        }
+
+    @pytest.mark.parametrize("command", ["check", "channel", "audit", "sweep prob", "sweep weight"])
+    @pytest.mark.parametrize("target", ["directory", "missing parent"])
+    def test_exits_2_naming_the_path(self, runner, commands, tmp_path, command, target):
+        out = str(tmp_path if target == "directory" else tmp_path / "missing" / "out.txt")
+        result = runner.invoke(main, commands[command] + ["--out", out])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith(f"error: {out}: cannot write file")
+        assert result.stdout == ""
+
+
+def audit_payload(summary, dim_a, dim_b, tolerance):
+    """The audit payload as dicts, the way the CLI built it before its record template."""
+    return {
+        "regime": summary.regime,
+        "dims": f"{dim_a}x{dim_b}",
+        "samples": summary.samples,
+        "seed": summary.seed,
+        "tolerance": tolerance,
+        "min_gap": summary.min_gap,
+        "violations": [
+            {
+                "state": matrix_to_dict(v.state),
+                "weight_a": matrix_to_dict(v.weight_a),
+                "weight_b": matrix_to_dict(v.weight_b),
+                "report": report_to_dict(v.report),
+            }
+            for v in summary.violations
+        ],
+    }
+
+
+# json spells these NaN, Infinity, -Infinity and -0.0; repr would write nan and inf
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300, 0.1, 1 / 3]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+def complex_matrix(parts, dim):
+    out = np.empty((dim, dim), dtype=complex)
+    out.real.flat, out.imag.flat = parts[::2], parts[1::2]
+    return out
+
+
+def float_matrices(dim):
+    entries = st.lists(EDGE_FLOATS, min_size=2 * dim * dim, max_size=2 * dim * dim)
+    return entries.map(lambda xs: complex_matrix(xs, dim))
+
+
+@st.composite
+def audit_summaries(draw):
+    dim_a, dim_b = draw(st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+    tolerance = draw(st.sampled_from([1e-10, 1e-6, 0.5]))
+    records = []
+    for _ in range(draw(st.integers(0, 3))):
+        fields = draw(st.lists(EDGE_FLOATS, min_size=7, max_size=7))
+        report = SubadditivityReport(*fields, draw(st.booleans()), draw(st.booleans()), tolerance)
+        records.append(ViolationRecord(draw(float_matrices(dim_a * dim_b)), draw(float_matrices(dim_a)),
+                                       draw(float_matrices(dim_b)), report))
+    summary = AuditSummary(draw(st.integers(1, 10**6)), tuple(records), draw(EDGE_FLOATS),
+                           draw(st.integers(0, 2**32)), draw(st.sampled_from(AUDIT_REGIMES)))
+    return summary, dim_a, dim_b, tolerance
+
+
+class TestAuditJson:
+    @given(audit_summaries())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_json_dumps(self, case):
+        assert audit_to_json(*case) == json.dumps(audit_payload(*case), indent=2)
+
+    @pytest.mark.parametrize("regime, dims, n, seed", [
+        ("diagonal-unconstrained", "2x2", 2000, 3),
+        ("diagonal-condition-satisfying", "2x2", 500, 0),
+        ("general-unconstrained", "2x3", 2000, 1),
+    ])
+    def test_cli_output_equals_json_dumps(self, runner, regime, dims, n, seed):
+        dim_a, dim_b = map(int, dims.split("x"))
+        summary = audit_random(n, dim_a, dim_b, seed, regime)
+        result = runner.invoke(main, ["audit", "--n", str(n), "--seed", str(seed), "--dims", dims,
+                                      "--regime", regime])
+        assert result.exit_code == 0
+        assert result.output == json.dumps(audit_payload(summary, dim_a, dim_b, 1e-10), indent=2) + "\n"
 
 
 def test_help_lists_commands(runner):

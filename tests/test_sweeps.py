@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wqent.errors import ValidationError
 from wqent.entropy import qutrit_mutual_information_closed_form
@@ -149,3 +151,35 @@ class TestCsvMatchesPerCellOracle:
         assert "0.5,0.20000000000000001,-1.0000000000000001e+300" in rows
         assert "1.0000000000000001e-17,0.20000000000000001,nan" in rows
         assert len(rows) == 12 - 4
+
+
+# values the 17-digit printf must spell as the per-cell f-string does
+AWKWARD_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, np.inf, -np.inf, np.nan, 0.1, 2.0 / 3.0, 1.0]
+# printf directives and format fields that must come out of the comments as written
+AWKWARD_COMMENTS = st.lists(
+    st.sampled_from(["%", "%s", "%.17g", "{}", "{0}", "%%", "plain, with a comma", ""]), max_size=3)
+
+
+@st.composite
+def random_grids(draw):
+    """Small grids with random masks (empty rows and fully masked grids included) and awkward values."""
+    n0, n1 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = st.lists(st.sampled_from(AWKWARD_VALUES), min_size=n0 * n1, max_size=n0 * n1)
+    values = np.array(draw(cells)).reshape(n0, n1)
+    flags = st.lists(st.booleans(), min_size=n0 * n1, max_size=n0 * n1)
+    mask = np.array(draw(st.one_of(flags, st.just([True] * (n0 * n1)), st.just([False] * (n0 * n1)))))
+    mask = mask.reshape(n0, n1)
+    if n0 > 1 and draw(st.booleans()):
+        mask[draw(st.integers(0, n0 - 1))] = True
+    axes = tuple(np.array(draw(st.lists(st.sampled_from(AWKWARD_VALUES), min_size=n, max_size=n)))
+                 for n in (n0, n1))
+    return SweepGrid(("x", "y"), axes, values, mask)
+
+
+class TestCsvPropertyMatchesOracle:
+    """Random grids up to 5x5, 1x1 and fully masked ones included."""
+
+    @given(random_grids(), AWKWARD_COMMENTS)
+    @settings(max_examples=200, deadline=None)
+    def test_random_grid_bytes_equal_oracle(self, grid, comments):
+        assert grid_to_csv(grid, comments).encode() == grid_to_csv_per_cell(grid, comments).encode()
