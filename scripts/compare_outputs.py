@@ -10,7 +10,8 @@ seeds 0-2 in both regimes, n = 1e5 at seed 5), general audits at 2x2 and 2x3,
 and ``channel`` JSON on the worked example (at the default ``--tol`` and at
 ``--tol 1e-6``), ``check`` on the committed non-commuting counterexample in
 ``tests/fixtures/``, two ``qutrit`` calls, one failing call per error exit
-code (2 to 5), and ``sweep weight`` with an ``--out`` that is a directory.
+code (2 to 5), ``sweep prob --grid-n 1`` with a NaN weight, and ``sweep
+weight`` with an ``--out`` that is a directory.
 A case differs when its exit code, stdout or stderr does.
 Each differing case is named; the exit code is 1 if any case differs, else 0.
 Two interpreters run at a time.
@@ -69,6 +70,7 @@ def cases(files: dict) -> dict:
     out["qutrit worked example"] = cli + ["qutrit", "0.1", "0.1", "0.75", "0.25", repr(1 / 3), repr(2 / 3)]
     out["qutrit 0.5 0.5 1 0 0 1"] = cli + ["qutrit", "0.5", "0.5", "1", "0", "0", "1"]
     out["exit 2: sweep prob grid-n 0"] = cli + ["sweep", "prob", "--grid-n", "0"]
+    out["exit 2: sweep prob grid-n 1 phi1 nan"] = cli + ["sweep", "prob", "--grid-n", "1", "--phi1", "nan"]
     out["exit 3: audit diagonal-unconstrained 2x3"] = cli + [
         "audit", "--dims", "2x3", "--regime", "diagonal-unconstrained"]
     out["exit 4: channel worked example diag(0, 0, 0, 1)"] = cli + [

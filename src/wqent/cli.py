@@ -7,7 +7,6 @@ objects with keys ``dim``, ``re`` and optionally ``im`` (dim x dim arrays).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from itertools import repeat
 from operator import attrgetter
@@ -32,6 +31,7 @@ from .states import (
 from .entropy import qutrit_mutual_information_closed_form, weighted_entropy
 from .inequality import (
     AUDIT_REGIMES,
+    _REPORT_NAMES,
     AuditSummary,
     SubadditivityReport,
     audit_random,
@@ -100,22 +100,6 @@ def _real_rows(path: str, name: str, rows, dim: int) -> np.ndarray:
     return out
 
 
-def matrix_to_dict(m: np.ndarray) -> dict:
-    return {
-        "dim": int(m.shape[0]),
-        "re": m.real.tolist(),
-        "im": m.imag.tolist(),
-    }
-
-
-_REPORT_KEYS = tuple(f.name for f in dataclasses.fields(SubadditivityReport))
-
-
-def report_to_dict(report: SubadditivityReport) -> dict:
-    """The report's fields in declaration order; shallow, since every field is a float or a bool."""
-    return {k: getattr(report, k) for k in _REPORT_KEYS}
-
-
 def _parse_dims(text: str) -> tuple[int, int]:
     try:
         a, b = text.lower().split("x")
@@ -124,14 +108,44 @@ def _parse_dims(text: str) -> tuple[int, int]:
         raise ValidationError(f"dims must look like '2x2', got {text!r}") from exc
 
 
+_REPORT_SHAPE = dict.fromkeys(_REPORT_NAMES, "%s")
+
+
+def _matrix_shape(dim: int) -> dict:
+    return {"dim": dim, "re": [["%s"] * dim] * dim, "im": [["%s"] * dim] * dim}
+
+
+def _records_json(shape: dict, matrices: list[np.ndarray], reports: list[SubadditivityReport],
+                  indent: str = "") -> str:
+    """One record per report, each as ``json.dumps(record, indent=2)`` writes it, joined by ``,``.
+
+    ``shape`` is a placeholder record, each value a ``%s`` and the report last;
+    ``matrices`` holds one ``(k, d, d)`` stack per matrix in ``shape``, in its
+    order. Every value of every record goes through one ``%`` call. ``str`` of
+    a float is the ``float.__repr__`` that ``json`` writes; the verdicts become
+    ``true`` and ``false``, and non-finite values take ``json``'s spelling
+    first. Every line after the first is prefixed with ``indent``.
+    """
+    template = json.dumps(shape, indent=2).replace('"%s"', "%s").replace("\n", "\n" + indent)
+    # one row per record, its values in template order; the verdicts read 1.0 or 0.0 here
+    k = len(reports)
+    flat = [m.reshape(k, -1) for m in matrices]
+    table = np.concatenate([part for m in flat for part in (m.real, m.imag)]
+                           + [np.array([*map(attrgetter(*_REPORT_NAMES), reports)], dtype=float)], axis=1)
+    values = table.ravel().tolist()
+    for i in np.flatnonzero(~np.isfinite(table.ravel())).tolist():
+        values[i] = json.dumps(values[i])
+    width = table.shape[1]
+    for key in ("condition_holds", "subadditivity_holds"):
+        col = width - len(_REPORT_NAMES) + _REPORT_NAMES.index(key)
+        values[col::width] = ["true" if v else "false" for v in values[col::width]]
+    return (",\n" + indent).join(repeat(template, k)) % tuple(values)
+
+
 def audit_to_json(summary: AuditSummary, dim_a: int, dim_b: int, tolerance: float) -> str:
     """The audit payload as ``json.dumps(payload, indent=2)`` writes it, byte for byte.
 
-    The violations are filled from one record template: ``json.dumps`` of a
-    placeholder record at these dims, each value a ``%s``. Every value of every
-    record goes through one ``%`` call. ``str`` of a float is the
-    ``float.__repr__`` that ``json`` writes; the verdicts become ``true`` and
-    ``false``, and non-finite values take ``json``'s spelling first.
+    The head goes through ``json.dumps``; the violations through :func:`_records_json`.
     """
     text = json.dumps({
         "regime": summary.regime,
@@ -145,30 +159,10 @@ def audit_to_json(summary: AuditSummary, dim_a: int, dim_b: int, tolerance: floa
     records = summary.violations
     if not records:
         return text
-
-    def placeholder(dim):
-        return {"dim": dim, "re": [["%s"] * dim] * dim, "im": [["%s"] * dim] * dim}
-
-    template = json.dumps({
-        "state": placeholder(dim_a * dim_b),
-        "weight_a": placeholder(dim_a),
-        "weight_b": placeholder(dim_b),
-        "report": dict.fromkeys(_REPORT_KEYS, "%s"),
-    }, indent=2).replace('"%s"', "%s").replace("\n", "\n    ")
-    # one row per record, its values in template order; the verdicts read 1.0 or 0.0 here
-    k = len(records)
-    matrices = [np.stack([getattr(r, name) for r in records]).reshape(k, -1)
-                for name in ("state", "weight_a", "weight_b")]
-    reports = np.array([*map(attrgetter(*_REPORT_KEYS), (r.report for r in records))], dtype=float)
-    table = np.concatenate([part for m in matrices for part in (m.real, m.imag)] + [reports], axis=1)
-    values = table.ravel().tolist()
-    for i in np.flatnonzero(~np.isfinite(table.ravel())).tolist():
-        values[i] = json.dumps(values[i])
-    width = table.shape[1]
-    for key in ("condition_holds", "subadditivity_holds"):
-        col = width - len(_REPORT_KEYS) + _REPORT_KEYS.index(key)
-        values[col::width] = ["true" if v else "false" for v in values[col::width]]
-    body = ",\n    ".join(repeat(template, k)) % tuple(values)
+    shape = {"state": _matrix_shape(dim_a * dim_b), "weight_a": _matrix_shape(dim_a),
+             "weight_b": _matrix_shape(dim_b), "report": _REPORT_SHAPE}
+    matrices = [np.stack([getattr(r, name) for r in records]) for name in ("state", "weight_a", "weight_b")]
+    body = _records_json(shape, matrices, [r.report for r in records], "    ")
     # text ends in '"violations": []\n}'; the records go between the brackets
     return f"{text[:-3]}\n    {body}\n  ]\n}}"
 
@@ -237,7 +231,7 @@ def check(state_file, weight_a_file, weight_b_file, dims, tol, out):
     wa = WeightMatrix(load_matrix(weight_a_file), tol=tol)
     wb = WeightMatrix(load_matrix(weight_b_file), tol=tol)
     report = check_subadditivity(wa, wb, state)
-    _emit(json.dumps(report_to_dict(report), indent=2) + "\n", out)
+    _emit(_records_json(_REPORT_SHAPE, [], [report]) + "\n", out)
 
 
 @main.command()
@@ -315,11 +309,8 @@ def channel(state_file, projector_file, phi1, phi2, chi1, chi2, tol, out):
     state = BipartiteState(rho, 2, 2)
     proj = Projector(load_matrix(projector_file), tol=tol)
     rho_out, report = channel_then_check(proj, _diag_weight(phi1, phi2), _diag_weight(chi1, chi2), state)
-    payload = {
-        "state": matrix_to_dict(rho_out.matrix),
-        "report": report_to_dict(report),
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", out)
+    shape = {"state": _matrix_shape(rho_out.matrix.shape[0]), "report": _REPORT_SHAPE}
+    _emit(_records_json(shape, [rho_out.matrix[None]], [report]) + "\n", out)
 
 
 @main.command()

@@ -50,11 +50,9 @@ def sweep_probabilities(
     centers = (k + 0.5) / grid_n
     mask = (k[:, None] + k[None, :] + 1) >= grid_n
     values = np.full((grid_n, grid_n), np.nan)
+    # runs on empty index arrays too: the closed form is where the weights are checked
     i, j = np.nonzero(~mask)
-    if i.size:
-        values[i, j] = qutrit_mutual_information_closed_form(
-            centers[i], centers[j], phi1, phi2, chi1, chi2
-        )
+    values[i, j] = qutrit_mutual_information_closed_form(centers[i], centers[j], phi1, phi2, chi1, chi2)
     return SweepGrid(("p1", "p2"), (centers, centers.copy()), values, mask)
 
 

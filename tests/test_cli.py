@@ -1,13 +1,18 @@
 import json
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from wqent.cli import audit_to_json, main, matrix_to_dict, report_to_dict
+from json_oracle import audit_payload, channel_payload, report_to_dict
+from wqent import cli
+from wqent.cli import audit_to_json, main
 from wqent.entropy import qutrit_mutual_information_closed_form
 from wqent.inequality import AUDIT_REGIMES, AuditSummary, SubadditivityReport, ViolationRecord, audit_random
 
@@ -26,13 +31,14 @@ def write_matrix(path, re, im=None):
     return str(path)
 
 
-@pytest.fixture
-def example_files(tmp_path):
+@pytest.fixture(scope="module")
+def example_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("example")
     return {
-        "state": write_matrix(tmp_path / "state.json", np.diag([0.1, 0.1, 0.8, 0.0])),
-        "wa": write_matrix(tmp_path / "wa.json", np.diag([0.75, 0.25])),
-        "wb": write_matrix(tmp_path / "wb.json", np.diag([1 / 3, 2 / 3])),
-        "proj": write_matrix(tmp_path / "proj.json", np.diag([1.0, 0.0, 1.0, 0.0])),
+        "state": write_matrix(tmp / "state.json", np.diag([0.1, 0.1, 0.8, 0.0])),
+        "wa": write_matrix(tmp / "wa.json", np.diag([0.75, 0.25])),
+        "wb": write_matrix(tmp / "wb.json", np.diag([1 / 3, 2 / 3])),
+        "proj": write_matrix(tmp / "proj.json", np.diag([1.0, 0.0, 1.0, 0.0])),
     }
 
 
@@ -321,6 +327,13 @@ class TestSweepCommands:
         assert result.stderr.startswith("error:")
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("phi1", ["nan", "-1", "inf"])
+    def test_single_cell_grid_still_checks_weights(self, runner, phi1):
+        result = runner.invoke(main, ["sweep", "prob", "--grid-n", "1", "--phi1", phi1])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error:")
+        assert result.stdout == ""
+
 
 class TestChannelCommand:
     def test_worked_example(self, runner, example_files):
@@ -426,65 +439,56 @@ class TestUnwritableOut:
         assert result.stdout == ""
 
 
-def audit_payload(summary, dim_a, dim_b, tolerance):
-    """The audit payload as dicts, the way the CLI built it before its record template."""
-    return {
-        "regime": summary.regime,
-        "dims": f"{dim_a}x{dim_b}",
-        "samples": summary.samples,
-        "seed": summary.seed,
-        "tolerance": tolerance,
-        "min_gap": summary.min_gap,
-        "violations": [
-            {
-                "state": matrix_to_dict(v.state),
-                "weight_a": matrix_to_dict(v.weight_a),
-                "weight_b": matrix_to_dict(v.weight_b),
-                "report": report_to_dict(v.report),
-            }
-            for v in summary.violations
-        ],
-    }
-
-
 # json spells these NaN, Infinity, -Infinity and -0.0; repr would write nan and inf
-EDGE_FLOATS = st.one_of(
-    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300, 0.1, 1 / 3]),
-    st.floats(allow_nan=True, allow_infinity=True),
-)
+EDGE_POOL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300, 0.1, 1 / 3]
+EDGE_FLOATS = st.one_of(st.sampled_from(EDGE_POOL), st.floats(allow_nan=True, allow_infinity=True))
 
 
-def complex_matrix(parts, dim):
-    out = np.empty((dim, dim), dtype=complex)
-    out.real.flat, out.imag.flat = parts[::2], parts[1::2]
-    return out
+def complex_matrices(dim):
+    def combine(parts):
+        out = np.empty((dim, dim), dtype=complex)
+        out.real, out.imag = parts
+        return out
+
+    return arrays(np.float64, (2, dim, dim), elements=EDGE_FLOATS, fill=st.sampled_from(EDGE_POOL)).map(combine)
 
 
-def float_matrices(dim):
-    entries = st.lists(EDGE_FLOATS, min_size=2 * dim * dim, max_size=2 * dim * dim)
-    return entries.map(lambda xs: complex_matrix(xs, dim))
+def reports(tolerance):
+    return st.builds(lambda fields, *verdicts: SubadditivityReport(*fields, *verdicts, tolerance),
+                     st.lists(EDGE_FLOATS, min_size=7, max_size=7), st.booleans(), st.booleans())
 
 
 @st.composite
-def audit_summaries(draw):
-    dim_a, dim_b = draw(st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+def payloads(draw):
+    """A report for ``check``, a dim-4 state for ``channel`` and an audit summary with its dims and tolerance."""
     tolerance = draw(st.sampled_from([1e-10, 1e-6, 0.5]))
-    records = []
-    for _ in range(draw(st.integers(0, 3))):
-        fields = draw(st.lists(EDGE_FLOATS, min_size=7, max_size=7))
-        report = SubadditivityReport(*fields, draw(st.booleans()), draw(st.booleans()), tolerance)
-        records.append(ViolationRecord(draw(float_matrices(dim_a * dim_b)), draw(float_matrices(dim_a)),
-                                       draw(float_matrices(dim_b)), report))
-    summary = AuditSummary(draw(st.integers(1, 10**6)), tuple(records), draw(EDGE_FLOATS),
+    dim_a, dim_b = draw(st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+    records = tuple(
+        ViolationRecord(draw(complex_matrices(dim_a * dim_b)), draw(complex_matrices(dim_a)),
+                        draw(complex_matrices(dim_b)), draw(reports(tolerance)))
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    summary = AuditSummary(draw(st.integers(1, 10**6)), records, draw(EDGE_FLOATS),
                            draw(st.integers(0, 2**32)), draw(st.sampled_from(AUDIT_REGIMES)))
-    return summary, dim_a, dim_b, tolerance
+    return draw(reports(tolerance)), draw(complex_matrices(4)), (summary, dim_a, dim_b, tolerance)
 
 
-class TestAuditJson:
-    @given(audit_summaries())
+class TestJsonMatchesOracle:
+    """``check``, ``channel`` and ``audit`` write ``json.dumps(indent=2)`` of the dicts in ``tests/json_oracle.py``."""
+
+    @given(payloads())
     @settings(max_examples=150, deadline=None)
-    def test_equals_json_dumps(self, case):
-        assert audit_to_json(*case) == json.dumps(audit_payload(*case), indent=2)
+    def test_random_payloads(self, example_files, case):
+        """The report and the channel state are patched into the commands, so every float reaches the writer."""
+        report, state, audit_case = case
+        with mock.patch.object(cli, "check_subadditivity", return_value=report):
+            result = CliRunner().invoke(main, ["check", example_files["state"], example_files["wa"],
+                                               example_files["wb"]])
+        assert result.output == json.dumps(report_to_dict(report), indent=2) + "\n"
+        with mock.patch.object(cli, "channel_then_check", return_value=(SimpleNamespace(matrix=state), report)):
+            result = CliRunner().invoke(main, ["channel", example_files["state"], example_files["proj"]])
+        assert result.output == json.dumps(channel_payload(state, report), indent=2) + "\n"
+        assert audit_to_json(*audit_case) == json.dumps(audit_payload(*audit_case), indent=2)
 
     @pytest.mark.parametrize("regime, dims, n, seed", [
         ("diagonal-unconstrained", "2x2", 2000, 3),

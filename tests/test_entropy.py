@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from json_oracle import matrix_to_dict, report_to_dict
 import wqent.inequality
 from wqent.errors import DimensionError, InvalidSimplexError, ValidationError
 from wqent.linalg import hermitian_eig, partial_trace, xlogx_matrix
@@ -23,7 +24,7 @@ from wqent.states import (
     random_weight,
 )
 from wqent.entropy import qutrit_mutual_information_closed_form, weighted_entropy
-from wqent.cli import main as cli_main, matrix_to_dict, report_to_dict
+from wqent.cli import main as cli_main
 from wqent.inequality import check_subadditivity
 
 EXAMPLE_WEIGHTS = (0.75, 0.25, 1 / 3, 2 / 3)

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from json_oracle import matrix_to_dict
 import wqent.entropy
 import wqent.inequality
 import wqent.linalg
@@ -30,7 +31,7 @@ from wqent.states import (
     _density_stack,
     _weight_stack,
 )
-from wqent.cli import main as cli_main, matrix_to_dict
+from wqent.cli import main as cli_main
 from wqent.channel import Projector
 from wqent.entropy import qutrit_mutual_information_closed_form, weighted_entropy
 from wqent.linalg import DEFAULT_TOL, _eigh, _hermitian_part, hermitian_eig, partial_trace

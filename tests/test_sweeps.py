@@ -49,6 +49,12 @@ class TestProbabilitySweep:
         with pytest.raises(ValidationError):
             sweep_probabilities(0)
 
+    @pytest.mark.parametrize("phi1", [np.nan, -1.0, np.inf])
+    def test_single_cell_grid_still_checks_weights(self, phi1):
+        # at grid_n = 1 every cell is masked, so no value is computed
+        with pytest.raises(ValidationError):
+            sweep_probabilities(1, phi1)
+
 
 class TestWeightSweep:
     def test_region_a_bounds_inclusive(self):
