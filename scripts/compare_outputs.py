@@ -5,7 +5,7 @@ Usage: python scripts/compare_outputs.py OLD_SRC NEW_SRC
 OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts. Every case
 runs in a fresh interpreter with ``PYTHONPATH`` set to one of them: the three
 default sweep CSVs and ``sweep prob --grid-n 1``, diagonal audits (n = 1000 at
-seeds 0-2 in both regimes, n = 1e5 at seed 5), general audits at 2x2 and 2x3,
+seeds 0-2 and n = 1e5 at seed 5, in both regimes), general audits at 2x2 and 2x3,
 ``entropy`` of the worked-example state under its product weight, ``check``
 and ``channel`` JSON on the worked example (at the default ``--tol`` and at
 ``--tol 1e-6``), ``check`` on the committed non-commuting counterexample in
@@ -55,8 +55,9 @@ def cases(files: dict) -> dict:
         for seed in range(3):
             out[f"audit {regime} n=1000 seed={seed}"] = cli + [
                 "audit", "--n", "1000", "--seed", str(seed), "--regime", regime]
-    out["audit diagonal-unconstrained n=100000 seed=5"] = cli + [
-        "audit", "--n", "100000", "--seed", "5", "--regime", "diagonal-unconstrained"]
+    for regime in ("diagonal-condition-satisfying", "diagonal-unconstrained"):
+        out[f"audit {regime} n=100000 seed=5"] = cli + [
+            "audit", "--n", "100000", "--seed", "5", "--regime", regime]
     for dims in ("2x2", "2x3"):
         out[f"audit general-unconstrained {dims} n=2000 seed=1"] = cli + [
             "audit", "--n", "2000", "--seed", "1", "--dims", dims, "--regime", "general-unconstrained"]

@@ -84,10 +84,13 @@ def _real_rows(path: str, name: str, rows, dim: int) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) != dim:
         found = len(rows) if isinstance(rows, list) else type(rows).__name__
         raise MatrixFileError(f"{path}: '{name}' must be a list of {dim} rows, found {found}")
-    out = np.empty((dim, dim))
+    # every row's shape is checked before the matrix is allocated, so a short file cannot
+    # declare a huge one
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise MatrixFileError(f"{path}: '{name}' row {i} must have {dim} entries")
+    out = np.empty((dim, dim))
+    for i, row in enumerate(rows):
         for j, v in enumerate(row):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise MatrixFileError(f"{path}: '{name}' entry at row {i}, column {j} is not a number")

@@ -25,7 +25,8 @@ from .states import DensityMatrix, WeightMatrix, _nonnegative_weights, _simplex
 
 def _joint_entropy(phi: np.ndarray, spectrum: SpectralDecomposition) -> np.ndarray:
     """``-tr(phi rho ln rho)`` from the spectrum of rho, item by item; the real part of the trace."""
-    return -_trace_product(phi, xlogx_matrix(spectrum)).real
+    # 0.0 - x instead of -x, here and below: a zero trace comes back as +0.0, not -0.0
+    return 0.0 - _trace_product(phi, xlogx_matrix(spectrum)).real
 
 
 def _subsystem_entropy(x: np.ndarray, rho_kept: np.ndarray, leak_tol: float) -> np.ndarray:
@@ -42,7 +43,7 @@ def _subsystem_entropy(x: np.ndarray, rho_kept: np.ndarray, leak_tol: float) -> 
         if leak > leak_tol:
             raise ValidationError(f"reduced weighted state has {leak:.3e} of mass outside the support "
                                   "of the reduced state")
-    return -np.einsum("...ii,...i->...", y, _ln_support(lams)).real
+    return 0.0 - np.einsum("...ii,...i->...", y, _ln_support(lams)).real
 
 
 def weighted_entropy(phi: WeightMatrix, rho: DensityMatrix) -> float:

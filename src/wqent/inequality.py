@@ -4,8 +4,10 @@ Nothing here asserts: every check returns a report with the numbers and the
 boolean verdicts, and the audit collects violations instead of raising.
 One engine over stacks fills every report, one item for ``check_subadditivity``
 and one chunk of samples at a time for the general audit; the diagonal regimes
-have a mirror. It is the one matrix path: the weighted mutual information is a
-report's ``gap`` and the trace condition its ``condition_gap``.
+have a mirror, with a kernel for the gap alone. It is the one matrix path: the
+weighted mutual information is a report's ``gap`` and the trace condition its
+``condition_gap``. An audit scans the gap of every sample and builds full
+reports for its violators only.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 from .linalg import DEFAULT_TOL, SpectralDecomposition, _eigh, _kron, _ln_support, _trace_product, _xlnx
 from .linalg import partial_trace
-from .states import DEFAULT_SCALE_RANGE, BipartiteState, WeightMatrix
-from .states import _density_stack, _nonnegative_weights, _positive_tol, _simplex, _weight_stack
+from .states import BipartiteState, WeightMatrix
+from .states import _density_stack, _nonnegative_weights, _positive_tol, _scale_draws, _simplex, _weight_stack
 from .entropy import _joint_entropy, _subsystem_entropy
 
 AUDIT_REGIMES = (
@@ -158,32 +160,65 @@ class AuditSummary:
     regime: str
 
 
-def _diagonal_report_fields(probs: np.ndarray, weights: np.ndarray) -> dict[str, np.ndarray]:
-    """Report fields for embedded-qutrit states under diagonal weights.
+def _diagonal_entropy_terms(probs: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Entropy sums ``(x_ab, x_a, x_b)`` of embedded-qutrit states under diagonal weights.
 
-    ``probs`` is (n, 3) simplex rows, ``weights`` is (n, 4) columns
-    (phi1, phi2, chi1, chi2). Mirrors the matrix path term by term, support
-    conventions keyed on the same eigenvalues.
+    Each entropy of the report is ``0.0 - x``. ``probs`` is (n, 3) simplex
+    rows, ``weights`` is (n, 4) columns (phi1, phi2, chi1, chi2). Mirrors the
+    matrix path term by term, support conventions keyed on the same
+    eigenvalues.
     """
     p1, p2, p3 = probs[:, 0], probs[:, 1], probs[:, 2]
     f1, f2, c1, c2 = weights[:, 0], weights[:, 1], weights[:, 2], weights[:, 3]
     # each support log and each weighted probability w_ij p_k is formed once and shared by the
-    # fields, in the operation order of separate terms, so every sum rounds alike; intermediates
-    # are dropped once spent, which keeps the peak memory of the separate terms
+    # terms, in the operation order of separate terms, so every sum rounds alike; the products
+    # are taken in place, in buffers whose previous value is spent
     ln2, ln3 = _ln_support(p2), _ln_support(p3)
-    w11, w12, w21 = f1 * c1, f1 * c2, f2 * c1
-    s_ab = -(w11 * _xlnx(p1) + w12 * (p2 * ln2) + w21 * (p3 * ln3))
-    m1, m2, m3 = w11 * p1, w12 * p2, w21 * p3
-    del w11, w12, w21
-    m12 = m1 + m2
-    lhs = m12 + m3
-    a1, b1 = p1 + p2, p1 + p3
-    s_a = -(m12 * _ln_support(a1) + m3 * ln3)
-    del m12
-    s_b = -((m1 + m3) * _ln_support(b1) + m2 * ln2)
-    del m1, m2, m3, ln2, ln3
-    rhs = (f1 * a1 + f2 * p3) * (c1 * b1 + c2 * p2)
-    return _fields(s_ab, s_a, s_b, lhs, rhs)
+    m1, m2, m3 = f1 * c1, f1 * c2, f2 * c1  # the weights w11, w12, w21 until scaled below
+    x_ab = _xlnx(p1)
+    x_ab *= m1
+    t = p2 * ln2
+    t *= m2
+    x_ab += t
+    np.multiply(p3, ln3, out=t)
+    t *= m3
+    x_ab += t
+    m1 *= p1
+    m2 *= p2
+    m3 *= p3
+    x_a = np.add(m1, m2, out=t)
+    x_a *= _ln_support(p1 + p2)
+    ln3 *= m3
+    x_a += ln3
+    x_b = m1
+    x_b += m3
+    x_b *= _ln_support(p1 + p3)
+    ln2 *= m2
+    x_b += ln2
+    return x_ab, x_a, x_b
+
+
+def _diagonal_gap(probs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The ``gap`` field of :func:`_diagonal_report_fields` alone, bit for bit.
+
+    ``x_ab - (x_a + x_b)`` rounds as ``s_a + s_b - s_ab`` does, since negation is exact.
+    """
+    x_ab, x_a, x_b = _diagonal_entropy_terms(probs, weights)
+    x_a += x_b
+    x_ab -= x_a
+    return x_ab
+
+
+def _diagonal_report_fields(probs: np.ndarray, weights: np.ndarray) -> dict[str, np.ndarray]:
+    """Report fields for embedded-qutrit states under diagonal weights, laid out as for
+    :func:`_diagonal_entropy_terms`."""
+    x_ab, x_a, x_b = _diagonal_entropy_terms(probs, weights)
+    p1, p2, p3 = probs[:, 0], probs[:, 1], probs[:, 2]
+    f1, f2, c1, c2 = weights[:, 0], weights[:, 1], weights[:, 2], weights[:, 3]
+    lhs = f1 * c1 * p1 + f1 * c2 * p2 + f2 * c1 * p3
+    rhs = (f1 * (p1 + p2) + f2 * p3) * (c1 * (p1 + p3) + c2 * p2)
+    # 0.0 - x instead of -x: an all-zero sum comes back as +0.0, not -0.0
+    return _fields(0.0 - x_ab, 0.0 - x_a, 0.0 - x_b, lhs, rhs)
 
 
 def _diag_stack(rows: np.ndarray) -> np.ndarray:
@@ -193,23 +228,32 @@ def _diag_stack(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+# one (phi1, phi2, chi1, chi2) weight row as a single item
+_ROW = np.dtype((np.void, 4 * 8))
+
+
 def _sample_diagonal(rng: np.random.Generator, n: int, condition_satisfying: bool):
     probs = rng.standard_exponential((n, 3))
     # normalized in place, the row sum term by term: a reduction over the length-3 axis
     # cost as much as the rest of the sampler
     probs /= (probs[:, 0] + probs[:, 1] + probs[:, 2])[:, None]
-    lo, hi = DEFAULT_SCALE_RANGE
-    weights = rng.uniform(lo, hi, size=(n, 4))
-    # resample weight rows until (phi1 - phi2)(chi2 - chi1) >= 0; only redrawn rows can change
-    w, rows = weights, np.arange(n)
-    while condition_satisfying and (rows := rows[(w[:, 0] - w[:, 1]) * (w[:, 3] - w[:, 2]) < 0.0]).size:
-        weights[rows] = w = rng.uniform(lo, hi, size=(rows.size, 4))
+    weights = _scale_draws(rng, (n, 4))
+    # resample weight rows until (phi1 - phi2)(chi2 - chi1) >= 0: each pass tests only its fresh
+    # draw, and writes each redrawn row once, as one 32-byte item of a row view
+    w, rows, items = weights, np.arange(n), weights.view(_ROW)[:, 0]
+    while condition_satisfying:
+        rows = rows[np.flatnonzero((w[:, 0] - w[:, 1]) * (w[:, 3] - w[:, 2]) < 0.0)]
+        if not rows.size:
+            break
+        w = _scale_draws(rng, (rows.size, 4))
+        items[rows] = w.view(_ROW)[:, 0]
     return probs, weights
 
 
-# a regime yields chunks: the seven report-field arrays of a run of samples, and a function
-# from the chunk's violating indices to their (state, weight_a, weight_b) stacks
-_Chunks = Iterator[tuple[dict[str, np.ndarray], Callable[[np.ndarray], tuple[np.ndarray, ...]]]]
+# a regime yields chunks: the gap of a run of samples, and a function from the chunk's
+# violating indices to their seven report-field arrays and (state, weight_a, weight_b) stacks
+_Violators = Callable[[np.ndarray], tuple[dict[str, np.ndarray], tuple[np.ndarray, ...]]]
+_Chunks = Iterator[tuple[np.ndarray, _Violators]]
 
 
 def _chunk_items(d: int) -> int:
@@ -217,9 +261,11 @@ def _chunk_items(d: int) -> int:
     return max(1, _CHUNK_ENTRIES // d**2)
 
 
-def _diagonal_matrices(probs: np.ndarray, weights: np.ndarray, idx: np.ndarray):
-    p, w = np.pad(probs[idx], ((0, 0), (0, 1))), weights[idx]
-    return _diag_stack(p), _diag_stack(w[:, :2]), _diag_stack(w[:, 2:])
+def _diagonal_violators(probs: np.ndarray, weights: np.ndarray, idx: np.ndarray):
+    # every field is elementwise, so evaluating the violators alone leaves their bits as they are
+    p, w = probs[idx], weights[idx]
+    matrices = _diag_stack(np.pad(p, ((0, 0), (0, 1)))), _diag_stack(w[:, :2]), _diag_stack(w[:, 2:])
+    return _diagonal_report_fields(p, w), matrices
 
 
 def _diagonal_chunks(rng: np.random.Generator, n: int, condition_satisfying: bool) -> _Chunks:
@@ -229,11 +275,12 @@ def _diagonal_chunks(rng: np.random.Generator, n: int, condition_satisfying: boo
     size = _chunk_items(4)  # sized by the embedded 4x4 state a record holds
     for start in range(0, n, size):
         p, w = probs[start:start + size], weights[start:start + size]
-        yield _diagonal_report_fields(p, w), partial(_diagonal_matrices, p, w)
+        yield _diagonal_gap(p, w), partial(_diagonal_violators, p, w)
 
 
-def _general_matrices(rho: np.ndarray, wa: np.ndarray, wb: np.ndarray, idx: np.ndarray):
-    return rho[idx], wa[idx], wb[idx]
+def _general_violators(fields: dict[str, np.ndarray], rho: np.ndarray, wa: np.ndarray, wb: np.ndarray,
+                       idx: np.ndarray):
+    return {k: v[idx] for k, v in fields.items()}, (rho[idx], wa[idx], wb[idx])
 
 
 def _general_chunks(rng: np.random.Generator, n: int, dim_a: int, dim_b: int, tolerance: float) -> _Chunks:
@@ -248,7 +295,7 @@ def _general_chunks(rng: np.random.Generator, n: int, dim_a: int, dim_b: int, to
         # the draws are hermitized, so they are diagonalized unchecked; off-support
         # mass is judged at the audit's tolerance
         fields = _report_fields(rho, _eigh(rho), wa, wb, dim_a, dim_b, tolerance)
-        yield fields, partial(_general_matrices, rho, wa, wb)
+        yield fields["gap"], partial(_general_violators, fields, rho, wa, wb)
 
 
 def audit_random(
@@ -294,14 +341,14 @@ def audit_random(
     # one scan: each chunk leaves its smallest gap, its violators' fields as Python floats
     # and their (k, d, d) stacks; the records are built once, at the end
     mins, columns, stacks = [], {k: [] for k in _REPORT_NAMES[:7]}, ([], [], [])
-    for fields, matrices in chunks:
-        gap = fields["gap"]
+    for gap, violators in chunks:
         mins.append(gap.min())
         idx = np.flatnonzero(gap < -tolerance)
         if idx.size:
+            fields, matrices = violators(idx)
             for k, v in fields.items():
-                columns[k] += v[idx].tolist()
-            for stack, m in zip(stacks, matrices(idx)):
+                columns[k] += v.tolist()
+            for stack, m in zip(stacks, matrices):
                 stack.append(m)
     # each record holds its own item of the stacks, and is built as the reports are
     new, violations = object.__new__, []

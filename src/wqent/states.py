@@ -188,8 +188,21 @@ def _unitary_stack(g: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return q * (d / np.abs(d))[:, None, :]
 
 
+def _scale_draws(g: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """``g.uniform(*DEFAULT_SCALE_RANGE, shape)`` bit for bit, from the same draws, scaled in place.
+
+    ``Generator.uniform`` forms ``lo + (hi - lo) * u`` from one ``g.random()`` double per entry;
+    the same two roundings in place skip its broadcasting of the bounds.
+    """
+    lo, hi = DEFAULT_SCALE_RANGE
+    x = g.random(shape)
+    x *= hi - lo
+    x += lo
+    return x
+
+
 def _weight_stack(g: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    u = g.uniform(*DEFAULT_SCALE_RANGE, size=(n, dim))
+    u = _scale_draws(g, (n, dim))
     v = _unitary_stack(g, n, dim)
     return _hermitize((v * u[:, None, :]) @ _dagger(v))
 

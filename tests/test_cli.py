@@ -159,6 +159,22 @@ class TestEntropyCommand:
         assert result.exit_code == 5
         assert "row 1" in result.stderr
 
+    def test_rows_are_checked_before_the_matrix_is_allocated(self, runner, tmp_path):
+        # 100000 empty rows: a 400 KB file that declares a 74.5 GiB matrix
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"dim": 100000, "re": [%s]}' % ",".join(["[]"] * 100_000))
+        weight = write_matrix(tmp_path / "w.json", np.eye(2))
+        result = runner.invoke(main, ["entropy", str(bad), weight])
+        assert result.exit_code == 5
+        assert result.stderr == f"error: {bad}: 're' row 0 must have 100000 entries\n"
+
+    def test_pure_state_entropy_prints_positive_zero(self, runner, tmp_path):
+        state = write_matrix(tmp_path / "s.json", np.diag([1.0, 0.0, 0.0, 0.0]))
+        weight = write_matrix(tmp_path / "w.json", np.eye(4))
+        result = runner.invoke(main, ["entropy", state, weight])
+        assert result.exit_code == 0
+        assert result.output == "0\n"
+
     def test_non_number_entry_reports_position(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"dim": 2, "re": [[1.0, 0.0], [0.0, "x"]]}')
@@ -187,6 +203,14 @@ class TestCheckCommand:
         written = runner.invoke(main, args + ["--out", str(out)])
         assert written.exit_code == 0
         assert out.read_text() == piped.output
+
+    def test_pure_state_entropies_are_positive_zeros(self, runner, tmp_path):
+        state = write_matrix(tmp_path / "s.json", np.diag([1.0, 0.0, 0.0, 0.0]))
+        weight = write_matrix(tmp_path / "w.json", np.eye(2))
+        result = runner.invoke(main, ["check", state, weight, weight])
+        assert result.exit_code == 0
+        for k in ("s_ab", "s_a", "s_b"):
+            assert f'"{k}": 0.0,' in result.output, k
 
     def test_2x3_system(self, runner, tmp_path):
         rho = np.kron(np.diag([0.3, 0.7]), np.diag([0.2, 0.3, 0.5]))

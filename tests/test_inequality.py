@@ -44,6 +44,7 @@ from wqent.inequality import (
     SubadditivityReport,
     ViolationRecord,
     _diag_stack,
+    _diagonal_gap,
     _diagonal_report_fields,
     _report_fields,
     _sample_diagonal,
@@ -225,6 +226,12 @@ class TestCheckSubadditivity:
         assert not rep.condition_holds
         loose = check_subadditivity(wa, wb, ququart_at(probs, abs(rep.condition_gap) * 2))
         assert loose.condition_holds
+
+    def test_pure_state_entropies_are_positive_zeros(self):
+        identity = diag_weight(1.0, 1.0)
+        rep = check_subadditivity(identity, identity, embed_ququart(1.0, 0.0, 0.0, 0.0))
+        for k in ("s_ab", "s_a", "s_b"):
+            assert math.copysign(1.0, getattr(rep, k)) == 1.0, k
 
     def test_engine_fields_follow_the_report_field_order(self):
         # reports are built positionally from the engine's fields, so the orders must agree
@@ -442,6 +449,16 @@ class TestDiagonalEngine:
         for k, v in fields.items():
             assert v.tobytes() == reference[k].tobytes(), k
 
+    def test_gap_kernel_matches_report_gap_bit_for_bit(self):
+        probs, weights = _sample_diagonal(np.random.default_rng(8), 10_000, False)
+        edge = [0.0, 1e-12, np.nextafter(1e-12, np.inf), np.nextafter(1e-12, -np.inf), 5e-324]
+        rows = [[x, 0.5, 0.5 - x] for x in edge] + [[0.5 - x, x, 0.5] for x in edge]
+        rows += [[0.5, 0.5 - x, x] for x in edge] + [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        probs = np.concatenate([probs, rows])
+        weights = np.concatenate([weights, np.tile([0.75, 0.25, 1 / 3, 2 / 3], (len(rows), 1))])
+        gap = _diagonal_gap(probs, weights)
+        assert gap.tobytes() == _diagonal_report_fields(probs, weights)["gap"].tobytes()
+
     def test_handles_zero_probabilities(self):
         probs = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
         weights = np.tile([0.75, 0.25, 1 / 3, 2 / 3], (3, 1))
@@ -588,13 +605,15 @@ class TestDiagonalSampler:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("condition_satisfying", [True, False])
     def test_stream_matches_full_retest(self, seed, condition_satisfying):
-        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        probs, weights = _sample_diagonal(rng_new, 10_000, condition_satisfying)
-        ref_probs, ref_weights = sample_diagonal_full_retest(rng_ref, 10_000, condition_satisfying)
-        assert np.array_equal(probs, ref_probs)
-        assert np.array_equal(weights, ref_weights)
-        # both consumed the same number of draws
-        assert rng_new.random() == rng_ref.random()
+        # at n = 1e5 the resampler runs its roughly 19 passes at audit size
+        for n in (10_000, 100_000):
+            rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            probs, weights = _sample_diagonal(rng_new, n, condition_satisfying)
+            ref_probs, ref_weights = sample_diagonal_full_retest(rng_ref, n, condition_satisfying)
+            assert np.array_equal(probs, ref_probs)
+            assert np.array_equal(weights, ref_weights)
+            # both consumed the same number of draws
+            assert rng_new.random() == rng_ref.random()
 
 
 class TestViolationRecords:
@@ -654,14 +673,7 @@ class TestViolationRecords:
     def test_condition_satisfying_reports_hold_python_scalars(self, monkeypatch):
         # the sign test rules violations out here, so shift every gap below the tolerance
         # to send each sample through the regime's record path
-        real = wqent.inequality._diagonal_report_fields
-
-        def shifted(probs, weights):
-            fields = real(probs, weights)
-            fields["gap"] = fields["gap"] - 1.0
-            return fields
-
-        monkeypatch.setattr(wqent.inequality, "_diagonal_report_fields", shifted)
+        shift_diagonal_gaps(monkeypatch, 1.0)
         tolerance = 3e-9
         summary = audit_random(50, 2, 2, 2, "diagonal-condition-satisfying", tolerance=tolerance)
         assert len(summary.violations) == 50
@@ -672,6 +684,28 @@ class TestViolationRecords:
     def test_condition_satisfying_records_none(self):
         for seed in (3, 11):
             assert audit_random(20_000, 2, 2, seed, "diagonal-condition-satisfying").violations == ()
+
+
+def shift_diagonal_gaps(monkeypatch, shift):
+    """Lower every diagonal gap by ``shift``, in the scan's gap kernel and in the violators' report fields.
+
+    Returns the list of sample counts the gap kernel is called with, one per chunk.
+    """
+    real_gap, real_fields = wqent.inequality._diagonal_gap, wqent.inequality._diagonal_report_fields
+    sizes = []
+
+    def shifted_gap(probs, weights):
+        sizes.append(len(probs))
+        return real_gap(probs, weights) - shift
+
+    def shifted_fields(probs, weights):
+        fields = real_fields(probs, weights)
+        fields["gap"] = fields["gap"] - shift
+        return fields
+
+    monkeypatch.setattr(wqent.inequality, "_diagonal_gap", shifted_gap)
+    monkeypatch.setattr(wqent.inequality, "_diagonal_report_fields", shifted_fields)
+    return sizes
 
 
 def assert_same_audit(got, want):
@@ -693,17 +727,7 @@ class TestChunkedScan:
     def shifted_diagonal(self, monkeypatch):
         # shift every gap by 0.1 so that both regimes record a mix of violators and holders;
         # the shift is elementwise, so it does not depend on where a chunk starts
-        real = wqent.inequality._diagonal_report_fields
-        sizes = []
-
-        def shifted(probs, weights):
-            sizes.append(len(probs))
-            fields = real(probs, weights)
-            fields["gap"] = fields["gap"] - 0.1
-            return fields
-
-        monkeypatch.setattr(wqent.inequality, "_diagonal_report_fields", shifted)
-        return sizes
+        return shift_diagonal_gaps(monkeypatch, 0.1)
 
     @pytest.mark.parametrize("n", [1, 6, 7, 8, 50])
     @pytest.mark.parametrize("regime", AUDIT_REGIMES[:2])

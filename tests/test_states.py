@@ -23,6 +23,7 @@ from wqent.states import (
     haar_unitary,
     random_density,
     random_weight,
+    _scale_draws,
 )
 
 
@@ -226,6 +227,17 @@ class TestSamplers:
         assert np.array_equal(random_density(3, g).matrix, 0.5 * (density + density.conj().T))
         assert np.array_equal(random_weight(3, g).matrix, 0.5 * (weight + weight.conj().T))
         assert np.array_equal(haar_unitary(4, g), unitary)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 + 5])
+    @pytest.mark.parametrize("shape", [(1,), (4,), (3, 4), (1001, 4), (20_000, 2)])
+    def test_scale_draws_match_generator_uniform(self, seed, shape):
+        g_new, g_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _scale_draws(g_new, shape)
+        want = g_ref.uniform(*DEFAULT_SCALE_RANGE, size=shape)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        # both consumed the same number of draws
+        assert g_new.random() == g_ref.random()
 
     def test_dim_validation(self):
         with pytest.raises(DimensionError):
