@@ -5,7 +5,8 @@ Usage: python scripts/compare_outputs.py OLD_SRC NEW_SRC
 OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts. Every case
 runs in a fresh interpreter with ``PYTHONPATH`` set to one of them: the three
 default sweep CSVs and ``sweep prob --grid-n 1``, diagonal audits (n = 1000 at
-seeds 0-2 and n = 1e5 at seed 5, in both regimes), general audits at 2x2 and 2x3,
+seeds 0-2 and n = 1e5 at seed 5, in both regimes, and an unconstrained one at
+2x3), general audits at 2x2 and 2x3,
 ``entropy`` of the worked-example state under its product weight, ``check``
 and ``channel`` JSON on the worked example (at the default ``--tol`` and at
 ``--tol 1e-6``), ``check`` on the committed non-commuting counterexample in
@@ -58,6 +59,8 @@ def cases(files: dict) -> dict:
     for regime in ("diagonal-condition-satisfying", "diagonal-unconstrained"):
         out[f"audit {regime} n=100000 seed=5"] = cli + [
             "audit", "--n", "100000", "--seed", "5", "--regime", regime]
+    out["audit diagonal-unconstrained 2x3 n=2000 seed=1"] = cli + [
+        "audit", "--n", "2000", "--seed", "1", "--dims", "2x3", "--regime", "diagonal-unconstrained"]
     for dims in ("2x2", "2x3"):
         out[f"audit general-unconstrained {dims} n=2000 seed=1"] = cli + [
             "audit", "--n", "2000", "--seed", "1", "--dims", dims, "--regime", "general-unconstrained"]
@@ -72,8 +75,8 @@ def cases(files: dict) -> dict:
     out["qutrit 0.5 0.5 1 0 0 1"] = cli + ["qutrit", "0.5", "0.5", "1", "0", "0", "1"]
     out["exit 2: sweep prob grid-n 0"] = cli + ["sweep", "prob", "--grid-n", "0"]
     out["exit 2: sweep prob grid-n 1 phi1 nan"] = cli + ["sweep", "prob", "--grid-n", "1", "--phi1", "nan"]
-    out["exit 3: audit diagonal-unconstrained 2x3"] = cli + [
-        "audit", "--dims", "2x3", "--regime", "diagonal-unconstrained"]
+    out["exit 3: audit diagonal-condition-satisfying 2x3"] = cli + [
+        "audit", "--dims", "2x3", "--regime", "diagonal-condition-satisfying"]
     out["exit 4: channel worked example diag(0, 0, 0, 1)"] = cli + [
         "channel", files["state"], files["proj_dead"]]
     out["exit 5: entropy truncated file"] = cli + ["entropy", files["truncated"], files["wab"]]

@@ -181,8 +181,8 @@ def _emit(text: str, out: str | None) -> None:
         raise ValidationError(f"{out}: cannot write file ({exc.strerror or exc})") from exc
 
 
-def _diag_weight(x1: float, x2: float) -> WeightMatrix:
-    return WeightMatrix(np.diag([complex(x1), complex(x2)]))
+def _diag_weight(x1: float, x2: float, tol: float = DEFAULT_TOL) -> WeightMatrix:
+    return WeightMatrix(np.diag([complex(x1), complex(x2)]), tol=tol)
 
 
 def _prob_sweep_weights(f):
@@ -311,7 +311,7 @@ def channel(state_file, projector_file, phi1, phi2, chi1, chi2, tol, out):
     rho = DensityMatrix(load_matrix(state_file), tol=tol)
     state = BipartiteState(rho, 2, 2)
     proj = Projector(load_matrix(projector_file), tol=tol)
-    rho_out, report = channel_then_check(proj, _diag_weight(phi1, phi2), _diag_weight(chi1, chi2), state)
+    rho_out, report = channel_then_check(proj, _diag_weight(phi1, phi2, tol), _diag_weight(chi1, chi2, tol), state)
     shape = {"state": _matrix_shape(rho_out.matrix.shape[0]), "report": _REPORT_SHAPE}
     _emit(_records_json(shape, [rho_out.matrix[None]], [report]) + "\n", out)
 

@@ -4,7 +4,8 @@ Nothing here asserts: every check returns a report with the numbers and the
 boolean verdicts, and the audit collects violations instead of raising.
 One engine over stacks fills every report, one item for ``check_subadditivity``
 and one chunk of samples at a time for the general audit; the diagonal regimes
-have a mirror, with a kernel for the gap alone. It is the one matrix path: the
+have one kernel over the occupied cells of a diagonal state, at any factor dims,
+with a variant for the gap alone. It is the one matrix path: the
 weighted mutual information is a report's ``gap`` and the trace condition its
 ``condition_gap``. An audit scans the gap of every sample and builds full
 reports for its violators only.
@@ -13,14 +14,14 @@ reports for its violators only.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclass_fields
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .linalg import DEFAULT_TOL, SpectralDecomposition, _eigh, _kron, _ln_support, _trace_product, _xlnx
+from .linalg import DEFAULT_TOL, SpectralDecomposition, _eigh, _kron, _ln_support, _trace_product
 from .linalg import partial_trace
 from .states import BipartiteState, WeightMatrix
 from .states import _density_stack, _nonnegative_weights, _positive_tol, _scale_draws, _simplex, _weight_stack
@@ -160,63 +161,98 @@ class AuditSummary:
     regime: str
 
 
-def _diagonal_entropy_terms(probs: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Entropy sums ``(x_ab, x_a, x_b)`` of embedded-qutrit states under diagonal weights.
+@lru_cache(maxsize=None)
+def _cell_groups(dim_a: int, dim_b: int) -> tuple[tuple[range, ...], tuple[range, ...], frozenset[int]]:
+    """The occupied cells of each row of A and of each column of B, in cell order, and the cells
+    alone in their row or column.
 
-    Each entropy of the report is ``0.0 - x``. ``probs`` is (n, 3) simplex
-    rows, ``weights`` is (n, 4) columns (phi1, phi2, chi1, chi2). Mirrors the
-    matrix path term by term, support conventions keyed on the same
-    eigenvalues.
+    Cell ``c`` is ``divmod(c, dim_b)``; the last cell is the zero level, so it is in no group.
     """
-    p1, p2, p3 = probs[:, 0], probs[:, 1], probs[:, 2]
-    f1, f2, c1, c2 = weights[:, 0], weights[:, 1], weights[:, 2], weights[:, 3]
-    # each support log and each weighted probability w_ij p_k is formed once and shared by the
-    # terms, in the operation order of separate terms, so every sum rounds alike; the products
-    # are taken in place, in buffers whose previous value is spent
-    ln2, ln3 = _ln_support(p2), _ln_support(p3)
-    m1, m2, m3 = f1 * c1, f1 * c2, f2 * c1  # the weights w11, w12, w21 until scaled below
-    x_ab = _xlnx(p1)
-    x_ab *= m1
-    t = p2 * ln2
-    t *= m2
-    x_ab += t
-    np.multiply(p3, ln3, out=t)
-    t *= m3
-    x_ab += t
-    m1 *= p1
-    m2 *= p2
-    m3 *= p3
-    x_a = np.add(m1, m2, out=t)
-    x_a *= _ln_support(p1 + p2)
-    ln3 *= m3
-    x_a += ln3
-    x_b = m1
-    x_b += m3
-    x_b *= _ln_support(p1 + p3)
-    ln2 *= m2
-    x_b += ln2
-    return x_ab, x_a, x_b
+    cells = range(dim_a * dim_b - 1)
+    rows = tuple(cells[a * dim_b:(a + 1) * dim_b] for a in range(dim_a))
+    cols = tuple(cells[b::dim_b] for b in range(dim_b))
+    return rows, cols, frozenset(g[0] for g in rows + cols if len(g) == 1)
 
 
-def _diagonal_gap(probs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _sum(terms: list[np.ndarray]) -> np.ndarray:
+    """The terms summed left to right into a new array; a single term is returned as it is."""
+    return sum(terms[1:], terms[0])
+
+
+def _group_log_terms(groups, probs, lns, masses, spent: bool) -> np.ndarray:
+    """Sum over ``groups`` of each group's mass times the support log of its marginal, in group order.
+
+    A one-cell group's marginal is its cell, so its term scales that cell's log in place. A larger
+    group sums its masses into its first cell's mass if they are ``spent``, else into a new array.
+    """
+    x = None
+    for g in groups:
+        if len(g) == 1:
+            term = lns[g[0]]
+            term *= masses[g[0]]
+        else:
+            term = np.add(masses[g[0]], masses[g[1]], out=masses[g[0]] if spent else None)
+            marginal = probs[g[0]] + probs[g[1]]
+            for c in g[2:]:
+                term += masses[c]
+                marginal += probs[c]
+            term *= _ln_support(marginal)
+        x = term if x is None else np.add(x, term, out=x)
+    return x
+
+
+def _diagonal_entropy_terms(probs: np.ndarray, weights: np.ndarray, dim_a: int, dim_b: int):
+    """Entropy sums ``(x_ab, x_a, x_b)`` of diagonal ``dim_a x dim_b`` states with a zero last cell.
+
+    Each entropy of the report is ``0.0 - x``. Column ``c`` of ``probs (n, dim_a dim_b - 1)``
+    is cell ``divmod(c, dim_b)``; ``weights (n, dim_a + dim_b)`` holds phi, then chi. Each sum
+    runs left to right in cell order, with support conventions keyed on the same eigenvalues as
+    the matrix path.
+    """
+    rows, cols, lone = _cell_groups(dim_a, dim_b)
+    # one contiguous row per cell, so every pass below reads at unit stride: over the strided
+    # columns of probs the kernel took about a tenth longer at 2x2
+    p, phi, chi = np.ascontiguousarray(probs.T), weights[:, :dim_a].T, weights[:, dim_a:].T
+    # each support log and each weighted probability w_ab p_c is formed once and shared by the
+    # terms, in the operation order of separate terms, so every sum rounds alike; a buffer is
+    # written in place only once no other term reads it
+    masses = [phi[c // dim_b] * chi[c % dim_b] for c in range(len(p))]
+    lns, x_ab = {}, None
+    for c, (q, w) in enumerate(zip(p, masses)):
+        ln = _ln_support(q)
+        if c in lone:  # its group's term reads its log again
+            lns[c], term = ln, q * ln
+        else:
+            term = np.multiply(q, ln, out=ln)
+        term *= w
+        x_ab = term if x_ab is None else np.add(x_ab, term, out=x_ab)
+        w *= q  # w_ab p_c from here on
+    # the rows read every mass first, so only the columns may sum into them
+    return x_ab, _group_log_terms(rows, p, lns, masses, False), _group_log_terms(cols, p, lns, masses, True)
+
+
+def _diagonal_gap(probs: np.ndarray, weights: np.ndarray, dim_a: int = 2, dim_b: int = 2) -> np.ndarray:
     """The ``gap`` field of :func:`_diagonal_report_fields` alone, bit for bit.
 
     ``x_ab - (x_a + x_b)`` rounds as ``s_a + s_b - s_ab`` does, since negation is exact.
     """
-    x_ab, x_a, x_b = _diagonal_entropy_terms(probs, weights)
+    x_ab, x_a, x_b = _diagonal_entropy_terms(probs, weights, dim_a, dim_b)
     x_a += x_b
     x_ab -= x_a
     return x_ab
 
 
-def _diagonal_report_fields(probs: np.ndarray, weights: np.ndarray) -> dict[str, np.ndarray]:
-    """Report fields for embedded-qutrit states under diagonal weights, laid out as for
-    :func:`_diagonal_entropy_terms`."""
-    x_ab, x_a, x_b = _diagonal_entropy_terms(probs, weights)
-    p1, p2, p3 = probs[:, 0], probs[:, 1], probs[:, 2]
-    f1, f2, c1, c2 = weights[:, 0], weights[:, 1], weights[:, 2], weights[:, 3]
-    lhs = f1 * c1 * p1 + f1 * c2 * p2 + f2 * c1 * p3
-    rhs = (f1 * (p1 + p2) + f2 * p3) * (c1 * (p1 + p3) + c2 * p2)
+def _diagonal_report_fields(probs: np.ndarray, weights: np.ndarray, dim_a: int = 2,
+                            dim_b: int = 2) -> dict[str, np.ndarray]:
+    """Report fields of diagonal states under diagonal weights, laid out as for
+    :func:`_diagonal_entropy_terms`; the default dims are the embedded qutrit's."""
+    x_ab, x_a, x_b = _diagonal_entropy_terms(probs, weights, dim_a, dim_b)
+    rows, cols, _ = _cell_groups(dim_a, dim_b)
+    p, phi, chi = probs.T, weights[:, :dim_a].T, weights[:, dim_a:].T
+    lhs = _sum([phi[c // dim_b] * chi[c % dim_b] * q for c, q in enumerate(p)])
+    # tr(phi_A rho_A) tr(phi_B rho_B), each marginal summed in cell order
+    rhs = (_sum([f * _sum([p[c] for c in g]) for f, g in zip(phi, rows)])
+           * _sum([x * _sum([p[c] for c in g]) for x, g in zip(chi, cols)]))
     # 0.0 - x instead of -x: an all-zero sum comes back as +0.0, not -0.0
     return _fields(0.0 - x_ab, 0.0 - x_a, 0.0 - x_b, lhs, rhs)
 
@@ -228,25 +264,24 @@ def _diag_stack(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-# one (phi1, phi2, chi1, chi2) weight row as a single item
-_ROW = np.dtype((np.void, 4 * 8))
-
-
-def _sample_diagonal(rng: np.random.Generator, n: int, condition_satisfying: bool):
-    probs = rng.standard_exponential((n, 3))
-    # normalized in place, the row sum term by term: a reduction over the length-3 axis
+def _sample_diagonal(rng: np.random.Generator, n: int, dim_a: int, dim_b: int, condition_satisfying: bool):
+    """``n`` diagonal states with a zero last cell and their diagonal weights, laid out as for
+    :func:`_diagonal_entropy_terms`; the condition-satisfying stream is the embedded qutrit's."""
+    probs = rng.standard_exponential((n, dim_a * dim_b - 1))
+    # normalized in place, the row sum term by term: a reduction over the short axis
     # cost as much as the rest of the sampler
-    probs /= (probs[:, 0] + probs[:, 1] + probs[:, 2])[:, None]
-    weights = _scale_draws(rng, (n, 4))
+    probs /= _sum(list(probs.T))[:, None]
+    weights = _scale_draws(rng, (n, dim_a + dim_b))
     # resample weight rows until (phi1 - phi2)(chi2 - chi1) >= 0: each pass tests only its fresh
-    # draw, and writes each redrawn row once, as one 32-byte item of a row view
-    w, rows, items = weights, np.arange(n), weights.view(_ROW)[:, 0]
+    # draw, and writes each redrawn row once, as one item of a row view
+    row = np.dtype((np.void, weights.itemsize * weights.shape[1]))
+    w, rows, items = weights, np.arange(n), weights.view(row)[:, 0]
     while condition_satisfying:
         rows = rows[np.flatnonzero((w[:, 0] - w[:, 1]) * (w[:, 3] - w[:, 2]) < 0.0)]
         if not rows.size:
             break
         w = _scale_draws(rng, (rows.size, 4))
-        items[rows] = w.view(_ROW)[:, 0]
+        items[rows] = w.view(row)[:, 0]
     return probs, weights
 
 
@@ -261,21 +296,22 @@ def _chunk_items(d: int) -> int:
     return max(1, _CHUNK_ENTRIES // d**2)
 
 
-def _diagonal_violators(probs: np.ndarray, weights: np.ndarray, idx: np.ndarray):
+def _diagonal_violators(probs: np.ndarray, weights: np.ndarray, dim_a: int, dim_b: int, idx: np.ndarray):
     # every field is elementwise, so evaluating the violators alone leaves their bits as they are
     p, w = probs[idx], weights[idx]
-    matrices = _diag_stack(np.pad(p, ((0, 0), (0, 1)))), _diag_stack(w[:, :2]), _diag_stack(w[:, 2:])
-    return _diagonal_report_fields(p, w), matrices
+    matrices = _diag_stack(np.pad(p, ((0, 0), (0, 1)))), _diag_stack(w[:, :dim_a]), _diag_stack(w[:, dim_a:])
+    return _diagonal_report_fields(p, w, dim_a, dim_b), matrices
 
 
-def _diagonal_chunks(rng: np.random.Generator, n: int, condition_satisfying: bool) -> _Chunks:
+def _diagonal_chunks(rng: np.random.Generator, n: int, dim_a: int, dim_b: int,
+                     condition_satisfying: bool) -> _Chunks:
     # the whole sample is drawn at once, so the stream does not depend on the chunk size;
     # every field is elementwise, so neither do its bits
-    probs, weights = _sample_diagonal(rng, n, condition_satisfying)
-    size = _chunk_items(4)  # sized by the embedded 4x4 state a record holds
+    probs, weights = _sample_diagonal(rng, n, dim_a, dim_b, condition_satisfying)
+    size = _chunk_items(dim_a * dim_b)  # sized by the d x d state a record holds
     for start in range(0, n, size):
         p, w = probs[start:start + size], weights[start:start + size]
-        yield _diagonal_gap(p, w), partial(_diagonal_violators, p, w)
+        yield _diagonal_gap(p, w, dim_a, dim_b), partial(_diagonal_violators, p, w, dim_a, dim_b)
 
 
 def _general_violators(fields: dict[str, np.ndarray], rho: np.ndarray, wa: np.ndarray, wb: np.ndarray,
@@ -312,14 +348,15 @@ def audit_random(
 
     - ``diagonal-condition-satisfying``: embedded-qutrit states (a zero
       fourth level) with diagonal weights resampled until the sign condition
-      holds. The inequality is a theorem here; violations mean a bug.
-    - ``diagonal-unconstrained``: same family, weights unconstrained, so
-      genuine violations are expected and get recorded.
+      holds. The inequality is a theorem here; violations mean a bug. The
+      sign test is the trace condition only for the qutrit, so this regime
+      requires 2x2 factors.
+    - ``diagonal-unconstrained``: diagonal states of any factor dims, an
+      embedded ``(dim_a dim_b - 1)``-level qudit whose last cell is zero, with
+      unconstrained diagonal weights, so genuine violations are expected and
+      get recorded.
     - ``general-unconstrained``: dense random states and weights of any
       requested factor dims, drawn and evaluated one chunk of stacks at a time.
-
-    The diagonal regimes model the zero-padded qutrit family, which is what
-    the sign condition is about, so they require 2x2 factors.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
@@ -333,10 +370,10 @@ def audit_random(
     rng = np.random.default_rng(seed)
     if regime == "general-unconstrained":
         chunks = _general_chunks(rng, n, dim_a, dim_b, tolerance)
-    elif dim_a != 2 or dim_b != 2:
+    elif regime == "diagonal-condition-satisfying" and (dim_a, dim_b) != (2, 2):
         raise DimensionError(f"regime {regime!r} needs 2x2 factors, got {dim_a}x{dim_b}")
     else:
-        chunks = _diagonal_chunks(rng, n, regime == "diagonal-condition-satisfying")
+        chunks = _diagonal_chunks(rng, n, dim_a, dim_b, regime == "diagonal-condition-satisfying")
 
     # one scan: each chunk leaves its smallest gap, its violators' fields as Python floats
     # and their (k, d, d) stacks; the records are built once, at the end

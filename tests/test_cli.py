@@ -380,6 +380,16 @@ class TestChannelCommand:
         assert '"tolerance": 1e-06' in result.output
         assert json.loads(result.output)["report"]["tolerance"] == 1e-6
 
+    def test_weights_are_validated_at_tol(self, runner, example_files):
+        # --phi1 is judged at --tol like the state and the projector, not at the default 1e-10
+        args = ["channel", example_files["state"], example_files["proj"]]
+        result = runner.invoke(main, args + ["--tol", "1e-12", "--phi1", "-1e-11"])
+        assert result.exit_code == 2
+        assert "weight is not positive semidefinite" in result.stderr
+        result = runner.invoke(main, args + ["--tol", "1e-6", "--phi1", "-1e-8"])
+        assert result.exit_code == 0, result.stderr
+        assert json.loads(result.output)["report"]["tolerance"] == 1e-6
+
     def test_vanishing_overlap_exits_4(self, runner, example_files, tmp_path):
         state = write_matrix(tmp_path / "s.json", np.diag([0.0, 1.0, 0.0, 0.0]))
         result = runner.invoke(main, ["channel", state, example_files["proj"]])
@@ -435,7 +445,7 @@ class TestAuditCommand:
 
     def test_diagonal_regime_wrong_dims_exits_3(self, runner):
         result = runner.invoke(
-            main, ["audit", "--n", "10", "--dims", "2x3", "--regime", "diagonal-unconstrained"]
+            main, ["audit", "--n", "10", "--dims", "2x3", "--regime", "diagonal-condition-satisfying"]
         )
         assert result.exit_code == 3
 
@@ -518,6 +528,7 @@ class TestJsonMatchesOracle:
         ("diagonal-unconstrained", "2x2", 2000, 3),
         ("diagonal-condition-satisfying", "2x2", 500, 0),
         ("general-unconstrained", "2x3", 2000, 1),
+        ("diagonal-unconstrained", "2x3", 2000, 1),
     ])
     def test_cli_output_equals_json_dumps(self, runner, regime, dims, n, seed):
         dim_a, dim_b = map(int, dims.split("x"))

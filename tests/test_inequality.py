@@ -434,23 +434,34 @@ class TestDiagonalEngine:
             assert abs(closed - rep.gap) < 1e-12
             assert abs(closed - fields["gap"][0]) < 1e-12
 
-    def test_matches_batched_engine_bit_for_bit(self):
-        probs, weights = _sample_diagonal(np.random.default_rng(5), 10_000, False)
+    @pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 4), (3, 5)])
+    def test_matches_batched_engine_bit_for_bit(self, da, db):
+        m = da * db - 1
+        probs, weights = _sample_diagonal(np.random.default_rng(5), 10_000, da, db, False)
         edge = [0.0, 1e-12, np.nextafter(1e-12, np.inf), np.nextafter(1e-12, -np.inf), 5e-324]
-        rows = [[x, 0.5, 0.5 - x] for x in edge] + [[0.5 - x, x, 0.5] for x in edge] + [[1.0, 0.0, 0.0]]
+        # x at cell c, 0.5 at the next and 0.5 - x at the one before: at 2x2 the rows
+        # (x, 0.5, 0.5 - x) and (0.5 - x, x, 0.5)
+        rows = np.zeros((2 * len(edge) + 1, m))
+        for i, (c, x) in enumerate((c, x) for c in (0, 1) for x in edge):
+            rows[i, [c, (c + 1) % m, c - 1]] = x, 0.5, 0.5 - x
+        rows[-1, 0] = 1.0
         probs = np.concatenate([probs, rows])
-        weights = np.concatenate([weights, np.tile([0.75, 0.25, 1 / 3, 2 / 3], (len(rows), 1))])
-        fields = _diagonal_report_fields(probs, weights)
-        # the same samples as the diagonal 4x4 stacks the audit records, through the dense engine
+        weights = np.concatenate([weights, np.tile(np.resize(EXAMPLE_WEIGHTS, da + db), (len(rows), 1))])
+        fields = _diagonal_report_fields(probs, weights, da, db)
+        # the same samples as the diagonal stacks the audit records, through the dense engine
         rho = _diag_stack(np.pad(probs, ((0, 0), (0, 1))))
-        reference = _report_fields(rho, _eigh(rho), _diag_stack(weights[:, :2]), _diag_stack(weights[:, 2:]),
-                                   2, 2, DEFAULT_TOL)
+        reference = _report_fields(rho, _eigh(rho), _diag_stack(weights[:, :da]), _diag_stack(weights[:, da:]),
+                                   da, db, DEFAULT_TOL)
         assert tuple(fields) == tuple(reference)
         for k, v in fields.items():
-            assert v.tobytes() == reference[k].tobytes(), k
+            if (da, db) == (2, 2):
+                assert v.tobytes() == reference[k].tobytes(), k
+            else:
+                # the engine sums each reduced spectrum in ascending order, the kernel in cell order
+                assert np.abs(v - reference[k]).max() <= 2e-15, k
 
     def test_gap_kernel_matches_report_gap_bit_for_bit(self):
-        probs, weights = _sample_diagonal(np.random.default_rng(8), 10_000, False)
+        probs, weights = _sample_diagonal(np.random.default_rng(8), 10_000, 2, 2, False)
         edge = [0.0, 1e-12, np.nextafter(1e-12, np.inf), np.nextafter(1e-12, -np.inf), 5e-324]
         rows = [[x, 0.5, 0.5 - x] for x in edge] + [[0.5 - x, x, 0.5] for x in edge]
         rows += [[0.5, 0.5 - x, x] for x in edge] + [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -491,11 +502,14 @@ class TestCommutingFamily:
         assert rep.gap - rep.condition_gap >= -1e-12
         assert rep.subadditivity_holds or not rep.condition_holds
 
-    @given(st.integers(0, 2**32 - 1), st.booleans())
-    @settings(max_examples=20, deadline=None)
-    def test_diagonal_regimes_bound_condition_gap(self, seed, condition_satisfying):
-        probs, weights = _sample_diagonal(np.random.default_rng(seed), 2000, condition_satisfying)
-        fields = _diagonal_report_fields(probs, weights)
+    @given(st.integers(0, 2**32 - 1),
+           st.one_of(st.just((2, 2, True)), st.tuples(st.integers(2, 4), st.integers(2, 4), st.just(False))))
+    @settings(max_examples=40, deadline=None)
+    def test_diagonal_regimes_bound_condition_gap(self, seed, regime):
+        # condition-satisfying samples exist at 2x2 only; unconstrained ones at every dims
+        da, db, condition_satisfying = regime
+        probs, weights = _sample_diagonal(np.random.default_rng(seed), 2000, da, db, condition_satisfying)
+        fields = _diagonal_report_fields(probs, weights, da, db)
         assert (fields["gap"] - fields["condition_gap"]).min() >= -1e-12
 
 
@@ -560,7 +574,7 @@ def sample_diagonal_full_retest(rng, n, condition_satisfying):
 
 def diagonal_records_per_item(n, seed, tolerance=1e-10):
     """Violation records of the unconstrained diagonal audit, built one item at a time."""
-    probs, weights = _sample_diagonal(np.random.default_rng(seed), n, False)
+    probs, weights = _sample_diagonal(np.random.default_rng(seed), n, 2, 2, False)
     fields = _diagonal_report_fields(probs, weights)
     out = []
     for i in np.nonzero(fields["gap"] < -tolerance)[0]:
@@ -608,7 +622,7 @@ class TestDiagonalSampler:
         # at n = 1e5 the resampler runs its roughly 19 passes at audit size
         for n in (10_000, 100_000):
             rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            probs, weights = _sample_diagonal(rng_new, n, condition_satisfying)
+            probs, weights = _sample_diagonal(rng_new, n, 2, 2, condition_satisfying)
             ref_probs, ref_weights = sample_diagonal_full_retest(rng_ref, n, condition_satisfying)
             assert np.array_equal(probs, ref_probs)
             assert np.array_equal(weights, ref_weights)
@@ -681,6 +695,21 @@ class TestViolationRecords:
             assert_plain_report(v.report, tolerance)
             assert v.report.condition_holds and not v.report.subadditivity_holds
 
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
+    def test_diagonal_records_at_any_dims_match_check(self, dims):
+        d = dims[0] * dims[1]
+        summary = audit_random(2000, *dims, 1, "diagonal-unconstrained")
+        assert summary.violations
+        for v in summary.violations:
+            assert v.state.shape == (d, d) and v.state[-1, -1] == 0.0
+            assert (v.weight_a.shape, v.weight_b.shape) == ((dims[0],) * 2, (dims[1],) * 2)
+            rep = check_subadditivity(WeightMatrix(v.weight_a), WeightMatrix(v.weight_b),
+                                      BipartiteState(DensityMatrix(v.state), *dims))
+            for k in REPORT_FIELDS:
+                assert abs(getattr(rep, k) - getattr(v.report, k)) <= 1e-12, k
+            # the weighted Gibbs bound: no diagonal violation passes its trace condition
+            assert not v.report.condition_holds
+
     def test_condition_satisfying_records_none(self):
         for seed in (3, 11):
             assert audit_random(20_000, 2, 2, seed, "diagonal-condition-satisfying").violations == ()
@@ -694,12 +723,12 @@ def shift_diagonal_gaps(monkeypatch, shift):
     real_gap, real_fields = wqent.inequality._diagonal_gap, wqent.inequality._diagonal_report_fields
     sizes = []
 
-    def shifted_gap(probs, weights):
+    def shifted_gap(probs, weights, *dims):
         sizes.append(len(probs))
-        return real_gap(probs, weights) - shift
+        return real_gap(probs, weights, *dims) - shift
 
-    def shifted_fields(probs, weights):
-        fields = real_fields(probs, weights)
+    def shifted_fields(probs, weights, *dims):
+        fields = real_fields(probs, weights, *dims)
         fields["gap"] = fields["gap"] - shift
         return fields
 
@@ -743,6 +772,17 @@ class TestChunkedScan:
         assert_same_audit(chunked, whole)
         if n == 50:
             assert 0 < len(whole.violations) < n
+
+    @pytest.mark.parametrize("n", [1, 7, 50])
+    def test_diagonal_chunks_are_sized_by_the_dims(self, monkeypatch, shifted_diagonal, n):
+        whole = audit_random(n, 2, 3, 2, "diagonal-unconstrained", tolerance=1e-9)
+        assert shifted_diagonal == [n]
+        shifted_diagonal.clear()
+        # 7 embedded 6x6 states per chunk
+        monkeypatch.setattr(wqent.inequality, "_CHUNK_ENTRIES", 7 * 36)
+        chunked = audit_random(n, 2, 3, 2, "diagonal-unconstrained", tolerance=1e-9)
+        assert shifted_diagonal == [7] * (n // 7) + [n % 7] * (n % 7 > 0)
+        assert_same_audit(chunked, whole)
 
     def test_default_chunk_sizes(self):
         sizes = {dims: wqent.inequality._chunk_items(dims[0] * dims[1])
