@@ -5,8 +5,8 @@ Usage: python scripts/compare_outputs.py OLD_SRC NEW_SRC
 OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts. Every case
 runs in a fresh interpreter with ``PYTHONPATH`` set to one of them: the three
 default sweep CSVs and ``sweep prob --grid-n 1``, diagonal audits (n = 1000 at
-seeds 0-2 and n = 1e5 at seed 5, in both regimes, and an unconstrained one at
-2x3), general audits at 2x2 and 2x3,
+seeds 0-2 and n = 1e5 at seed 5, in both regimes, and unconstrained ones at
+2x3 and 3x3), general audits at 2x2 and 2x3,
 ``entropy`` of the worked-example state under its product weight, ``check``
 and ``channel`` JSON on the worked example (at the default ``--tol`` and at
 ``--tol 1e-6``), ``check`` on the committed non-commuting counterexample in
@@ -59,8 +59,10 @@ def cases(files: dict) -> dict:
     for regime in ("diagonal-condition-satisfying", "diagonal-unconstrained"):
         out[f"audit {regime} n=100000 seed=5"] = cli + [
             "audit", "--n", "100000", "--seed", "5", "--regime", regime]
-    out["audit diagonal-unconstrained 2x3 n=2000 seed=1"] = cli + [
-        "audit", "--n", "2000", "--seed", "1", "--dims", "2x3", "--regime", "diagonal-unconstrained"]
+    # at 3x3 no row or column has a single cell, so no group term reuses its cell's log
+    for dims in ("2x3", "3x3"):
+        out[f"audit diagonal-unconstrained {dims} n=2000 seed=1"] = cli + [
+            "audit", "--n", "2000", "--seed", "1", "--dims", dims, "--regime", "diagonal-unconstrained"]
     for dims in ("2x2", "2x3"):
         out[f"audit general-unconstrained {dims} n=2000 seed=1"] = cli + [
             "audit", "--n", "2000", "--seed", "1", "--dims", dims, "--regime", "general-unconstrained"]

@@ -1,8 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 validation failure, 3 dimension mismatch,
-4 channel undefined, 5 matrix-file parse error. Matrix files are JSON
-objects with keys ``dim``, ``re`` and optionally ``im`` (dim x dim arrays).
+Exit codes: 0 success, 2 validation failure or a size too large to
+allocate, 3 dimension mismatch, 4 channel undefined, 5 matrix-file parse
+error. Matrix files are JSON objects with keys ``dim``, ``re`` and
+optionally ``im`` (dim x dim arrays).
 """
 
 from __future__ import annotations
@@ -42,13 +43,14 @@ from .inequality import (
 from .channel import Projector, channel_then_check
 from .sweeps import PROB_SWEEP_WEIGHTS, WEIGHT_SWEEP_PROBS, grid_to_csv, sweep_probabilities, sweep_weights
 
-# Exit code per error type, first match wins. The first three are plain
-# ValueErrors, so ValidationError must come last.
+# Exit code per error type. The four wqent errors are siblings under ValueError, so
+# their order does not matter. A MemoryError is a size that cannot be allocated.
 EXIT_CODES = (
     (MatrixFileError, 5),
     (DimensionError, 3),
     (ChannelUndefinedError, 4),
     (ValidationError, 2),
+    (MemoryError, 2),
 )
 
 

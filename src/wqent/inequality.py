@@ -162,43 +162,19 @@ class AuditSummary:
 
 
 @lru_cache(maxsize=None)
-def _cell_groups(dim_a: int, dim_b: int) -> tuple[tuple[range, ...], tuple[range, ...], frozenset[int]]:
-    """The occupied cells of each row of A and of each column of B, in cell order, and the cells
-    alone in their row or column.
+def _cell_groups(dim_a: int, dim_b: int) -> tuple[tuple[range, ...], tuple[range, ...]]:
+    """The occupied cells of each row of A and of each column of B, in cell order.
 
     Cell ``c`` is ``divmod(c, dim_b)``; the last cell is the zero level, so it is in no group.
     """
     cells = range(dim_a * dim_b - 1)
-    rows = tuple(cells[a * dim_b:(a + 1) * dim_b] for a in range(dim_a))
-    cols = tuple(cells[b::dim_b] for b in range(dim_b))
-    return rows, cols, frozenset(g[0] for g in rows + cols if len(g) == 1)
+    return (tuple(cells[a * dim_b:(a + 1) * dim_b] for a in range(dim_a)),
+            tuple(cells[b::dim_b] for b in range(dim_b)))
 
 
 def _sum(terms: list[np.ndarray]) -> np.ndarray:
     """The terms summed left to right into a new array; a single term is returned as it is."""
     return sum(terms[1:], terms[0])
-
-
-def _group_log_terms(groups, probs, lns, masses, spent: bool) -> np.ndarray:
-    """Sum over ``groups`` of each group's mass times the support log of its marginal, in group order.
-
-    A one-cell group's marginal is its cell, so its term scales that cell's log in place. A larger
-    group sums its masses into its first cell's mass if they are ``spent``, else into a new array.
-    """
-    x = None
-    for g in groups:
-        if len(g) == 1:
-            term = lns[g[0]]
-            term *= masses[g[0]]
-        else:
-            term = np.add(masses[g[0]], masses[g[1]], out=masses[g[0]] if spent else None)
-            marginal = probs[g[0]] + probs[g[1]]
-            for c in g[2:]:
-                term += masses[c]
-                marginal += probs[c]
-            term *= _ln_support(marginal)
-        x = term if x is None else np.add(x, term, out=x)
-    return x
 
 
 def _diagonal_entropy_terms(probs: np.ndarray, weights: np.ndarray, dim_a: int, dim_b: int):
@@ -207,28 +183,27 @@ def _diagonal_entropy_terms(probs: np.ndarray, weights: np.ndarray, dim_a: int, 
     Each entropy of the report is ``0.0 - x``. Column ``c`` of ``probs (n, dim_a dim_b - 1)``
     is cell ``divmod(c, dim_b)``; ``weights (n, dim_a + dim_b)`` holds phi, then chi. Each sum
     runs left to right in cell order, with support conventions keyed on the same eigenvalues as
-    the matrix path.
+    the matrix path. A row or column term is its masses ``w_ab p_c`` summed, times the support
+    log of its marginal, which for a one-cell group is its cell's log.
     """
-    rows, cols, lone = _cell_groups(dim_a, dim_b)
-    # one contiguous row per cell, so every pass below reads at unit stride: over the strided
-    # columns of probs the kernel took about a tenth longer at 2x2
+    rows, cols = _cell_groups(dim_a, dim_b)
+    # one contiguous row per cell: over the strided columns of probs the kernel took about a fifth
+    # longer. The weights stay strided views: copying them made the kernel about 14% slower at 2x2
     p, phi, chi = np.ascontiguousarray(probs.T), weights[:, :dim_a].T, weights[:, dim_a:].T
-    # each support log and each weighted probability w_ab p_c is formed once and shared by the
-    # terms, in the operation order of separate terms, so every sum rounds alike; a buffer is
-    # written in place only once no other term reads it
-    masses = [phi[c // dim_b] * chi[c % dim_b] for c in range(len(p))]
-    lns, x_ab = {}, None
-    for c, (q, w) in enumerate(zip(p, masses)):
-        ln = _ln_support(q)
-        if c in lone:  # its group's term reads its log again
-            lns[c], term = ln, q * ln
-        else:
-            term = np.multiply(q, ln, out=ln)
-        term *= w
-        x_ab = term if x_ab is None else np.add(x_ab, term, out=x_ab)
-        w *= q  # w_ab p_c from here on
-    # the rows read every mass first, so only the columns may sum into them
-    return x_ab, _group_log_terms(rows, p, lns, masses, False), _group_log_terms(cols, p, lns, masses, True)
+    lns = [_ln_support(q) for q in p]
+    # x_ab and each mass accumulate in place: as fresh arrays the kernel took about 9% longer at 2x2
+    x_ab, masses = None, []
+    for c, (q, ln) in enumerate(zip(p, lns)):
+        t = q * ln
+        mass = phi[c // dim_b] * chi[c % dim_b]
+        t *= mass
+        x_ab = t if x_ab is None else np.add(x_ab, t, out=x_ab)
+        mass *= q  # w_ab p_c from here on
+        masses.append(mass)
+    x_a, x_b = (_sum([_sum([masses[c] for c in g])
+                      * (lns[g[0]] if len(g) == 1 else _ln_support(_sum([p[c] for c in g]))) for g in groups])
+                for groups in (rows, cols))
+    return x_ab, x_a, x_b
 
 
 def _diagonal_gap(probs: np.ndarray, weights: np.ndarray, dim_a: int = 2, dim_b: int = 2) -> np.ndarray:
@@ -247,7 +222,7 @@ def _diagonal_report_fields(probs: np.ndarray, weights: np.ndarray, dim_a: int =
     """Report fields of diagonal states under diagonal weights, laid out as for
     :func:`_diagonal_entropy_terms`; the default dims are the embedded qutrit's."""
     x_ab, x_a, x_b = _diagonal_entropy_terms(probs, weights, dim_a, dim_b)
-    rows, cols, _ = _cell_groups(dim_a, dim_b)
+    rows, cols = _cell_groups(dim_a, dim_b)
     p, phi, chi = probs.T, weights[:, :dim_a].T, weights[:, dim_a:].T
     lhs = _sum([phi[c // dim_b] * chi[c % dim_b] * q for c, q in enumerate(p)])
     # tr(phi_A rho_A) tr(phi_B rho_B), each marginal summed in cell order

@@ -450,6 +450,19 @@ class TestAuditCommand:
         assert result.exit_code == 3
 
 
+# a 218 TiB draw and a 71.1 PiB grid mask, each more than a 47-bit user address space holds,
+# so the allocation fails at once
+@pytest.mark.parametrize("args", [
+    ["audit", "--n", "10000000000000", "--regime", "diagonal-unconstrained"],
+    ["sweep", "prob", "--grid-n", "100000000"],
+])
+def test_size_too_large_to_allocate_exits_2(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: Unable to allocate")
+    assert result.stdout == ""
+
+
 class TestUnwritableOut:
     """An --out that cannot be opened for writing is a validation failure naming the path."""
 

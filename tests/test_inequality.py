@@ -512,6 +512,14 @@ class TestCommutingFamily:
         fields = _diagonal_report_fields(probs, weights, da, db)
         assert (fields["gap"] - fields["condition_gap"]).min() >= -1e-12
 
+    @pytest.mark.parametrize("da, db", [(da, db) for da in range(2, 5) for db in range(2, 5)])
+    def test_bound_holds_on_1e5_unconstrained_samples(self, da, db):
+        # one audit-sized draw per dims, whose smallest margin of gap over condition_gap is far
+        # above rounding: a kernel that drops a row or column term fails here
+        probs, weights = _sample_diagonal(np.random.default_rng(0), 100_000, da, db, False)
+        fields = _diagonal_report_fields(probs, weights, da, db)
+        assert (fields["gap"] - fields["condition_gap"]).min() >= -1e-12
+
 
 COUNTEREXAMPLE = pathlib.Path(__file__).parent / "fixtures" / "noncommuting_counterexample"
 

@@ -19,4 +19,4 @@ def test_compare_outputs_finds_a_tree_identical_to_itself():
     res = run_script("compare_outputs.py", src, src)
     assert res.returncode == 0, res.stdout + res.stderr
     assert "DIFFERS" not in res.stdout
-    assert res.stdout.splitlines()[-1] == "29 of 29 cases identical"
+    assert res.stdout.splitlines()[-1] == "30 of 30 cases identical"
