@@ -3,16 +3,10 @@
 Usage: python scripts/compare_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts. Every case
-runs in a fresh interpreter with ``PYTHONPATH`` set to one of them: the three
-default sweep CSVs and ``sweep prob --grid-n 1``, diagonal audits (n = 1000 at
-seeds 0-2 and n = 1e5 at seed 5, in both regimes, and unconstrained ones at
-2x3 and 3x3), general audits at 2x2 and 2x3,
-``entropy`` of the worked-example state under its product weight, ``check``
-and ``channel`` JSON on the worked example (at the default ``--tol`` and at
-``--tol 1e-6``), ``check`` on the committed non-commuting counterexample in
-``tests/fixtures/``, two ``qutrit`` calls, one failing call per error exit
-code (2 to 5), ``sweep prob --grid-n 1`` with a NaN weight, and ``sweep
-weight`` with an ``--out`` that is a directory.
+runs in a fresh interpreter with ``PYTHONPATH`` set to one of them. The cases,
+listed once in ``cases()``, cover the default sweep CSVs, audits in every
+regime, ``entropy``, ``check``, ``channel`` and ``qutrit`` on the worked
+example, and failing calls for every error exit code (2 to 5).
 A case differs when its exit code, stdout or stderr does.
 Each differing case is named; the exit code is 1 if any case differs, else 0.
 Two interpreters run at a time.
@@ -77,6 +71,8 @@ def cases(files: dict) -> dict:
     out["qutrit 0.5 0.5 1 0 0 1"] = cli + ["qutrit", "0.5", "0.5", "1", "0", "0", "1"]
     out["exit 2: sweep prob grid-n 0"] = cli + ["sweep", "prob", "--grid-n", "0"]
     out["exit 2: sweep prob grid-n 1 phi1 nan"] = cli + ["sweep", "prob", "--grid-n", "1", "--phi1", "nan"]
+    # finite weights whose product overflows a float
+    out["exit 2: sweep prob phi1 2e154 chi1 1e154"] = cli + ["sweep", "prob", "--phi1", "2e154", "--chi1", "1e154"]
     out["exit 3: audit diagonal-condition-satisfying 2x3"] = cli + [
         "audit", "--dims", "2x3", "--regime", "diagonal-condition-satisfying"]
     out["exit 4: channel worked example diag(0, 0, 0, 1)"] = cli + [

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 from .linalg import SUPPORT_EPS, SpectralDecomposition, _dagger, _eigh, _ln_support, _trace_product
 from .linalg import xlogx_matrix
-from .states import DensityMatrix, WeightMatrix, _nonnegative_weights, _simplex
+from .states import DensityMatrix, WeightMatrix, _finite, _nonnegative_weights, _simplex
 
 
 def _joint_entropy(phi: np.ndarray, spectrum: SpectralDecomposition) -> np.ndarray:
@@ -65,7 +65,8 @@ def qutrit_mutual_information_closed_form(p1, p2, phi1, phi2, chi1, chi2):
     (above 1e-12) of its argument, as the matrix path takes it on reduced
     eigenvalues; ``1 / p1`` applies only where ``p1`` is on the support.
     Weights must be nonnegative and finite; zero weights let region boundaries
-    evaluate. A NaN or infinite probability or weight raises.
+    evaluate. A NaN or infinite probability or weight raises, and so do finite
+    weights too large for a finite result.
     """
     p1v, p2v = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)
     p1v, p2v, p3 = _simplex(p1v, p2v, 1.0 - p1v - p2v)
@@ -73,9 +74,10 @@ def qutrit_mutual_information_closed_form(p1, p2, phi1, phi2, chi1, chi2):
     a1 = p1v + p2v
     b1 = p1v + p3
     safe_p1 = np.where(p1v > SUPPORT_EPS, p1v, 1.0)
-    t1 = f1 * c1 * p1v * _ln_support(a1 * b1 / safe_p1)
-    t2 = f1 * c2 * p2v * _ln_support(a1)
-    t3 = f2 * c1 * p3 * _ln_support(b1)
-    # 0.0 - x instead of -x: an all-zero sum comes back as +0.0, not -0.0
-    out = 0.0 - (t1 + t2 + t3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t1 = f1 * c1 * p1v * _ln_support(a1 * b1 / safe_p1)
+        t2 = f1 * c2 * p2v * _ln_support(a1)
+        t3 = f2 * c1 * p3 * _ln_support(b1)
+        # 0.0 - x instead of -x: an all-zero sum comes back as +0.0, not -0.0
+        out = _finite(0.0 - (t1 + t2 + t3), "the qutrit mutual information")
     return float(out) if out.ndim == 0 else out

@@ -5,7 +5,7 @@ boolean verdicts, and the audit collects violations instead of raising.
 One engine over stacks fills every report, one item for ``check_subadditivity``
 and one chunk of samples at a time for the general audit; the diagonal regimes
 have one kernel over the occupied cells of a diagonal state, at any factor dims,
-with a variant for the gap alone. It is the one matrix path: the
+run once per chunk. It is the one matrix path: the
 weighted mutual information is a report's ``gap`` and the trace condition its
 ``condition_gap``. An audit scans the gap of every sample and builds full
 reports for its violators only.
@@ -24,7 +24,7 @@ from .errors import DimensionError, ValidationError
 from .linalg import DEFAULT_TOL, SpectralDecomposition, _eigh, _kron, _ln_support, _trace_product
 from .linalg import partial_trace
 from .states import BipartiteState, WeightMatrix
-from .states import _density_stack, _nonnegative_weights, _positive_tol, _scale_draws, _simplex, _weight_stack
+from .states import _density_stack, _finite, _nonnegative_weights, _positive_tol, _scale_draws, _simplex, _weight_stack
 from .entropy import _joint_entropy, _subsystem_entropy
 
 AUDIT_REGIMES = (
@@ -44,9 +44,11 @@ class WeightCondition(NamedTuple):
 
 
 def qutrit_weight_condition(phi1: float, phi2: float, chi1: float, chi2: float) -> WeightCondition:
-    """Sign test ``(phi1 - phi2)(chi2 - chi1) >= 0`` for embedded qutrits; weights nonnegative and finite."""
+    """Sign test ``(phi1 - phi2)(chi2 - chi1) >= 0`` for embedded qutrits; weights nonnegative and finite,
+    and the product finite too."""
     f1, f2, c1, c2 = _nonnegative_weights(phi1, phi2, chi1, chi2)
-    value = (f1 - f2) * (c2 - c1)
+    with np.errstate(over="ignore"):
+        value = _finite((f1 - f2) * (c2 - c1), "the weight condition")
     return WeightCondition(float(value), bool(value >= 0.0))
 
 
@@ -54,12 +56,14 @@ def qutrit_condition_gap(p1, p2, phi1, phi2, chi1, chi2):
     """Trace-condition gap of an embedded qutrit in product form.
 
     Equals the ``condition_gap`` of :func:`check_subadditivity` on the
-    embedded state: ``p2 (1 - p1 - p2) (phi1 - phi2) (chi2 - chi1)``.
+    embedded state: ``p2 (1 - p1 - p2) (phi1 - phi2) (chi2 - chi1)``. Weights too large
+    for a finite gap raise.
     """
     p1v, p2v = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)
     p1v, p2v, p3 = _simplex(p1v, p2v, 1.0 - p1v - p2v)
     f1, f2, c1, c2 = _nonnegative_weights(phi1, phi2, chi1, chi2)
-    out = p2v * p3 * (f1 - f2) * (c2 - c1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _finite(p2v * p3 * (f1 - f2) * (c2 - c1), "the trace-condition gap")
     return float(out) if out.ndim == 0 else out
 
 
@@ -206,22 +210,11 @@ def _diagonal_entropy_terms(probs: np.ndarray, weights: np.ndarray, dim_a: int, 
     return x_ab, x_a, x_b
 
 
-def _diagonal_gap(probs: np.ndarray, weights: np.ndarray, dim_a: int = 2, dim_b: int = 2) -> np.ndarray:
-    """The ``gap`` field of :func:`_diagonal_report_fields` alone, bit for bit.
-
-    ``x_ab - (x_a + x_b)`` rounds as ``s_a + s_b - s_ab`` does, since negation is exact.
-    """
-    x_ab, x_a, x_b = _diagonal_entropy_terms(probs, weights, dim_a, dim_b)
-    x_a += x_b
-    x_ab -= x_a
-    return x_ab
-
-
-def _diagonal_report_fields(probs: np.ndarray, weights: np.ndarray, dim_a: int = 2,
-                            dim_b: int = 2) -> dict[str, np.ndarray]:
+def _diagonal_report_fields(probs: np.ndarray, weights: np.ndarray, dim_a: int, dim_b: int,
+                            terms: tuple[np.ndarray, ...]) -> dict[str, np.ndarray]:
     """Report fields of diagonal states under diagonal weights, laid out as for
-    :func:`_diagonal_entropy_terms`; the default dims are the embedded qutrit's."""
-    x_ab, x_a, x_b = _diagonal_entropy_terms(probs, weights, dim_a, dim_b)
+    :func:`_diagonal_entropy_terms`, from their entropy sums ``terms``."""
+    x_ab, x_a, x_b = terms
     rows, cols = _cell_groups(dim_a, dim_b)
     p, phi, chi = probs.T, weights[:, :dim_a].T, weights[:, dim_a:].T
     lhs = _sum([phi[c // dim_b] * chi[c % dim_b] * q for c, q in enumerate(p)])
@@ -271,11 +264,12 @@ def _chunk_items(d: int) -> int:
     return max(1, _CHUNK_ENTRIES // d**2)
 
 
-def _diagonal_violators(probs: np.ndarray, weights: np.ndarray, dim_a: int, dim_b: int, idx: np.ndarray):
-    # every field is elementwise, so evaluating the violators alone leaves their bits as they are
+def _diagonal_violators(probs: np.ndarray, weights: np.ndarray, dim_a: int, dim_b: int,
+                        terms: tuple[np.ndarray, ...], idx: np.ndarray):
+    # every field is elementwise, so the violators' rows of the chunk's sums give their bits
     p, w = probs[idx], weights[idx]
     matrices = _diag_stack(np.pad(p, ((0, 0), (0, 1)))), _diag_stack(w[:, :dim_a]), _diag_stack(w[:, dim_a:])
-    return _diagonal_report_fields(p, w, dim_a, dim_b), matrices
+    return _diagonal_report_fields(p, w, dim_a, dim_b, tuple(x[idx] for x in terms)), matrices
 
 
 def _diagonal_chunks(rng: np.random.Generator, n: int, dim_a: int, dim_b: int,
@@ -286,7 +280,9 @@ def _diagonal_chunks(rng: np.random.Generator, n: int, dim_a: int, dim_b: int,
     size = _chunk_items(dim_a * dim_b)  # sized by the d x d state a record holds
     for start in range(0, n, size):
         p, w = probs[start:start + size], weights[start:start + size]
-        yield _diagonal_gap(p, w, dim_a, dim_b), partial(_diagonal_violators, p, w, dim_a, dim_b)
+        terms = x_ab, x_a, x_b = _diagonal_entropy_terms(p, w, dim_a, dim_b)
+        # x_ab - (x_a + x_b) rounds as the report's s_a + s_b - s_ab does, since negation is exact
+        yield x_ab - (x_a + x_b), partial(_diagonal_violators, p, w, dim_a, dim_b, terms)
 
 
 def _general_violators(fields: dict[str, np.ndarray], rho: np.ndarray, wa: np.ndarray, wb: np.ndarray,

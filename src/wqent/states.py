@@ -55,6 +55,17 @@ def _nonnegative_weights(*weights) -> list[np.ndarray]:
     return arrays
 
 
+def _finite(out, label: str):
+    """``out`` once every entry is finite.
+
+    Its inputs were checked finite and it was formed with numpy's overflow and invalid
+    warnings off, so a non-finite entry is an overflow, and it raises as one.
+    """
+    if not np.isfinite(out).all():
+        raise ValidationError(f"{label} overflows a float at these weights")
+    return out
+
+
 def _validated(matrix, tol: float, label: str) -> np.ndarray:
     """The frozen Hermitian part of one finite square matrix, Hermitian within ``tol``."""
     _positive_tol(tol)

@@ -305,6 +305,18 @@ class TestQutritCommand:
         assert result.exit_code == 0
         assert "mutual_information = 0\n" in result.output
 
+    @pytest.mark.parametrize("args", [
+        ["sweep", "prob", "--phi1", "2e154", "--chi1", "1e154"],
+        ["qutrit", "0.1", "0.1", "1e200", "0", "1e200", "0"],
+    ])
+    def test_finite_weights_that_overflow_exit_2(self, runner, args):
+        # a RuntimeWarning is an error under the test suite's filter, so none escapes either
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        first = result.stderr.splitlines()[0]
+        assert first == "error: the qutrit mutual information overflows a float at these weights"
+        assert result.stdout == ""
+
 
 class TestSweepCommands:
     def test_prob_grid_rows(self, runner):

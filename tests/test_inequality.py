@@ -44,7 +44,7 @@ from wqent.inequality import (
     SubadditivityReport,
     ViolationRecord,
     _diag_stack,
-    _diagonal_gap,
+    _diagonal_entropy_terms,
     _diagonal_report_fields,
     _report_fields,
     _sample_diagonal,
@@ -52,6 +52,11 @@ from wqent.inequality import (
 
 EXAMPLE_WEIGHTS = (0.75, 0.25, 1 / 3, 2 / 3)
 REPORT_FIELDS = ("s_ab", "s_a", "s_b", "gap", "condition_lhs", "condition_rhs", "condition_gap")
+
+
+def diagonal_fields(probs, weights, dim_a, dim_b):
+    """The seven report fields of diagonal samples, their entropy sums computed first as a chunk does."""
+    return _diagonal_report_fields(probs, weights, dim_a, dim_b, _diagonal_entropy_terms(probs, weights, dim_a, dim_b))
 
 
 def diag_weight(x1, x2):
@@ -148,6 +153,21 @@ class TestQutritCondition:
             with pytest.raises(ValidationError, match="weights must be nonnegative and finite"):
                 call()
 
+    @pytest.mark.parametrize("p1, p2, weights", [
+        (0.1, 0.1, (1e200, 0.0, 1e200, 0.0)),
+        (0.1, 0.1, (1e200, 0.0, 0.0, 1e200)),
+        (0.0, 0.5, (1.7e308, 0.0, 0.0, 1.7e308)),
+        (np.array([0.1, 0.0]), np.array([0.1, 0.5]), (np.array([1.0, 2e155]), 0.0, 0.0, np.array([1.0, 1e155]))),
+    ])
+    def test_finite_weights_that_overflow_raise(self, p1, p2, weights):
+        # the test suite turns a RuntimeWarning into an error, so none escapes either
+        calls = {"the weight condition": lambda: qutrit_weight_condition(*weights),
+                 "the trace-condition gap": lambda: qutrit_condition_gap(p1, p2, *weights),
+                 "the qutrit mutual information": lambda: qutrit_mutual_information_closed_form(p1, p2, *weights)}
+        for label, call in calls.items():
+            with pytest.raises(ValidationError, match=f"^{label} overflows a float at these weights$"):
+                call()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_gap_rejects_non_finite_probability(self, bad):
         for p1, p2 in ((bad, 0.1), (0.1, bad)):
@@ -240,7 +260,7 @@ class TestCheckSubadditivity:
         fields = _report_fields(rho.matrix, rho.spectrum, wa.matrix, wb.matrix, 2, 2, rho.tol)
         names = [f.name for f in dataclasses.fields(SubadditivityReport)]
         assert tuple(fields) == REPORT_FIELDS == tuple(names[:7])
-        assert tuple(_diagonal_report_fields(np.array([[0.1, 0.1, 0.8]]), np.ones((1, 4)))) == REPORT_FIELDS
+        assert tuple(diagonal_fields(np.array([[0.1, 0.1, 0.8]]), np.ones((1, 4)), 2, 2)) == REPORT_FIELDS
 
     def test_report_holds_python_scalars(self):
         state, wa, wb = worked_setup()
@@ -402,7 +422,7 @@ class TestDiagonalEngine:
         rng = np.random.default_rng(77)
         probs = rng.dirichlet((1.0, 1.0, 1.0), size=200)
         weights = rng.uniform(0.05, 2.0, size=(200, 4))
-        fields = _diagonal_report_fields(probs, weights)
+        fields = diagonal_fields(probs, weights, 2, 2)
         for i in range(200):
             p1, p2, p3 = probs[i]
             f1, f2, c1, c2 = weights[i]
@@ -424,7 +444,7 @@ class TestDiagonalEngine:
         probs[position] = edge
         probs[(position + 1) % 3] = 0.4 - edge
         f1, f2, c1, c2 = 0.75, 0.25, 1 / 3, 2 / 3
-        fields = _diagonal_report_fields(np.array([probs]), np.array([[f1, f2, c1, c2]]))
+        fields = diagonal_fields(np.array([probs]), np.array([[f1, f2, c1, c2]]), 2, 2)
         rep = check_subadditivity(diag_weight(f1, f2), diag_weight(c1, c2), embed_ququart(*probs, 0.0))
         for k in REPORT_FIELDS:
             assert abs(fields[k][0] - getattr(rep, k)) < 1e-12, k
@@ -447,7 +467,7 @@ class TestDiagonalEngine:
         rows[-1, 0] = 1.0
         probs = np.concatenate([probs, rows])
         weights = np.concatenate([weights, np.tile(np.resize(EXAMPLE_WEIGHTS, da + db), (len(rows), 1))])
-        fields = _diagonal_report_fields(probs, weights, da, db)
+        fields = diagonal_fields(probs, weights, da, db)
         # the same samples as the diagonal stacks the audit records, through the dense engine
         rho = _diag_stack(np.pad(probs, ((0, 0), (0, 1))))
         reference = _report_fields(rho, _eigh(rho), _diag_stack(weights[:, :da]), _diag_stack(weights[:, da:]),
@@ -460,20 +480,24 @@ class TestDiagonalEngine:
                 # the engine sums each reduced spectrum in ascending order, the kernel in cell order
                 assert np.abs(v - reference[k]).max() <= 2e-15, k
 
-    def test_gap_kernel_matches_report_gap_bit_for_bit(self):
+    def test_scan_gap_matches_report_gap_bit_for_bit(self, monkeypatch):
+        # min_gap is the smallest gap the scan reads, so it must be the smallest recorded gap too
         probs, weights = _sample_diagonal(np.random.default_rng(8), 10_000, 2, 2, False)
         edge = [0.0, 1e-12, np.nextafter(1e-12, np.inf), np.nextafter(1e-12, -np.inf), 5e-324]
         rows = [[x, 0.5, 0.5 - x] for x in edge] + [[0.5 - x, x, 0.5] for x in edge]
         rows += [[0.5, 0.5 - x, x] for x in edge] + [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         probs = np.concatenate([probs, rows])
         weights = np.concatenate([weights, np.tile([0.75, 0.25, 1 / 3, 2 / 3], (len(rows), 1))])
-        gap = _diagonal_gap(probs, weights)
-        assert gap.tobytes() == _diagonal_report_fields(probs, weights)["gap"].tobytes()
+        monkeypatch.setattr(wqent.inequality, "_sample_diagonal", lambda *args: (probs, weights))
+        monkeypatch.setattr(wqent.inequality, "_CHUNK_ENTRIES", len(probs) * 16)
+        [(gap, violators)] = wqent.inequality._diagonal_chunks(None, len(probs), 2, 2, False)
+        fields, _ = violators(np.arange(len(probs)))
+        assert gap.tobytes() == fields["gap"].tobytes() == diagonal_fields(probs, weights, 2, 2)["gap"].tobytes()
 
     def test_handles_zero_probabilities(self):
         probs = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
         weights = np.tile([0.75, 0.25, 1 / 3, 2 / 3], (3, 1))
-        fields = _diagonal_report_fields(probs, weights)
+        fields = diagonal_fields(probs, weights, 2, 2)
         assert np.all(np.isfinite(fields["gap"]))
         # a pure state has zero entropy everywhere
         assert abs(fields["s_ab"][0]) < 1e-14
@@ -509,7 +533,7 @@ class TestCommutingFamily:
         # condition-satisfying samples exist at 2x2 only; unconstrained ones at every dims
         da, db, condition_satisfying = regime
         probs, weights = _sample_diagonal(np.random.default_rng(seed), 2000, da, db, condition_satisfying)
-        fields = _diagonal_report_fields(probs, weights, da, db)
+        fields = diagonal_fields(probs, weights, da, db)
         assert (fields["gap"] - fields["condition_gap"]).min() >= -1e-12
 
     @pytest.mark.parametrize("da, db", [(da, db) for da in range(2, 5) for db in range(2, 5)])
@@ -517,7 +541,7 @@ class TestCommutingFamily:
         # one audit-sized draw per dims, whose smallest margin of gap over condition_gap is far
         # above rounding: a kernel that drops a row or column term fails here
         probs, weights = _sample_diagonal(np.random.default_rng(0), 100_000, da, db, False)
-        fields = _diagonal_report_fields(probs, weights, da, db)
+        fields = diagonal_fields(probs, weights, da, db)
         assert (fields["gap"] - fields["condition_gap"]).min() >= -1e-12
 
 
@@ -583,7 +607,7 @@ def sample_diagonal_full_retest(rng, n, condition_satisfying):
 def diagonal_records_per_item(n, seed, tolerance=1e-10):
     """Violation records of the unconstrained diagonal audit, built one item at a time."""
     probs, weights = _sample_diagonal(np.random.default_rng(seed), n, 2, 2, False)
-    fields = _diagonal_report_fields(probs, weights)
+    fields = diagonal_fields(probs, weights, 2, 2)
     out = []
     for i in np.nonzero(fields["gap"] < -tolerance)[0]:
         values = {k: float(v[i]) for k, v in fields.items()}
@@ -724,24 +748,20 @@ class TestViolationRecords:
 
 
 def shift_diagonal_gaps(monkeypatch, shift):
-    """Lower every diagonal gap by ``shift``, in the scan's gap kernel and in the violators' report fields.
+    """Lower every diagonal gap by ``shift``: the entropy sums come back with ``x_ab`` lowered by it,
+    which moves the scan's gap and the violators' report ``gap`` together.
 
-    Returns the list of sample counts the gap kernel is called with, one per chunk.
+    Returns the list of sample counts the entropy sums are evaluated for, one per call.
     """
-    real_gap, real_fields = wqent.inequality._diagonal_gap, wqent.inequality._diagonal_report_fields
+    real_terms = wqent.inequality._diagonal_entropy_terms
     sizes = []
 
-    def shifted_gap(probs, weights, *dims):
+    def shifted_terms(probs, weights, *dims):
         sizes.append(len(probs))
-        return real_gap(probs, weights, *dims) - shift
+        x_ab, x_a, x_b = real_terms(probs, weights, *dims)
+        return x_ab - shift, x_a, x_b
 
-    def shifted_fields(probs, weights, *dims):
-        fields = real_fields(probs, weights, *dims)
-        fields["gap"] = fields["gap"] - shift
-        return fields
-
-    monkeypatch.setattr(wqent.inequality, "_diagonal_gap", shifted_gap)
-    monkeypatch.setattr(wqent.inequality, "_diagonal_report_fields", shifted_fields)
+    monkeypatch.setattr(wqent.inequality, "_diagonal_entropy_terms", shifted_terms)
     return sizes
 
 
@@ -796,6 +816,28 @@ class TestChunkedScan:
         sizes = {dims: wqent.inequality._chunk_items(dims[0] * dims[1])
                  for dims in ((2, 2), (2, 3), (3, 3), (4, 4))}
         assert sizes == {(2, 2): 8192, (2, 3): 3640, (3, 3): 1618, (4, 4): 512}
+
+    @pytest.mark.parametrize("regime, dims", [
+        ("diagonal-condition-satisfying", (2, 2)),
+        ("diagonal-unconstrained", (2, 2)),
+        ("diagonal-unconstrained", (3, 3)),
+    ])
+    def test_diagonal_entropy_sums_run_once_per_chunk(self, monkeypatch, regime, dims):
+        # violators read their report fields from the chunk's sums, so the kernel never runs again
+        real_terms, sizes = wqent.inequality._diagonal_entropy_terms, []
+
+        def counted_terms(probs, *args):
+            sizes.append(len(probs))
+            return real_terms(probs, *args)
+
+        monkeypatch.setattr(wqent.inequality, "_diagonal_entropy_terms", counted_terms)
+        n = 20_000
+        summary = audit_random(n, *dims, 0, regime)
+        size = wqent.inequality._chunk_items(dims[0] * dims[1])
+        assert sizes == [size] * (n // size) + [n % size]
+        if regime == "diagonal-unconstrained":
+            assert len(summary.violations) > len(sizes)
+            assert summary.min_gap == min(v.report.gap for v in summary.violations)
 
     @pytest.mark.parametrize("n", [299, 300])
     def test_general_within_one_chunk_matches_whole_sample(self, monkeypatch, n):

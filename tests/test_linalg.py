@@ -56,6 +56,11 @@ def test_partial_trace_rejects_bad_factorization():
         partial_trace(np.eye(6), 2, 2, "A")
 
 
+def test_partial_trace_rejects_unknown_subsystem():
+    with pytest.raises(ValueError, match="keep must be 'A' or 'B', got 'C'"):
+        partial_trace(np.eye(4), 2, 2, "C")
+
+
 def test_eig_diagonal_is_sorted_and_exact():
     lams, vecs = hermitian_eig(np.diag([0.8, 0.1, 0.1, 0.0]).astype(complex))
     assert np.array_equal(lams, np.array([0.0, 0.1, 0.1, 0.8]))

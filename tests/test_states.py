@@ -47,6 +47,15 @@ class TestDensityMatrix:
         with pytest.raises(ValidationError, match="trace"):
             DensityMatrix(np.diag([0.6, 0.6]))
 
+    def test_rejects_a_stack(self):
+        with pytest.raises(DimensionError, match="expected a square matrix"):
+            DensityMatrix(np.zeros((2, 2, 2)))
+
+    def test_reprs_name_the_dims(self):
+        assert repr(DensityMatrix(np.eye(4) / 4)) == "DensityMatrix(dim=4)"
+        assert repr(WeightMatrix(np.diag([1.0, 0.0]))) == "WeightMatrix(dim=2, degenerate=True)"
+        assert repr(Projector(np.diag([1.0, 0.0, 1.0]))) == "Projector(dim=3, rank=2)"
+
     def test_never_normalizes(self):
         # twice a valid state must fail, not come back rescaled
         with pytest.raises(ValidationError):
@@ -242,3 +251,5 @@ class TestSamplers:
     def test_dim_validation(self):
         with pytest.raises(DimensionError):
             random_density(1, 0)
+        with pytest.raises(DimensionError):
+            random_weight(1, 0)

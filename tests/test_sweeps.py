@@ -86,6 +86,10 @@ class TestWeightSweep:
         with pytest.raises(ValidationError):
             sweep_weights("c", 5)
 
+    def test_rejects_bad_grid(self):
+        with pytest.raises(ValidationError):
+            sweep_weights("a", 0)
+
 
 class TestCsv:
     def test_header_comments_and_row_count(self):
