@@ -6,7 +6,8 @@ OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts. Every case
 runs in a fresh interpreter with ``PYTHONPATH`` set to one of them. The cases,
 listed once in ``cases()``, cover the default sweep CSVs, audits in every
 regime, ``entropy``, ``check``, ``channel`` and ``qutrit`` on the worked
-example, and failing calls for every error exit code (2 to 5).
+example, finite entries whose sums or products overflow a float, and failing
+calls for every error exit code (2 to 5).
 A case differs when its exit code, stdout or stderr does.
 Each differing case is named; the exit code is 1 if any case differs, else 0.
 Two interpreters run at a time.
@@ -33,6 +34,10 @@ MATRICES = {
     "wab": [a * b for a in (0.75, 0.25) for b in (1 / 3, 2 / 3)],
     "proj": [1.0, 0.0, 1.0, 0.0],
     "proj_dead": [0.0, 0.0, 0.0, 1.0],  # annihilates the state: channel undefined
+    # finite entries whose sums or products overflow a float
+    "w200": [1e200, 1.0],
+    "w308": [1e308, 1.0, 1.0, 1.0],
+    "proj_big": [1e308, 0.0, 0.0, 0.0],
 }
 TRUNCATED = '{"dim": 4, "re": [[1, 0'
 
@@ -69,6 +74,11 @@ def cases(files: dict) -> dict:
         "check", *(str(COUNTEREXAMPLE / f"{k}.json") for k in ("rho", "phi_a", "phi_b"))]
     out["qutrit worked example"] = cli + ["qutrit", "0.1", "0.1", "0.75", "0.25", repr(1 / 3), repr(2 / 3)]
     out["qutrit 0.5 0.5 1 0 0 1"] = cli + ["qutrit", "0.5", "0.5", "1", "0", "0", "1"]
+    out["qutrit 0.1 0.1 1e5 0 1e5 0"] = cli + ["qutrit", "0.1", "0.1", "1e5", "0", "1e5", "0"]
+    out["entropy worked example weight diag(1e308, 1, 1, 1)"] = cli + ["entropy", files["state"], files["w308"]]
+    out["exit 2: check worked example weights diag(1e200, 1)"] = cli + [
+        "check", files["state"], files["w200"], files["w200"]]
+    out["exit 2: channel worked example diag(1e308, 0, 0, 0)"] = cli + ["channel", files["state"], files["proj_big"]]
     out["exit 2: sweep prob grid-n 0"] = cli + ["sweep", "prob", "--grid-n", "0"]
     out["exit 2: sweep prob grid-n 1 phi1 nan"] = cli + ["sweep", "prob", "--grid-n", "1", "--phi1", "nan"]
     # finite weights whose product overflows a float

@@ -17,8 +17,11 @@ class Projector:
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
         a = _validated(matrix, tol, "projector")
-        idem = float(np.abs(a @ a - a).max())
-        if idem > tol:
+        # P^2 of finite entries can overflow; the check is in positive form, so an
+        # inf or NaN residual fails it
+        with np.errstate(over="ignore", invalid="ignore"):
+            idem = float(np.abs(a @ a - a).max())
+        if not idem <= tol:
             raise ValidationError(f"projector is not idempotent (max |P^2 - P| = {idem:.3e})")
         # the trace of a Hermitian idempotent is its rank
         self.rank = round(float(np.trace(a).real))

@@ -15,16 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclass_fields
 from functools import lru_cache, partial
-from itertools import chain
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .linalg import DEFAULT_TOL, SpectralDecomposition, _eigh, _kron, _ln_support, _trace_product
-from .linalg import partial_trace
+from .linalg import _positive_tol, partial_trace
 from .states import BipartiteState, WeightMatrix
-from .states import _density_stack, _finite, _nonnegative_weights, _positive_tol, _scale_draws, _simplex, _weight_stack
+from .states import _density_stack, _finite, _nonnegative_weights, _scale_draws, _simplex, _weight_stack
 from .entropy import _joint_entropy, _subsystem_entropy
 
 AUDIT_REGIMES = (
@@ -94,33 +93,38 @@ def _report_fields(rho: np.ndarray, spectrum: SpectralDecomposition, phi_a: np.n
                    dim_a: int, dim_b: int, leak_tol: float) -> dict[str, np.ndarray]:
     """Report fields of ``(..., d, d)`` stacks (``spectrum`` decomposes ``rho``), each partial trace taken once.
 
-    Raises if any item leaks over ``leak_tol`` off a reduced support.
+    Raises if any item leaks over ``leak_tol`` off a reduced support, and if finite weights
+    overflow a float in their product or in a field.
     """
-    phi = _kron(phi_a, phi_b)
-    weighted = phi @ rho
-    rho_a = partial_trace(rho, dim_a, dim_b, "A")
-    rho_b = partial_trace(rho, dim_a, dim_b, "B")
-    s_ab = _joint_entropy(phi, spectrum)
-    s_a = _subsystem_entropy(partial_trace(weighted, dim_a, dim_b, "A"), rho_a, leak_tol)
-    s_b = _subsystem_entropy(partial_trace(weighted, dim_a, dim_b, "B"), rho_b, leak_tol)
-    # the trace condition compares tr(phi_AB rho_AB) with tr(phi_A rho_A) tr(phi_B rho_B)
-    lhs = _trace_product(phi, rho).real
-    rhs = _trace_product(phi_a, rho_a).real * _trace_product(phi_b, rho_b).real
-    return _fields(s_ab, s_a, s_b, lhs, rhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = _finite(_kron(phi_a, phi_b), "the weight product phi_A (x) phi_B")
+        weighted = phi @ rho
+        rho_a = partial_trace(rho, dim_a, dim_b, "A")
+        rho_b = partial_trace(rho, dim_a, dim_b, "B")
+        s_ab = _joint_entropy(phi, spectrum)
+        s_a = _subsystem_entropy(partial_trace(weighted, dim_a, dim_b, "A"), rho_a, leak_tol)
+        s_b = _subsystem_entropy(partial_trace(weighted, dim_a, dim_b, "B"), rho_b, leak_tol)
+        # the trace condition compares tr(phi_AB rho_AB) with tr(phi_A rho_A) tr(phi_B rho_B)
+        lhs = _trace_product(phi, rho).real
+        rhs = _trace_product(phi_a, rho_a).real * _trace_product(phi_b, rho_b).real
+        fields = _fields(s_ab, s_a, s_b, lhs, rhs)
+    _finite(list(fields.values()), "the subadditivity report")
+    return fields
 
 
-def _reports(columns: dict[str, list[float]], tolerance: float) -> list[SubadditivityReport]:
-    """One report per item of ``columns`` (a Python-float list per field, in :func:`_fields` order).
+def _reports(fields: dict[str, np.ndarray], tolerance: float) -> list[SubadditivityReport]:
+    """One report per item of ``fields`` (a ``(k,)`` array per field, in :func:`_fields` order).
 
-    The verdicts compare against ``-tolerance``. Each report is built the way ``pickle``
-    rebuilds one, by filling its ``__dict__``, which skips the frozen ``__init__``'s one
-    ``object.__setattr__`` per field. The slots are stored one key at a time, in field order,
-    which took half as long as ``__dict__.update(zip(names, row))``.
+    The fields become Python floats and the verdicts, which compare against ``-tolerance``,
+    Python bools. Each report is built the way ``pickle`` rebuilds one, by filling its
+    ``__dict__``, which skips the frozen ``__init__``'s one ``object.__setattr__`` per field.
+    The slots are stored one key at a time, in field order, which took half as long as
+    ``__dict__.update(zip(names, row))``.
     """
-    condition_holds = [c >= -tolerance for c in columns["condition_gap"]]
-    subadditivity_holds = [g >= -tolerance for g in columns["gap"]]
+    condition_holds = (fields["condition_gap"] >= -tolerance).tolist()
+    subadditivity_holds = (fields["gap"] >= -tolerance).tolist()
     new, out = object.__new__, []
-    for row in zip(*columns.values(), condition_holds, subadditivity_holds):
+    for row in zip(*(v.tolist() for v in fields.values()), condition_holds, subadditivity_holds):
         report = new(SubadditivityReport)
         d = report.__dict__
         (d["s_ab"], d["s_a"], d["s_b"], d["gap"], d["condition_lhs"], d["condition_rhs"], d["condition_gap"],
@@ -145,7 +149,7 @@ def check_subadditivity(weight_a: WeightMatrix, weight_b: WeightMatrix,
     rho = state.rho
     fields = _report_fields(rho.matrix, rho.spectrum, weight_a.matrix, weight_b.matrix,
                             state.dim_a, state.dim_b, rho.tol)
-    return _reports({k: [float(v)] for k, v in fields.items()}, rho.tol)[0]
+    return _reports({k: v[None] for k, v in fields.items()}, rho.tol)[0]
 
 
 @dataclass(frozen=True)
@@ -346,23 +350,17 @@ def audit_random(
     else:
         chunks = _diagonal_chunks(rng, n, dim_a, dim_b, regime == "diagonal-condition-satisfying")
 
-    # one scan: each chunk leaves its smallest gap, its violators' fields as Python floats
-    # and their (k, d, d) stacks; the records are built once, at the end
-    mins, columns, stacks = [], {k: [] for k in _REPORT_NAMES[:7]}, ([], [], [])
+    # one scan: each chunk leaves its smallest gap, and its violators become records at once,
+    # each holding its own item of the chunk's stacks and built as the reports are
+    mins, violations, new = [], [], object.__new__
     for gap, violators in chunks:
         mins.append(gap.min())
         idx = np.flatnonzero(gap < -tolerance)
         if idx.size:
             fields, matrices = violators(idx)
-            for k, v in fields.items():
-                columns[k] += v.tolist()
-            for stack, m in zip(stacks, matrices):
-                stack.append(m)
-    # each record holds its own item of the stacks, and is built as the reports are
-    new, violations = object.__new__, []
-    for row in zip(*map(chain.from_iterable, stacks), _reports(columns, tolerance)):
-        record = new(ViolationRecord)
-        d = record.__dict__
-        d["state"], d["weight_a"], d["weight_b"], d["report"] = row
-        violations.append(record)
+            for row in zip(*matrices, _reports(fields, tolerance)):
+                record = new(ViolationRecord)
+                d = record.__dict__
+                d["state"], d["weight_a"], d["weight_b"], d["report"] = row
+                violations.append(record)
     return AuditSummary(n, tuple(violations), float(np.min(mins)), seed, regime)

@@ -8,6 +8,7 @@ sits at index ``a * dim_b + b``, matching the layout produced by ``np.kron``.
 
 from __future__ import annotations
 
+import math
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -36,13 +37,25 @@ def _dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def _positive_tol(value: float, name: str = "tol") -> None:
+    """The check every caller-given tolerance passes: a finite number above zero."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValidationError(f"{name} must be positive and finite, got {value}")
+
+
 def _hermitize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + _dagger(a))
+    # halved before the sum, so finite entries give a finite result; each entry and its
+    # mirror add the same two halves, so the result is exactly Hermitian
+    return 0.5 * a + 0.5 * _dagger(a)
 
 
 def _hermitian_part(a: np.ndarray, tol: float, label: str = "matrix") -> np.ndarray:
-    """``(a + a^dagger) / 2``, once no entry of ``|a - a^dagger|`` exceeds ``tol``."""
-    dev = float(np.abs(a - _dagger(a)).max())
+    """``(a + a^dagger) / 2``, once ``tol`` is positive and finite and no entry of
+    ``|a - a^dagger|`` exceeds it."""
+    _positive_tol(tol)
+    # a deviation too large for a float reads inf, which fails the check
+    with np.errstate(over="ignore"):
+        dev = float(np.abs(a - _dagger(a)).max())
     if dev > tol:
         raise NotHermitianError(f"{label} deviates from Hermitian by {dev:.3e}")
     return _hermitize(a)
@@ -115,7 +128,8 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
     back ascending; each eigenvector is rephased so its largest component is
     real and positive, which makes the output reproducible bit for bit.
 
-    Raises :class:`NotHermitianError` for inputs off-Hermitian beyond ``tol``.
+    Raises :class:`NotHermitianError` for inputs off-Hermitian beyond ``tol``, and
+    :class:`ValidationError` unless ``tol`` is positive and finite.
     """
     return _eigh(_hermitian_part(_as_stack(m), tol))
 

@@ -2,8 +2,10 @@
 
 Constructors check their invariants and raise; nothing is silently
 renormalized. Each object stores the Hermitian part ``(m + m^dagger) / 2`` of
-its input as a frozen copy, safe to share; for Hermitian input that is the
-input bit for bit. A ``DensityMatrix`` also keeps the spectrum that its
+its input as a frozen copy, safe to share; it is finite for finite input, and
+for Hermitian input it is the input bit for bit, unless a real or imaginary
+part lies below ``2**-1021`` in magnitude, where halving it may round. A
+``DensityMatrix`` also keeps the spectrum that its
 validation computed, so evaluation neither diagonalizes the state again nor
 judges its eigenvalues against any tolerance but the one it was built with.
 Finiteness and Hermiticity are checked once, in ``_validated``; the spectra
@@ -12,7 +14,6 @@ are then taken of the exactly Hermitian stored matrix without a second check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +28,6 @@ DEFAULT_SCALE_RANGE = (0.05, 2.0)
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def _positive_tol(value: float, name: str = "tol") -> None:
-    """The check every caller-given tolerance passes: a finite number above zero."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValidationError(f"{name} must be positive and finite, got {value}")
 
 
 def _simplex(*ps) -> list[np.ndarray]:
@@ -67,8 +62,7 @@ def _finite(out, label: str):
 
 
 def _validated(matrix, tol: float, label: str) -> np.ndarray:
-    """The frozen Hermitian part of one finite square matrix, Hermitian within ``tol``."""
-    _positive_tol(tol)
+    """The frozen Hermitian part of one finite square matrix, Hermitian within a positive finite ``tol``."""
     a = _as_stack(matrix)
     if a.ndim != 2:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")

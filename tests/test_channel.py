@@ -30,6 +30,12 @@ class TestProjector:
         with pytest.raises(ValidationError):
             Projector(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("m", [np.diag([1e308, 0.0]), [[1e308, 1e308], [1e308, -1e308]]])
+    def test_rejects_entries_whose_square_overflows(self, m):
+        # P^2 - P has inf and NaN parts; the test suite turns a RuntimeWarning into an error
+        with pytest.raises(ValidationError, match="not idempotent"):
+            Projector(m)
+
     def test_rank_one_from_vector(self):
         v = np.array([1.0, 1.0]) / np.sqrt(2.0)
         p = Projector(np.outer(v, v))

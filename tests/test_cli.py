@@ -14,6 +14,7 @@ from json_oracle import audit_payload, channel_payload, report_to_dict
 from wqent import cli
 from wqent.cli import audit_to_json, main
 from wqent.entropy import qutrit_mutual_information_closed_form
+from wqent.linalg import DEFAULT_TOL
 from wqent.inequality import AUDIT_REGIMES, AuditSummary, SubadditivityReport, ViolationRecord, audit_random
 
 
@@ -300,6 +301,14 @@ class TestQutritCommand:
         assert result.exit_code == 0
         assert result.stderr.startswith("warning: closed form and matrix path disagree by 5.0")
 
+    @pytest.mark.parametrize("args", [["0.1", "0.1", "1e5", "0", "1e5", "0"], ["0.1", "0.1", "1e8", "1", "1e8", "1"]])
+    def test_cross_check_is_relative_to_large_values(self, runner, args):
+        # deltas of 1.2e-7 and 0.125 on values of -5.9e8 and -5.9e14: rounding, about 2e-16 relative
+        result = runner.invoke(main, ["qutrit", *args])
+        assert result.exit_code == 0
+        assert float(result.output.split("cross_check_delta = ")[1]) > DEFAULT_TOL
+        assert result.stderr == ""
+
     def test_zero_prints_without_sign(self, runner):
         result = runner.invoke(main, ["qutrit", "0.5", "0.5", "1", "0", "0", "1"])
         assert result.exit_code == 0
@@ -472,6 +481,42 @@ def test_size_too_large_to_allocate_exits_2(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert result.stderr.startswith("error: Unable to allocate")
+    assert result.stdout == ""
+
+
+@pytest.fixture(scope="module")
+def large_entry_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("large")
+    big_state = np.diag([0.25] * 4)
+    big_state[0, 1] = big_state[1, 0] = 1e308
+    return {
+        "w200": write_matrix(tmp / "w200.json", np.diag([1e200, 1.0])),
+        "w308": write_matrix(tmp / "w308.json", np.diag([1e308, 1.0, 1.0, 1.0])),
+        "big_state": write_matrix(tmp / "big_state.json", big_state),
+        "big_proj": write_matrix(tmp / "big_proj.json", np.diag([1e308, 0.0, 0.0, 0.0])),
+    }
+
+
+def test_large_finite_weight_gives_a_finite_entropy(runner, example_files, large_entry_files):
+    # -1e308 * 0.1 ln 0.1; a + a^dagger of this weight would overflow
+    result = runner.invoke(main, ["entropy", example_files["state"], large_entry_files["w308"]])
+    assert result.exit_code == 0
+    assert result.output == "2.30258509299e+307\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["check", "state", "w200", "w200"], "the weight product phi_A (x) phi_B overflows a float at these weights"),
+    (["channel", "state", "proj", "--phi1", "1e200", "--chi1", "1e200"],
+     "the weight product phi_A (x) phi_B overflows a float at these weights"),
+    (["check", "big_state", "wa", "wb"], "state is not positive semidefinite (min eigenvalue -1.000e+308)"),
+    (["channel", "state", "big_proj"], "projector is not idempotent (max |P^2 - P| = inf)"),
+])
+def test_large_finite_entries_exit_2(runner, example_files, large_entry_files, args, message):
+    # one error line and nothing else: the test suite turns a RuntimeWarning into an error
+    files = {**example_files, **large_entry_files}
+    result = runner.invoke(main, [files.get(a, a) for a in args])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {message}\n"
     assert result.stdout == ""
 
 

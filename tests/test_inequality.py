@@ -408,6 +408,17 @@ class TestReportEngine:
         with pytest.raises(ValidationError, match="outside the support"):
             _report_fields(rho, hermitian_eig(rho), phi, phi, 2, 2, 2e-5)
 
+    @pytest.mark.parametrize("weight, label", [
+        (np.diag([1e200, 1.0]), r"the weight product phi_A \(x\) phi_B"),
+        # phi_A (x) phi_B is finite, at 1e308 in every entry, but tr(phi rho) is 4e308
+        (np.full((2, 2), 1e154), "the subadditivity report"),
+    ])
+    def test_finite_weights_whose_products_overflow_raise(self, weight, label):
+        # the test suite turns a RuntimeWarning into an error, so none escapes either
+        state = BipartiteState(DensityMatrix(np.full((4, 4), 0.25)), 2, 2)
+        with pytest.raises(ValidationError, match=f"^{label} overflows a float at these weights$"):
+            check_subadditivity(WeightMatrix(weight), WeightMatrix(weight), state)
+
     def test_leak_is_judged_at_the_state_tolerance(self):
         # 1e-8 and -1e-8 leave rho_A = diag(1, 0) with 8.3e-10 of weighted mass
         # off its support: noise at tol=1e-6, where the state was validated

@@ -11,7 +11,7 @@ from wqent.errors import (
     ValidationError,
 )
 from wqent.channel import Projector
-from wqent.linalg import hermitian_eig
+from wqent.linalg import _hermitize, hermitian_eig
 from wqent.states import (
     DEFAULT_SCALE_RANGE,
     BipartiteState,
@@ -101,12 +101,39 @@ def test_non_finite_entries_are_rejected(build, bad):
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-8])
 @pytest.mark.parametrize(
-    "build", [DensityMatrix, WeightMatrix, Projector], ids=["DensityMatrix", "WeightMatrix", "Projector"]
+    "build", [DensityMatrix, WeightMatrix, Projector, hermitian_eig],
+    ids=["DensityMatrix", "WeightMatrix", "Projector", "hermitian_eig"],
 )
 def test_tolerance_must_be_positive_and_finite(build, tol):
     # a NaN tolerance would switch every "> tol" check off
     with pytest.raises(ValidationError, match="positive and finite"):
         build(np.diag([1.0, 0.0]), tol=tol)
+
+
+class TestLargeEntries:
+    """Finite entries above about 9e307, where ``a + a^dagger`` would overflow; its halves do not."""
+
+    def test_hermitian_part_is_finite_and_exactly_hermitian(self):
+        rng = np.random.default_rng(0)
+        a = 1.7e308 * rng.uniform(-1.0, 1.0, (6, 6)) + 1.7e308j * rng.uniform(-1.0, 1.0, (6, 6))
+        h = _hermitize(a)
+        assert np.isfinite(h).all()
+        assert np.array_equal(h, h.conj().T)
+
+    def test_state_with_large_off_diagonal_is_not_psd(self):
+        # its eigenvalues are 0.5 -+ 1e308
+        with pytest.raises(NegativeEigenvalueError, match=r"min eigenvalue -1\.000e\+308"):
+            DensityMatrix([[0.5, 1e308], [1e308, 0.5]])
+
+    def test_weight_keeps_its_input_and_a_finite_spectrum(self):
+        m = np.diag([1e308, 1.0])
+        assert np.array_equal(WeightMatrix(m).matrix, m)
+        assert np.array_equal(hermitian_eig(m).eigenvalues, [1.0, 1e308])
+
+    def test_deviation_too_large_for_a_float_is_not_hermitian(self):
+        # the test suite turns a RuntimeWarning into an error, so none escapes either
+        with pytest.raises(NotHermitianError, match="deviates from Hermitian by inf"):
+            DensityMatrix([[0.5, 1e308], [-1e308, 0.5]])
 
 
 class TestWeightMatrix:
