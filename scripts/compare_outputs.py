@@ -6,8 +6,9 @@ OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts. Every case
 runs in a fresh interpreter with ``PYTHONPATH`` set to one of them. The cases,
 listed once in ``cases()``, cover the default sweep CSVs, audits in every
 regime, ``entropy``, ``check``, ``channel`` and ``qutrit`` on the worked
-example, finite entries whose sums or products overflow a float, and failing
-calls for every error exit code (2 to 5).
+example, ``check`` and ``channel`` on the non-commuting fixture, ``check`` on a
+dense complex 2x3 state, finite entries whose sums or products overflow a
+float, and failing calls for every error exit code (2 to 5).
 A case differs when its exit code, stdout or stderr does.
 Each differing case is named; the exit code is 1 if any case differs, else 0.
 Two interpreters run at a time.
@@ -17,6 +18,7 @@ import argparse
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tempfile
@@ -40,6 +42,24 @@ MATRICES = {
     "proj_big": [1e308, 0.0, 0.0, 0.0],
 }
 TRUNCATED = '{"dim": 4, "re": [[1, 0'
+
+
+def dense_psd(dim: int, seed: int, unit_trace: bool) -> dict:
+    """``G G^dagger`` as a matrix file, for ``G`` with seeded complex entries; scaled to trace 1 if asked."""
+    rng = random.Random(seed)
+    g = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(dim)] for _ in range(dim)]
+    m = [[sum(g[i][k] * g[j][k].conjugate() for k in range(dim)) for j in range(dim)] for i in range(dim)]
+    scale = sum(m[i][i].real for i in range(dim)) if unit_trace else 1.0
+    return {"dim": dim, "re": [[x.real / scale for x in row] for row in m],
+            "im": [[x.imag / scale for x in row] for row in m]}
+
+
+# a dense complex 2x3 state and dense weights, whose spectra have no preferred phases
+DENSE = {
+    "dense_state": dense_psd(6, 1, True),
+    "dense_wa": dense_psd(2, 2, False),
+    "dense_wb": dense_psd(3, 3, False),
+}
 
 
 def cases(files: dict) -> dict:
@@ -72,6 +92,9 @@ def cases(files: dict) -> dict:
         out[f"channel {name}"] = cli + ["channel", files["state"], files["proj"]] + tol
     out["check noncommuting counterexample"] = cli + [
         "check", *(str(COUNTEREXAMPLE / f"{k}.json") for k in ("rho", "phi_a", "phi_b"))]
+    out["channel noncommuting counterexample"] = cli + ["channel", str(COUNTEREXAMPLE / "rho.json"), files["proj"]]
+    out["check dense 2x3"] = cli + [
+        "check", files["dense_state"], files["dense_wa"], files["dense_wb"], "--dims", "2x3"]
     out["qutrit worked example"] = cli + ["qutrit", "0.1", "0.1", "0.75", "0.25", repr(1 / 3), repr(2 / 3)]
     out["qutrit 0.5 0.5 1 0 0 1"] = cli + ["qutrit", "0.5", "0.5", "1", "0", "0", "1"]
     out["qutrit 0.1 0.1 1e5 0 1e5 0"] = cli + ["qutrit", "0.1", "0.1", "1e5", "0", "1e5", "0"]
@@ -99,6 +122,10 @@ def write_matrices(directory: pathlib.Path) -> dict:
         re = [[diag[i] if i == j else 0.0 for j in range(len(diag))] for i in range(len(diag))]
         path = directory / f"{name}.json"
         path.write_text(json.dumps({"dim": len(diag), "re": re}))
+        files[name] = str(path)
+    for name, matrix in DENSE.items():
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(matrix))
         files[name] = str(path)
     path = directory / "truncated.json"
     path.write_text(TRUNCATED)

@@ -20,8 +20,8 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .linalg import DEFAULT_TOL, SpectralDecomposition, _eigh, _kron, _ln_support, _trace_product
-from .linalg import _positive_tol, partial_trace
+from .linalg import DEFAULT_TOL, SpectralDecomposition, _eigh, _kron, _ln_support, _partial_trace, _positive_tol
+from .linalg import _trace_product
 from .states import BipartiteState, WeightMatrix
 from .states import _density_stack, _finite, _nonnegative_weights, _scale_draws, _simplex, _weight_stack
 from .entropy import _joint_entropy, _subsystem_entropy
@@ -91,19 +91,19 @@ def _fields(s_ab, s_a, s_b, lhs, rhs) -> dict[str, np.ndarray]:
 
 def _report_fields(rho: np.ndarray, spectrum: SpectralDecomposition, phi_a: np.ndarray, phi_b: np.ndarray,
                    dim_a: int, dim_b: int, leak_tol: float) -> dict[str, np.ndarray]:
-    """Report fields of ``(..., d, d)`` stacks (``spectrum`` decomposes ``rho``), each partial trace taken once.
+    """Report fields of the engine's own ``(..., d, d)`` stacks (``spectrum`` decomposes ``rho``).
 
-    Raises if any item leaks over ``leak_tol`` off a reduced support, and if finite weights
-    overflow a float in their product or in a field.
+    Each partial trace is taken once and unchecked. Raises if any item leaks over ``leak_tol`` off a
+    reduced support, and if finite weights overflow a float in their product or in a field.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         phi = _finite(_kron(phi_a, phi_b), "the weight product phi_A (x) phi_B")
         weighted = phi @ rho
-        rho_a = partial_trace(rho, dim_a, dim_b, "A")
-        rho_b = partial_trace(rho, dim_a, dim_b, "B")
+        rho_a = _partial_trace(rho, dim_a, dim_b, "A")
+        rho_b = _partial_trace(rho, dim_a, dim_b, "B")
         s_ab = _joint_entropy(phi, spectrum)
-        s_a = _subsystem_entropy(partial_trace(weighted, dim_a, dim_b, "A"), rho_a, leak_tol)
-        s_b = _subsystem_entropy(partial_trace(weighted, dim_a, dim_b, "B"), rho_b, leak_tol)
+        s_a = _subsystem_entropy(_partial_trace(weighted, dim_a, dim_b, "A"), rho_a, leak_tol)
+        s_b = _subsystem_entropy(_partial_trace(weighted, dim_a, dim_b, "B"), rho_b, leak_tol)
         # the trace condition compares tr(phi_AB rho_AB) with tr(phi_A rho_A) tr(phi_B rho_B)
         lhs = _trace_product(phi, rho).real
         rhs = _trace_product(phi_a, rho_a).real * _trace_product(phi_b, rho_b).real

@@ -43,22 +43,22 @@ def _positive_tol(value: float, name: str = "tol") -> None:
         raise ValidationError(f"{name} must be positive and finite, got {value}")
 
 
-def _hermitize(a: np.ndarray) -> np.ndarray:
+def _hermitize(a: np.ndarray, a_dagger: np.ndarray | None = None) -> np.ndarray:
     # halved before the sum, so finite entries give a finite result; each entry and its
     # mirror add the same two halves, so the result is exactly Hermitian
-    return 0.5 * a + 0.5 * _dagger(a)
+    return 0.5 * a + 0.5 * (_dagger(a) if a_dagger is None else a_dagger)
 
 
 def _hermitian_part(a: np.ndarray, tol: float, label: str = "matrix") -> np.ndarray:
-    """``(a + a^dagger) / 2``, once ``tol`` is positive and finite and no entry of
-    ``|a - a^dagger|`` exceeds it."""
+    """``(a + a^dagger) / 2`` once ``tol`` is positive and finite and no entry of ``|a - a^dagger|`` exceeds it."""
     _positive_tol(tol)
+    a_dagger = _dagger(a)
     # a deviation too large for a float reads inf, which fails the check
     with np.errstate(over="ignore"):
-        dev = float(np.abs(a - _dagger(a)).max())
+        dev = float(np.abs(a - a_dagger).max())
     if dev > tol:
         raise NotHermitianError(f"{label} deviates from Hermitian by {dev:.3e}")
-    return _hermitize(a)
+    return _hermitize(a, a_dagger)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -81,6 +81,12 @@ def _xlnx(x: np.ndarray) -> np.ndarray:
     return x * _ln_support(x)
 
 
+def _partial_trace(a: np.ndarray, dim_a: int, dim_b: int, keep: Subsystem) -> np.ndarray:
+    """:func:`partial_trace` of a complex stack whose last two axes factor as ``dim_a * dim_b``, unchecked."""
+    r = a.reshape(a.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
+    return np.einsum("...ibjb->...ij" if keep == "A" else "...aiaj->...ij", r)
+
+
 def partial_trace(m, dim_a: int, dim_b: int, keep: Subsystem) -> np.ndarray:
     """Trace out one factor of a ``dim_a * dim_b`` composite matrix or stack.
 
@@ -90,12 +96,9 @@ def partial_trace(m, dim_a: int, dim_b: int, keep: Subsystem) -> np.ndarray:
     a = _as_stack(m)
     if dim_a < 1 or dim_b < 1 or a.shape[-1] != dim_a * dim_b:
         raise DimensionError(f"matrix of dim {a.shape[-1]} does not factor as {dim_a}x{dim_b}")
-    r = a.reshape(a.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
-    if keep == "A":
-        return np.einsum("...ibjb->...ij", r)
-    if keep == "B":
-        return np.einsum("...aiaj->...ij", r)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    if keep not in ("A", "B"):
+        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    return _partial_trace(a, dim_a, dim_b, keep)
 
 
 class SpectralDecomposition(NamedTuple):
@@ -105,20 +108,18 @@ class SpectralDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def _fix_phases(vecs: np.ndarray) -> None:
+def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     # make the largest-magnitude component of each column real and positive (unit
     # columns keep it away from zero); all items' columns side by side, d x (n k)
     d, k = vecs.shape[-2:]
     cols = vecs.reshape(-1, d, k).swapaxes(0, 1).reshape(d, -1)
     lead = cols[np.abs(cols).argmax(axis=0), np.arange(cols.shape[1])]
-    vecs *= (lead.conj() / np.abs(lead)).reshape(vecs.shape[:-2] + (1, k))
+    return vecs * (lead.conj() / np.abs(lead)).reshape(vecs.shape[:-2] + (1, k))
 
 
 def _eigh(a: np.ndarray) -> SpectralDecomposition:
-    """:func:`hermitian_eig` of a stack already finite and exactly Hermitian, unchecked."""
-    lams, vecs = np.linalg.eigh(a)
-    _fix_phases(vecs)
-    return SpectralDecomposition(lams, vecs)
+    """``np.linalg.eigh`` of a stack already finite and exactly Hermitian, unchecked, with LAPACK's phases."""
+    return SpectralDecomposition(*np.linalg.eigh(a))
 
 
 def hermitian_eig(m, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
@@ -131,7 +132,8 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
     Raises :class:`NotHermitianError` for inputs off-Hermitian beyond ``tol``, and
     :class:`ValidationError` unless ``tol`` is positive and finite.
     """
-    return _eigh(_hermitian_part(_as_stack(m), tol))
+    lams, vecs = _eigh(_hermitian_part(_as_stack(m), tol))
+    return SpectralDecomposition(lams, _fix_phases(vecs))
 
 
 def xlogx_matrix(spectrum: SpectralDecomposition) -> np.ndarray:

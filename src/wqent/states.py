@@ -4,12 +4,10 @@ Constructors check their invariants and raise; nothing is silently
 renormalized. Each object stores the Hermitian part ``(m + m^dagger) / 2`` of
 its input as a frozen copy, safe to share; it is finite for finite input, and
 for Hermitian input it is the input bit for bit, unless a real or imaginary
-part lies below ``2**-1021`` in magnitude, where halving it may round. A
-``DensityMatrix`` also keeps the spectrum that its
-validation computed, so evaluation neither diagonalizes the state again nor
-judges its eigenvalues against any tolerance but the one it was built with.
-Finiteness and Hermiticity are checked once, in ``_validated``; the spectra
-are then taken of the exactly Hermitian stored matrix without a second check.
+part lies below ``2**-1021`` in magnitude, where halving it may round.
+Finiteness and Hermiticity are checked once, in ``_validated``; the stored,
+exactly Hermitian matrix is then decomposed without a second check. One positive
+semidefinite rule, ``_psd``, judges the eigenvalues of states and weights alike.
 """
 
 from __future__ import annotations
@@ -19,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidSimplexError, NegativeEigenvalueError, ValidationError
-from .linalg import DEFAULT_TOL, SUPPORT_EPS, SpectralDecomposition, _as_stack, _dagger, _eigh, _hermitian_part
-from .linalg import _hermitize
+from .linalg import DEFAULT_TOL, SUPPORT_EPS, _as_stack, _dagger, _eigh, _hermitian_part, _hermitize
 
 DEFAULT_SCALE_RANGE = (0.05, 2.0)
 
@@ -69,28 +66,29 @@ def _validated(matrix, tol: float, label: str) -> np.ndarray:
     return _frozen(_hermitian_part(a, tol, label))
 
 
-def _psd(matrix, tol: float, label: str) -> tuple[np.ndarray, SpectralDecomposition]:
-    """:func:`_validated` and its spectrum, once no eigenvalue lies below ``-tol``."""
-    a = _validated(matrix, tol, label)
-    spectrum = _eigh(a)
-    low = spectrum.eigenvalues[0]
+def _psd(eigenvalues: np.ndarray, tol: float, label: str) -> float:
+    """The smallest of the ascending ``eigenvalues``, once it is not below ``-tol``."""
+    low = eigenvalues[0]
     if low < -tol:
         raise NegativeEigenvalueError(f"{label} is not positive semidefinite (min eigenvalue {low:.3e})")
-    return a, spectrum
+    return low
 
 
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit trace.
 
-    ``spectrum`` is the decomposition of ``matrix`` made during validation at
-    ``tol``. Eigenvalues in ``[-tol, 0)`` passed as noise; evaluation counts every
-    eigenvalue at or below 1e-12 as zero, and ``tol`` bounds off-support mass.
+    ``spectrum``, eigenvectors with LAPACK's phases, is the decomposition of
+    ``matrix`` made during validation at ``tol``, never recomputed. Eigenvalues in
+    ``[-tol, 0)`` passed as noise; evaluation counts every eigenvalue at or below
+    1e-12 as zero, and ``tol`` bounds off-support mass.
     """
 
     __slots__ = ("matrix", "spectrum", "tol")
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
-        a, spectrum = _psd(matrix, tol, "state")
+        a = _validated(matrix, tol, "state")
+        spectrum = _eigh(a)
+        _psd(spectrum.eigenvalues, tol, "state")
         tr = complex(np.trace(a))
         if abs(tr - 1.0) > tol:
             raise ValidationError(f"state trace {tr.real:.12g} differs from 1 beyond {tol:.1e}")
@@ -111,16 +109,16 @@ class DensityMatrix:
 class WeightMatrix:
     """Hermitian positive semidefinite observable weight.
 
-    Eigenvalues in ``[-tol, 0)`` pass as noise, as for a state. A minimum
-    eigenvalue at or below ``tol`` is flagged on ``degenerate``: such a weight
-    kills the corresponding directions in every entropy it enters.
+    Judged on its eigenvalues alone: those in ``[-tol, 0)`` pass as noise, as for
+    a state, and a minimum at or below ``tol`` is flagged on ``degenerate``: such
+    a weight kills the corresponding directions in every entropy it enters.
     """
 
     __slots__ = ("matrix", "degenerate")
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
-        a, spectrum = _psd(matrix, tol, "weight")
-        self.degenerate = bool(spectrum.eigenvalues[0] <= tol)
+        a = _validated(matrix, tol, "weight")
+        self.degenerate = bool(_psd(np.linalg.eigvalsh(a), tol, "weight") <= tol)
         self.matrix = a
 
     @property

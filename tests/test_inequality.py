@@ -32,9 +32,10 @@ from wqent.states import (
     _weight_stack,
 )
 from wqent.cli import main as cli_main
-from wqent.channel import Projector
+from wqent.channel import Projector, channel_then_check
 from wqent.entropy import qutrit_mutual_information_closed_form, weighted_entropy
-from wqent.linalg import DEFAULT_TOL, _eigh, _hermitian_part, hermitian_eig, partial_trace
+from wqent.linalg import DEFAULT_TOL, _eigh, _fix_phases, _hermitian_part, _partial_trace, hermitian_eig
+from wqent.linalg import SpectralDecomposition, partial_trace
 from wqent.inequality import (
     AUDIT_REGIMES,
     audit_random,
@@ -298,26 +299,59 @@ class TestCheckSubadditivity:
         wa = random_weight(2, rng).matrix
         wb = random_weight(3, rng).matrix
         shapes = []
+        value_shapes = []
         traces = []
+        eigvalsh = np.linalg.eigvalsh
 
         def counting(m, *args, **kwargs):
             shapes.append(np.shape(m))
             return _eigh(m, *args, **kwargs)
 
+        def counting_values(m, *args, **kwargs):
+            value_shapes.append(np.shape(m))
+            return eigvalsh(m, *args, **kwargs)
+
         def counting_trace(m, *args, **kwargs):
             traces.append(args)
-            return partial_trace(m, *args, **kwargs)
+            return _partial_trace(m, *args, **kwargs)
 
         # hermitian_eig reaches the solver through wqent.linalg._eigh, so it is counted too
         for module in (wqent.linalg, wqent.states, wqent.entropy, wqent.inequality):
             monkeypatch.setattr(module, "_eigh", counting)
-        monkeypatch.setattr(wqent.inequality, "partial_trace", counting_trace)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_values)
+        monkeypatch.setattr(wqent.inequality, "_partial_trace", counting_trace)
         state = BipartiteState(DensityMatrix(rho), 2, 3)
         check_subadditivity(WeightMatrix(wa), WeightMatrix(wb), state)
-        # rho_AB, phi_A, phi_B at validation; rho_A, rho_B in evaluation
-        assert shapes == [(6, 6), (2, 2), (3, 3), (2, 2), (3, 3)]
+        # rho_AB at validation; rho_A, rho_B in evaluation
+        assert shapes == [(6, 6), (2, 2), (3, 3)]
+        # phi_A, phi_B at validation: a weight's eigenvalues alone
+        assert value_shapes == [(2, 2), (3, 3)]
         # rho_A, rho_B, tr_B(phi rho) and tr_A(phi rho), each taken once
         assert len(traces) == 4
+
+    def test_only_public_hermitian_eig_fixes_phases(self, monkeypatch):
+        calls = []
+        fix = wqent.linalg._fix_phases
+
+        def counting(vecs):
+            calls.append(vecs.shape)
+            return fix(vecs)
+
+        monkeypatch.setattr(wqent.linalg, "_fix_phases", counting)
+        for _ in range(2):  # the counts repeat exactly
+            calls.clear()
+            rng = np.random.default_rng(9)
+            state = BipartiteState(DensityMatrix(random_density(6, rng).matrix), 2, 3)
+            check_subadditivity(WeightMatrix(random_weight(2, rng).matrix), WeightMatrix(random_weight(3, rng).matrix),
+                                state)
+            worked, wa, wb = worked_setup()
+            channel_then_check(Projector(np.diag([1.0, 0.0, 1.0, 0.0])), wa, wb, worked)
+            audit_random(200, 2, 3, 0, "general-unconstrained")
+            assert calls == []
+            m = state.rho.matrix
+            hermitian_eig(m)
+            hermitian_eig(np.stack([m, m]))
+            assert calls == [(6, 6), (2, 6, 6)]
 
     def test_inputs_are_checked_once_at_construction(self, monkeypatch):
         labels = []
@@ -343,6 +377,7 @@ class TestCheckSubadditivity:
     def test_partial_traces_are_exactly_hermitian(self, seed, da, db):
         # evaluation diagonalizes reduced states and audit draws unchecked, which is
         # sound only while they are exactly Hermitian and _eigh matches the checked path
+        # up to hermitian_eig's phase fix
         rng = np.random.default_rng(seed)
         skewed = random_density(da * db, rng).matrix + 1e-9 * rng.standard_normal((da * db,) * 2)
         validated = np.stack([random_density(da * db, rng).matrix, frame_state(rng, da, db, True).matrix,
@@ -352,7 +387,7 @@ class TestCheckSubadditivity:
                 assert np.array_equal(m, m.conj().swapaxes(-1, -2))
                 got, want = _eigh(m), hermitian_eig(m)
                 assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
-                assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+                assert _fix_phases(got.eigenvectors).tobytes() == want.eigenvectors.tobytes()
 
 
 def frame_state(rng, da, db, deficient):
@@ -395,6 +430,29 @@ class TestReportEngine:
             rep = check_subadditivity(wa, wb, BipartiteState(s, da, db))
             for k in REPORT_FIELDS:
                 assert abs(fields[k][i] - getattr(rep, k)) <= 1e-12, k
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(2, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_fields_do_not_depend_on_eigenvector_phases(self, seed, da, db):
+        # the unchecked _eigh keeps LAPACK's phases, so every field must be invariant under a
+        # unit phase on each eigenvector column, of the state's spectrum and of each reduced one
+        rng = np.random.default_rng(seed)
+        rho = np.stack([random_density(da * db, rng).matrix, frame_state(rng, da, db, True).matrix,
+                        frame_state(rng, da, db, False).matrix])
+        wa, wb = _weight_stack(rng, 3, da), _weight_stack(rng, 3, db)
+
+        def rephased(spectrum):
+            lams, vecs = spectrum
+            phases = np.exp(2j * np.pi * rng.random(vecs.shape[:-2] + (1, vecs.shape[-1])))
+            return SpectralDecomposition(lams, vecs * phases)
+
+        spectrum = _eigh(rho)
+        want = _report_fields(rho, spectrum, wa, wb, da, db, 1e-10)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wqent.entropy, "_eigh", lambda a: rephased(_eigh(a)))
+            got = _report_fields(rho, rephased(spectrum), wa, wb, da, db, 1e-10)
+        for k in REPORT_FIELDS:
+            assert np.abs(got[k] - want[k]).max() <= 1e-14, k
 
     def test_off_support_leak_raises(self):
         state = leaky_state()
@@ -635,7 +693,7 @@ def general_records_per_item(n, dim_a, dim_b, seed, tolerance):
     rho = _density_stack(rng, n, dim_a * dim_b)
     wa = _weight_stack(rng, n, dim_a)
     wb = _weight_stack(rng, n, dim_b)
-    fields = _report_fields(rho, hermitian_eig(rho), wa, wb, dim_a, dim_b, tolerance)
+    fields = _report_fields(rho, _eigh(rho), wa, wb, dim_a, dim_b, tolerance)
     out = []
     for i in np.nonzero(fields["gap"] < -tolerance)[0]:
         values = {k: float(v[i]) for k, v in fields.items()}
