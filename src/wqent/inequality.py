@@ -13,6 +13,7 @@ reports for its violators only.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields as dataclass_fields
 from functools import lru_cache, partial
 from typing import Callable, Iterator, NamedTuple
@@ -23,7 +24,7 @@ from .errors import DimensionError, ValidationError
 from .linalg import DEFAULT_TOL, SpectralDecomposition, _eigh, _kron, _ln_support, _partial_trace, _positive_tol
 from .linalg import _trace_product
 from .states import BipartiteState, WeightMatrix
-from .states import _density_stack, _finite, _nonnegative_weights, _scale_draws, _simplex, _weight_stack
+from .states import _density_stack, _finite, _floats, _nonnegative_weights, _scale_draws, _simplex, _weight_stack
 from .entropy import _joint_entropy, _subsystem_entropy
 
 AUDIT_REGIMES = (
@@ -58,7 +59,7 @@ def qutrit_condition_gap(p1, p2, phi1, phi2, chi1, chi2):
     embedded state: ``p2 (1 - p1 - p2) (phi1 - phi2) (chi2 - chi1)``. Weights too large
     for a finite gap raise.
     """
-    p1v, p2v = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)
+    p1v, p2v = _floats(p1, p2)
     p1v, p2v, p3 = _simplex(p1v, p2v, 1.0 - p1v - p2v)
     f1, f2, c1, c2 = _nonnegative_weights(phi1, phi2, chi1, chi2)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -244,16 +245,14 @@ def _sample_diagonal(rng: np.random.Generator, n: int, dim_a: int, dim_b: int, c
     # cost as much as the rest of the sampler
     probs /= _sum(list(probs.T))[:, None]
     weights = _scale_draws(rng, (n, dim_a + dim_b))
-    # resample weight rows until (phi1 - phi2)(chi2 - chi1) >= 0: each pass tests only its fresh
-    # draw, and writes each redrawn row once, as one item of a row view
-    row = np.dtype((np.void, weights.itemsize * weights.shape[1]))
-    w, rows, items = weights, np.arange(n), weights.view(row)[:, 0]
-    while condition_satisfying:
-        rows = rows[np.flatnonzero((w[:, 0] - w[:, 1]) * (w[:, 3] - w[:, 2]) < 0.0)]
-        if not rows.size:
-            break
-        w = _scale_draws(rng, (rows.size, 4))
-        items[rows] = w.view(row)[:, 0]
+    if condition_satisfying:
+        # resample weight rows until (phi1 - phi2)(chi2 - chi1) >= 0: each pass tests only its fresh
+        # draw, and writes each redrawn row once, as one item of a row view
+        row = np.dtype((np.void, weights.itemsize * weights.shape[1]))
+        w, rows, items = weights, np.arange(n), weights.view(row)[:, 0]
+        while (rows := rows[np.flatnonzero((w[:, 0] - w[:, 1]) * (w[:, 3] - w[:, 2]) < 0.0)]).size:
+            w = _scale_draws(rng, (rows.size, 4))
+            items[rows] = w.view(row)[:, 0]
     return probs, weights
 
 
@@ -332,7 +331,15 @@ def audit_random(
       get recorded.
     - ``general-unconstrained``: dense random states and weights of any
       requested factor dims, drawn and evaluated one chunk of stacks at a time.
+
+    ``n``, the dims and ``seed`` must be integers (Python or numpy); anything
+    else raises :class:`ValidationError`.
     """
+    try:
+        n, dim_a, dim_b, seed = map(operator.index, (n, dim_a, dim_b, seed))
+    except TypeError:
+        raise ValidationError(f"n, dim_a, dim_b and seed must be integers, got {n!r}, {dim_a!r}, {dim_b!r} "
+                              f"and {seed!r}") from None
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if seed < 0:

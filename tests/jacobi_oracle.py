@@ -1,7 +1,7 @@
-"""Cyclic Jacobi eigenvalues of complex Hermitian matrices, as a test oracle.
+"""Cyclic Jacobi eigendecompositions of complex Hermitian matrices, as a test oracle.
 
 Plain Python over numpy and independent of ``wqent``, so a test that checks
-``hermitian_eig`` (LAPACK) against it compares two different solvers.
+``hermitian_eig`` (LAPACK) or a closed form against it compares two different solvers.
 """
 
 import math
@@ -18,7 +18,7 @@ def _off_diag_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a - np.diag(np.diagonal(a))))
 
 
-def _rotate(a: np.ndarray, p: int, q: int) -> None:
+def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
     apq = a[p, q]
     r = abs(apq)
     if r == 0.0:
@@ -33,28 +33,38 @@ def _rotate(a: np.ndarray, p: int, q: int) -> None:
     pq = [p, q]
     a[:, pq] = a[:, pq] @ rot
     a[pq, :] = rot.conj().T @ a[pq, :]
+    v[:, pq] = v[:, pq] @ rot
     # the rotation annihilates this pair by construction; set it exactly
     a[p, q] = a[q, p] = 0.0
 
 
-def jacobi_eigvalsh(m) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part of ``m``.
+def jacobi_eigh(m) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of the Hermitian part of ``m`` and their eigenvectors, as columns.
 
     Sweeps the index pairs in row order, one complex rotation per pair,
-    until the off-diagonal norm drops below 1e-13 times the input norm.
-    Raises ``AssertionError`` if ``SWEEPS`` sweeps do not get there.
+    until the off-diagonal norm drops below 1e-13 times the input norm; the
+    eigenvectors are the product of the rotations. Raises ``AssertionError`` if
+    ``SWEEPS`` sweeps do not get there.
     """
     a = np.array(m, dtype=complex)
     a = 0.5 * (a + a.conj().T)
     n = a.shape[0]
+    v = np.eye(n, dtype=complex)
     target = _OFF_DIAG_FACTOR * float(np.linalg.norm(a))
     for _ in range(SWEEPS):
         if _off_diag_norm(a) <= target:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                _rotate(a, p, q)
+                _rotate(a, v, p, q)
     off = _off_diag_norm(a)
     if off > target:
         raise AssertionError(f"Jacobi left off-diagonal norm {off:.3e} after {SWEEPS} sweeps")
-    return np.sort(np.diagonal(a).real)
+    lams = np.diagonal(a).real
+    order = np.argsort(lams, kind="stable")
+    return lams[order], v[:, order]
+
+
+def jacobi_eigvalsh(m) -> np.ndarray:
+    """The ascending eigenvalues of :func:`jacobi_eigh`."""
+    return jacobi_eigh(m)[0]

@@ -8,10 +8,12 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jacobi_oracle import jacobi_eigh
 from json_oracle import matrix_to_dict, report_to_dict
+import wqent.entropy
 import wqent.inequality
 from wqent.errors import DimensionError, InvalidSimplexError, ValidationError
-from wqent.linalg import hermitian_eig, partial_trace, xlogx_matrix
+from wqent.linalg import SUPPORT_EPS, _eigh, hermitian_eig, partial_trace, xlogx_matrix
 from wqent.states import (
     BipartiteState,
     DensityMatrix,
@@ -22,8 +24,9 @@ from wqent.states import (
     haar_unitary,
     random_density,
     random_weight,
+    _density_stack,
 )
-from wqent.entropy import qutrit_mutual_information_closed_form, weighted_entropy
+from wqent.entropy import _subsystem_entropy, qutrit_mutual_information_closed_form, weighted_entropy
 from wqent.cli import main as cli_main
 from wqent.inequality import check_subadditivity
 
@@ -378,3 +381,138 @@ class TestClosedForm:
         state = embed_ququart(p1, p2, 1.0 - p1 - p2, 0.0)
         general = check_subadditivity(diag_weight(f1, f2), diag_weight(c1, c2), state).gap
         assert abs(closed - general) < 1e-10
+
+
+def eigh_entropies(x, rho, leak_tol=1e-10):
+    """The subsystem entropy of each item alone: one 2-D item always goes through ``eigh``."""
+    return np.array([_subsystem_entropy(xi, ri, leak_tol) for xi, ri in zip(x, rho)])
+
+
+def jacobi_entropies(x, rho):
+    """``-Re tr(x ln rho)`` on the support, from the cyclic Jacobi oracle's eigenpairs."""
+    out = []
+    for xi, ri in zip(x, rho):
+        lams, v = jacobi_eigh(ri)
+        y = np.einsum("ji,jk,ki->i", v.conj(), xi, v).real
+        out.append(-sum(t * math.log(lam) for t, lam in zip(y, lams) if lam > SUPPORT_EPS))
+    return np.array(out)
+
+
+def random_x(rng, k):
+    """``k`` dense complex 2x2 matrices, not Hermitian, as a reduced weighted state is not."""
+    return rng.standard_normal((k, 2, 2)) + 1j * rng.standard_normal((k, 2, 2))
+
+
+def near_diagonal(low, q, low_first):
+    """``[[1 - low, q], [conj q, low]]`` or, with ``low_first``, the same with the diagonal swapped."""
+    d = [low, 1.0 - low] if low_first else [1.0 - low, low]
+    return np.array([[d[0], q], [np.conj(q), d[1]]], dtype=complex)
+
+
+class TestQubitClosedForm:
+    """The closed-form 2x2 subsystem entropy that stacks take, against ``eigh`` and the Jacobi oracle."""
+
+    def assert_agree(self, x, rho):
+        got = _subsystem_entropy(x, rho, 1e-10)
+        assert np.abs(got - eigh_entropies(x, rho)).max() <= 1e-14
+        assert np.abs(got - jacobi_entropies(x, rho)).max() <= 1e-14
+
+    @pytest.mark.parametrize("r", [0.0, 1e-300, 1e-17, 1e-8])
+    def test_near_degenerate_states(self, r):
+        # eigenvalues 1/2 -+ r: h = r cos(theta) and q = r sin(theta) e^(i phi) as drawn, then
+        # h = 0 and q = 0 exactly, which the q == 0 rule serves
+        rng = np.random.default_rng(5)
+        theta, phi = rng.uniform(0, np.pi, 200), rng.uniform(0, 2 * np.pi, 200)
+        h = np.concatenate([r * np.cos(theta), [0.0, r, -r]])
+        q = np.concatenate([r * np.sin(theta) * np.exp(1j * phi), [r, 0.0, 0.0]])
+        rho = np.zeros((len(h), 2, 2), dtype=complex)
+        rho[:, 0, 0], rho[:, 1, 1], rho[:, 0, 1], rho[:, 1, 0] = 0.5 + h, 0.5 - h, q, q.conj()
+        self.assert_agree(random_x(rng, len(h)), rho)
+
+    def test_smallest_eigenvalue_at_the_support_edge(self):
+        # near-diagonal frames, where the exact smallest eigenvalue is the diagonal entry itself
+        # (|q|^2 is far below its last bit), so the closed form must put it on the right side of the
+        # 1e-12 threshold; then dense frames for eigenvalues far below the threshold
+        rng = np.random.default_rng(6)
+        edge = [0.0, 1e-12, np.nextafter(1e-12, 0.0), np.nextafter(1e-12, 1.0), 5e-324]
+        rho = [near_diagonal(low, q, first) for low in edge
+               for q in (0.0, 1e-170, 1e-20 * np.exp(0.7j)) for first in (False, True)]
+        exact = list(np.repeat(edge, 6))
+        for low in (0.0, 5e-324):
+            for _ in range(5):
+                u = haar_unitary(2, rng)
+                m = (u * [low, 1.0 - low]) @ u.conj().T
+                rho.append(0.5 * (m + m.conj().T))
+                exact.append(low)
+        rho, exact = np.array(rho), np.array(exact)
+        # x = W rho, as for a product state, puts almost no mass off the support
+        x = np.stack([random_weight(2, rng).matrix for _ in rho]) @ rho
+        got = _subsystem_entropy(x, rho, 1e-10)
+        assert np.abs(got - jacobi_entropies(x, rho)).max() <= 1e-14
+        # LAPACK can miss such an eigenvalue by a few ulps, across the threshold: it returned
+        # 9.999999999999998e-13 for an exact 1.0000000000000002e-12 with q complex and the small
+        # entry last. eigh is the reference wherever it keeps the exact eigenvalue's side
+        same_side = (_eigh(rho).eigenvalues[:, 0] <= SUPPORT_EPS) == (exact <= SUPPORT_EPS)
+        assert same_side.sum() >= len(rho) - 2  # one case misses here
+        assert np.abs(got - eigh_entropies(x, rho))[same_side].max() <= 1e-14
+
+    def test_dense_reduced_states(self):
+        rng = np.random.default_rng(7)
+        rho = _density_stack(rng, 2000, 4)
+        phi = np.stack([np.kron(random_weight(2, rng).matrix, random_weight(2, rng).matrix) for _ in range(50)])
+        for keep in ("A", "B"):
+            x, kept = partial_trace(np.tile(phi, (40, 1, 1)) @ rho, 2, 2, keep), partial_trace(rho, 2, 2, keep)
+            assert np.abs(_subsystem_entropy(x, kept, 1e-10) - eigh_entropies(x, kept)).max() <= 1e-14
+
+    @pytest.mark.parametrize("leak_tol", [1e-12, 1e-10, 1e-6])
+    def test_pure_marginals_leak_on_the_same_inputs(self, leak_tol):
+        # leaky_state in a random local frame: rho_A is pure, and phi rho puts mass of about
+        # 0.16 eps off its support; eps spans the threshold on a log grid
+        rng = np.random.default_rng(8)
+        w = np.array([[1.0, 0.4], [0.4, 1.0]])
+        weight = np.kron(w, w)
+        raised = []
+        for eps in np.geomspace(1e-14, 1e-4, 41):
+            m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+            m[0, 3] = m[3, 0] = eps
+            u = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+            rho = u @ m @ u.conj().T
+            rho = 0.5 * (rho + rho.conj().T)  # exactly Hermitian, as every state the engine sees
+            rho_a, x = partial_trace(rho, 2, 2, "A"), partial_trace(weight @ rho, 2, 2, "A")
+            assert abs(rho_a[0, 1]) > 0.0  # the closed form proper, not its q == 0 rule
+            outcomes = []
+            for args in ((x, rho_a), (x[None], rho_a[None])):  # eigh, then the closed form
+                try:
+                    outcomes.append(float(np.squeeze(_subsystem_entropy(*args, leak_tol))))
+                except ValidationError as exc:
+                    assert "outside the support" in str(exc)
+                    outcomes.append(None)
+            assert (outcomes[0] is None) == (outcomes[1] is None), eps
+            raised.append(outcomes[0] is None)
+            if outcomes[0] is not None:
+                assert abs(outcomes[0] - outcomes[1]) <= 1e-14
+        assert any(raised) and not all(raised)
+
+    def test_both_eigenvalues_off_the_support_go_through_eigh(self, monkeypatch):
+        calls = []
+        eigh = wqent.entropy._eigh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(wqent.entropy, "_eigh", counting)
+        rng = np.random.default_rng(9)
+        rho = np.stack([random_density(2, rng).matrix, np.diag([1e-13, 2e-13]).astype(complex),
+                        np.array([[1e-13, 2e-14j], [-2e-14j, 1e-13]])])
+        x = random_x(rng, 3)
+        x[1:] *= 1e-20
+        _subsystem_entropy(x[[0]], rho[[0]], 1e-10)
+        assert calls == []
+        got = _subsystem_entropy(x, rho, 1e-10)
+        assert calls == [(3, 2, 2)]
+        assert np.abs(got - eigh_entropies(x, rho)).max() <= 1e-14
+        # and the eigh path's leak rule, over the whole off-support block, judges them
+        x[2, 0, 1] = 1e-6
+        with pytest.raises(ValidationError, match="outside the support"):
+            _subsystem_entropy(x, rho, 1e-10)

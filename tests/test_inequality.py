@@ -1072,3 +1072,48 @@ class TestAudit:
             with pytest.raises(ValidationError):
                 audit_random(10, 2, 2, 0, "diagonal-unconstrained", tolerance=tolerance)
         assert len(AUDIT_REGIMES) == 3
+
+    @pytest.mark.parametrize("position, value", [
+        (0, 1e3), (1, 2.0), (2, np.float64(2.0)), (3, 1.5), (3, "0"),
+        (0, np.int64(40)), (1, np.int32(2)), (2, np.uint8(2)), (3, np.int16(7)), (3, True),
+    ])
+    def test_arguments_must_be_integers(self, position, value):
+        # n, dim_a, dim_b and seed go through operator.index: Python and numpy integers pass,
+        # anything else is a ValidationError, never a bare TypeError from deeper down
+        args = [40, 2, 2, 7]
+        args[position] = value
+        for regime in ("diagonal-unconstrained", "general-unconstrained"):
+            if isinstance(value, (float, str)):
+                with pytest.raises(ValidationError, match="must be integers"):
+                    audit_random(*args, regime)
+            else:
+                got = audit_random(*args, regime)
+                want = audit_random(*[int(a) for a in args], regime)
+                assert (got.samples, got.seed, got.min_gap) == (want.samples, want.seed, want.min_gap)
+                assert type(got.seed) is int
+
+
+class TestGeneralAuditKernels:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_one_chunk_diagonalizes_only_what_has_no_closed_form(self, monkeypatch, dims):
+        # 2x2 reduced states take the closed-form entropy and dim-2 frames the closed-form
+        # Haar factor, so a 2x2 chunk makes one eigh call (the joint states) and no QR
+        eighs, qrs = [], []
+        eigh, qr = _eigh, np.linalg.qr
+
+        def counting_eigh(a):
+            eighs.append(a.shape)
+            return eigh(a)
+
+        def counting_qr(a, *args, **kwargs):
+            qrs.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        for module in (wqent.linalg, wqent.states, wqent.entropy, wqent.inequality):
+            monkeypatch.setattr(module, "_eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        da, db = dims
+        audit_random(300, da, db, 0, "general-unconstrained")
+        d = da * db
+        assert eighs == [(300, d, d)] + [(300, k, k) for k in (da, db) if k > 2]
+        assert qrs == [(300, k, k) for k in (da, db) if k > 2]

@@ -23,7 +23,9 @@ from wqent.states import (
     haar_unitary,
     random_density,
     random_weight,
+    _gaussian,
     _scale_draws,
+    _unitary_stack,
 )
 
 
@@ -259,10 +261,46 @@ class TestSamplers:
         q, r = np.linalg.qr(z)
         unitary = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
+        # at dim 2 the phase-fixed QR factor is written out from the normalised first column,
+        # each entry a one-item array, as in the batched sampler at n = 1
+        u2 = g.uniform(0.05, 2.0, size=2)
+        frames = []
+        for _ in range(2):
+            z = g.standard_normal((2, 2)) + 1j * g.standard_normal((2, 2))
+            a, b, c, d = z[0, :1], z[1, :1], z[0, 1:], z[1, 1:]
+            norm = np.hypot(np.abs(a), np.abs(b))
+            a, b = a / norm, b / norm
+            w = a * d - b * c
+            w = w / np.abs(w)
+            frames.append(np.array([[a, -b.conj() * w], [b, a.conj() * w]])[..., 0])
+        weight2 = (frames[0] * u2) @ frames[0].conj().T
+
         g = np.random.default_rng(12)
         assert np.array_equal(random_density(3, g).matrix, 0.5 * (density + density.conj().T))
         assert np.array_equal(random_weight(3, g).matrix, 0.5 * (weight + weight.conj().T))
         assert np.array_equal(haar_unitary(4, g), unitary)
+        assert np.array_equal(random_weight(2, g).matrix, 0.5 * (weight2 + weight2.conj().T))
+        assert np.array_equal(haar_unitary(2, g), frames[1])
+
+    def test_dim_two_frames_equal_the_phase_fixed_qr_factor(self):
+        # 1e4 seeded draws. The second column's phase is that of det z, which both constructions
+        # carry with a relative error of about eps times the condition number of z, so they agree
+        # within 4 eps cond(z): within 1e-14 for well-conditioned draws, and about 2.5e-14 at
+        # worst over these draws, where QR itself is the farther from the exact factor
+        g_frame, g_qr = np.random.default_rng(2024), np.random.default_rng(2024)
+        got = _unitary_stack(g_frame, 10_000, 2)
+        z = _gaussian(g_qr, (10_000, 2, 2))
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        want = q * (d / np.abs(d))[:, None, :]
+        diff = np.abs(got - want).max(axis=(1, 2))
+        cond = np.linalg.cond(z)
+        assert (diff <= 4 * np.finfo(float).eps * cond).all()
+        assert diff[cond <= 10].max() <= 1e-14
+        # unitary as QR's factor is, which read 1.3e-15 here
+        assert np.abs(got.conj().swapaxes(1, 2) @ got - np.eye(2)).max() <= 2e-15
+        # both consumed the same draws
+        assert g_frame.random() == g_qr.random()
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 + 5])
     @pytest.mark.parametrize("shape", [(1,), (4,), (3, 4), (1001, 4), (20_000, 2)])
