@@ -8,7 +8,9 @@ listed once in ``cases()``, cover the default sweep CSVs, audits in every
 regime, ``entropy``, ``check``, ``channel`` and ``qutrit`` on the worked
 example, ``check`` and ``channel`` on the non-commuting fixture, ``check`` on a
 dense complex 2x3 state, finite entries whose sums or products overflow a
-float, and failing calls for every error exit code (2 to 5).
+float, and failing calls for every error exit code (2 to 5). One case renders
+the three figure grids at four parameter sets in a single interpreter, so
+later renders repeat a layout, and prints the sha256 of each CSV.
 A case differs when its exit code, stdout or stderr does.
 Each differing case is named; the exit code is 1 if any case differs, else 0.
 Two interpreters run at a time.
@@ -43,6 +45,17 @@ MATRICES = {
 }
 TRUNCATED = '{"dim": 4, "re": [[1, 0'
 
+# the figure grids at the paper's parameters, at two other sets, then at the paper's again:
+# (phi1, phi2, chi1, chi2) for the probability grid and (p1, p2) for the weight grids
+FIGURE_RENDERS = """
+import hashlib
+from wqent.sweeps import grid_to_csv, sweep_probabilities, sweep_weights
+for prob, weight in [((), ()), ((0.5, 0.5, 0.2, 0.8), (0.1, 0.3)), ((0.9, 0.1, 0.4, 0.6), (0.6, 0.2)), ((), ())]:
+    grids = [sweep_probabilities(97, *prob)] + [sweep_weights(region, 97, *weight) for region in "ab"]
+    for grid in grids:
+        print(hashlib.sha256(grid_to_csv(grid, [f"{prob} {weight} 100%"]).encode()).hexdigest())
+"""
+
 
 def dense_psd(dim: int, seed: int, unit_trace: bool) -> dict:
     """``G G^dagger`` as a matrix file, for ``G`` with seeded complex entries; scaled to trace 1 if asked."""
@@ -70,6 +83,7 @@ def cases(files: dict) -> dict:
         "sweep weight a": cli + ["sweep", "weight", "--region", "a"],
         "sweep weight b": cli + ["sweep", "weight", "--region", "b"],
         "sweep prob grid-n 1": cli + ["sweep", "prob", "--grid-n", "1"],
+        "figure grids at four parameter sets in one interpreter": ["-c", FIGURE_RENDERS],
     }
     for regime in ("diagonal-condition-satisfying", "diagonal-unconstrained"):
         for seed in range(3):

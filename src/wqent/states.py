@@ -12,6 +12,8 @@ semidefinite rule, ``_psd``, judges the eigenvalues of states and weights alike.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,11 @@ def _floats(*values) -> list:
     return [np.asarray(v, dtype=float)[()] for v in values]
 
 
+def _all(conditions) -> bool:
+    """Whether every entry of every condition holds: one ``&`` chain, broadcast, and one reduction."""
+    return bool(functools.reduce(operator.and_, conditions).all())
+
+
 def _simplex(*ps) -> list[np.ndarray]:
     """The probabilities as floats (:func:`_floats`) once each is ``>= -SUPPORT_EPS`` and they sum to 1
     within it.
@@ -41,7 +48,7 @@ def _simplex(*ps) -> list[np.ndarray]:
     is formed only once no entry is negative, so it never meets ``inf - inf``.
     """
     arrays = _floats(*ps)
-    if not (all((p >= -SUPPORT_EPS).all() for p in arrays) and (abs(sum(arrays) - 1.0) <= SUPPORT_EPS).all()):
+    if not (_all([p >= -SUPPORT_EPS for p in arrays]) and (abs(sum(arrays) - 1.0) <= SUPPORT_EPS).all()):
         raise InvalidSimplexError(f"probabilities must be >= -{SUPPORT_EPS:g} and sum to 1 within {SUPPORT_EPS:g}")
     return arrays
 
@@ -49,7 +56,7 @@ def _simplex(*ps) -> list[np.ndarray]:
 def _nonnegative_weights(*weights) -> list[np.ndarray]:
     """The weights as floats (:func:`_floats`) once every entry is nonnegative and finite (a NaN fails)."""
     arrays = _floats(*weights)
-    if not all(((w >= 0.0) & (w < np.inf)).all() for w in arrays):
+    if not _all([(w >= 0.0) & (w < np.inf) for w in arrays]):
         raise ValidationError("weights must be nonnegative and finite")
     return arrays
 

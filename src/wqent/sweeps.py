@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DimensionError, ValidationError
 from .entropy import qutrit_mutual_information_closed_form
 
 PROB_SWEEP_WEIGHTS = (0.75, 0.25, 1.0 / 3.0, 2.0 / 3.0)
@@ -86,17 +88,48 @@ def sweep_weights(
 def grid_to_csv(grid: SweepGrid, comments: Sequence[str] = ()) -> str:
     """Render unmasked cells in row-major order, 17 significant digits.
 
-    The body is one printf template: each axis value is formatted once, each
-    row is joined from a shared list of ``"b,%.17g"`` cells (masked cells are
-    dropped only in rows that have any), and one ``%`` call formats every
-    unmasked value. Comments and the header stay outside the template.
+    The body is one printf template per layout, the two axes and the mask:
+    each axis value is formatted once, each row is joined from a shared list
+    of ``"b,%.17g"`` cells (masked cells are dropped only in rows that have
+    any), and one ``%`` call formats every unmasked value. The template is
+    built once per layout and kept in a cache of three, keyed on each axis's
+    dtype, shape and bytes and on the mask as bools, so ``-0.0`` and ``0.0``,
+    or an integer and a float axis, never share one. Three layouts are one
+    ``grid_n``'s figure set; at ``grid_n = 97`` they hold about 0.9 MB (38 to
+    46 bytes per unmasked cell). A process that renders one grid, as the CLI
+    does, builds its template once, as it would without the cache. Comments
+    and the header stay outside the template, so a ``%`` in a comment is
+    written as given.
+
+    Raises ``DimensionError`` unless both axes are 1-D and the values and the
+    mask have the shape ``(len(axis 0), len(axis 1))``.
     """
+    axes = [np.asarray(ax) for ax in grid.axis_values]
+    values = np.asarray(grid.values)
+    mask = np.asarray(grid.mask, dtype=bool)
+    if not (axes[0].ndim == axes[1].ndim == 1 and values.shape == mask.shape == (axes[0].size, axes[1].size)):
+        raise DimensionError(
+            f"grid values {values.shape} and mask {mask.shape} must both have the shape "
+            f"of the axes {tuple(ax.shape for ax in axes)}"
+        )
+    if any(ax.dtype.hasobject for ax in axes):
+        raise ValidationError("grid axes must be numeric arrays, not object arrays")
+    key = tuple((ax.dtype.str, ax.shape, ax.tobytes()) for ax in axes)
     head = "".join(f"# {c}\n" for c in comments) + f"{grid.axis_names[0]},{grid.axis_names[1]},I\n"
-    ax0, ax1 = ([f"{x:.17g}" for x in ax.tolist()] for ax in grid.axis_values)
-    cells = [f"{b},%.17g" for b in ax1]
+    return head + _body_template(*key, (mask.shape, mask.tobytes())) % tuple(values[~mask].tolist())
+
+
+@functools.lru_cache(maxsize=3)
+def _body_template(ax0: tuple, ax1: tuple, mask: tuple) -> str:
+    """The printf body of one layout, from the ``(dtype, shape, bytes)`` of each axis and ``(shape, bytes)``
+    of the bool mask."""
+    labels0, labels1 = ([f"{x:.17g}" for x in np.frombuffer(data, dtype).reshape(shape).tolist()]
+                        for dtype, shape, data in (ax0, ax1))
+    keep = ~np.frombuffer(mask[1], dtype=bool).reshape(mask[0])
+    cells = [f"{b},%.17g" for b in labels1]
     rows = []
-    for a, masked, partly in zip(ax0, grid.mask.tolist(), grid.mask.any(axis=1).tolist()):
-        kept = [c for c, m in zip(cells, masked) if not m] if partly else cells
+    for a, selectors, full in zip(labels0, keep.tolist(), keep.all(axis=1).tolist()):
+        kept = cells if full else list(compress(cells, selectors))
         if kept:
             rows.append(a + "," + ("\n" + a + ",").join(kept) + "\n")
-    return head + "".join(rows) % tuple(grid.values[~grid.mask].tolist())
+    return "".join(rows)

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqent.errors import ValidationError
+from wqent.errors import DimensionError, ValidationError
 from wqent.entropy import qutrit_mutual_information_closed_form
-from wqent.sweeps import SweepGrid, grid_to_csv, sweep_probabilities, sweep_weights
+from wqent.sweeps import SweepGrid, _body_template, grid_to_csv, sweep_probabilities, sweep_weights
 
 from csv_oracle import grid_to_csv_per_cell
 
@@ -162,6 +162,51 @@ class TestCsvMatchesPerCellOracle:
         assert "1.0000000000000001e-17,0.20000000000000001,nan" in rows
         assert len(rows) == 12 - 4
 
+    def test_integer_mask_renders_as_its_bools(self):
+        grid = awkward_grid()
+        grid = SweepGrid(grid.axis_names, grid.axis_values, grid.values, grid.mask.astype(int))
+        assert grid_to_csv(grid).encode() == grid_to_csv_per_cell(grid).encode()
+
+    def test_a_layout_evicted_from_the_cache_renders_the_same(self):
+        # four layouts, one more than the cache holds, then the first again
+        grids = [sweep_probabilities(5), sweep_weights("a", 5), sweep_weights("b", 5), sweep_probabilities(6)]
+        _body_template.cache_clear()
+        for grid in grids + grids[:1]:
+            assert grid_to_csv(grid).encode() == grid_to_csv_per_cell(grid).encode()
+        assert _body_template.cache_info().misses == 5
+
+    def test_a_repeated_layout_reuses_its_template(self):
+        _body_template.cache_clear()
+        first, second = sweep_weights("a", 9), sweep_weights("a", 9, p1=0.5, p2=0.25)
+        assert grid_to_csv(first) != grid_to_csv(second) == grid_to_csv_per_cell(second)
+        assert _body_template.cache_info()[:2] == (1, 1)  # hits, misses
+
+
+def malformed(axis0=3, axis1=4, values=(3, 4), mask=(3, 4)):
+    """A grid whose axes, values and mask have the given lengths and shapes."""
+    axes = tuple(np.linspace(0.0, 1.0, n) for n in (axis0, axis1))
+    return SweepGrid(("x", "y"), axes, np.zeros(values), np.zeros(mask, dtype=bool))
+
+
+class TestCsvRejectsMalformedGrids:
+    @pytest.mark.parametrize("grid", [
+        malformed(axis1=3), malformed(axis1=5), malformed(axis0=2), malformed(axis0=4),
+        malformed(mask=(2, 4)), malformed(mask=(3, 3)), malformed(values=(3, 5)), malformed(values=(12,)),
+        SweepGrid(("x", "y"), (np.zeros((3, 1)), np.zeros(4)), np.zeros((3, 4)), np.zeros((3, 4), dtype=bool)),
+    ], ids=["axis1-short", "axis1-long", "axis0-short", "axis0-long",
+            "mask-row-missing", "mask-column-missing", "values-wide", "values-flat", "axis0-2d"])
+    def test_shape_mismatch_raises_dimension_error(self, grid):
+        with pytest.raises(DimensionError):
+            grid_to_csv(grid)
+
+    def test_object_axis_raises_validation_error(self):
+        # an object array's bytes are pointers, which cannot key a layout
+        grid = malformed()
+        grid = SweepGrid(grid.axis_names, (grid.axis_values[0].astype(object), grid.axis_values[1]),
+                         grid.values, grid.mask)
+        with pytest.raises(ValidationError):
+            grid_to_csv(grid)
+
 
 # values the 17-digit printf must spell as the per-cell f-string does
 AWKWARD_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, np.inf, -np.inf, np.nan, 0.1, 2.0 / 3.0, 1.0]
@@ -186,10 +231,46 @@ def random_grids(draw):
     return SweepGrid(("x", "y"), axes, values, mask)
 
 
+@st.composite
+def sibling_grids(draw):
+    """A random grid and a sibling with its shape, mask and values, whose one axis differs from it only
+    by a negated zero, by one ulp, or by an integer dtype holding the same values or the same bytes."""
+    grid = draw(random_grids())
+    k = draw(st.integers(0, 1))
+    axis = grid.axis_values[k].copy()
+    i = draw(st.integers(0, axis.size - 1))
+    kind = draw(st.sampled_from(["negated zero", "ulp", "integer values", "integer bytes"]))
+    if kind == "negated zero":
+        axis[i] = draw(st.sampled_from([0.0, -0.0]))
+        sibling = axis.copy()
+        sibling[i] = -axis[i]
+    elif kind == "ulp":
+        axis[i] = draw(st.sampled_from([0.0, -5e-324, 0.1, 2.0 / 3.0, 1.0, -1e300]))
+        sibling = axis.copy()
+        sibling[i] = np.nextafter(axis[i], np.inf)
+    elif kind == "integer values":
+        # prints as the float axis does: %g formats an int as a float
+        ints = st.lists(st.integers(-10**6, 10**6), min_size=axis.size, max_size=axis.size)
+        axis = np.array(draw(ints), dtype=float)
+        sibling = axis.astype(np.int64)
+    else:
+        # the float axis's bytes read as int64 print as other numbers: only the dtype tells the keys apart
+        sibling = axis.view(np.int64)
+
+    def with_axis(a):
+        axes = list(grid.axis_values)
+        axes[k] = a
+        return SweepGrid(grid.axis_names, tuple(axes), grid.values, grid.mask)
+    return with_axis(axis), with_axis(sibling)
+
+
 class TestCsvPropertyMatchesOracle:
     """Random grids up to 5x5, 1x1 and fully masked ones included."""
 
-    @given(random_grids(), AWKWARD_COMMENTS)
+    @given(sibling_grids(), AWKWARD_COMMENTS)
     @settings(max_examples=200, deadline=None)
-    def test_random_grid_bytes_equal_oracle(self, grid, comments):
-        assert grid_to_csv(grid, comments).encode() == grid_to_csv_per_cell(grid, comments).encode()
+    def test_random_grid_bytes_equal_oracle(self, grids, comments):
+        # the grid, then a sibling whose layout key differs only in its axis bytes or dtype, then the grid again
+        grid, sibling = grids
+        for g in (grid, sibling, grid):
+            assert grid_to_csv(g, comments).encode() == grid_to_csv_per_cell(g, comments).encode()
