@@ -5,10 +5,11 @@ Usage: python scripts/compare_outputs.py OLD_SRC NEW_SRC
 OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts. Every case
 runs in a fresh interpreter with ``PYTHONPATH`` set to one of them. The cases,
 listed once in ``cases()``, cover the default sweep CSVs, audits in every
-regime, ``entropy``, ``check``, ``channel`` and ``qutrit`` on the worked
-example, ``check`` and ``channel`` on the non-commuting fixture, ``check`` on a
-dense complex 2x3 state, finite entries whose sums or products overflow a
-float, and failing calls for every error exit code (2 to 5). One case renders
+regime (the diagonal ones within one chunk and across several), ``entropy``,
+``check``, ``channel`` and ``qutrit`` on the worked example, ``check`` and
+``channel`` on the non-commuting fixture, ``check`` on a dense complex 2x3
+state, finite entries whose sums or products overflow a float, and failing
+calls for every error exit code (2 to 5). One case renders
 the three figure grids at four parameter sets in a single interpreter, so
 later renders repeat a layout, and prints the sha256 of each CSV.
 A case differs when its exit code, stdout or stderr does.
@@ -92,6 +93,12 @@ def cases(files: dict) -> dict:
     for regime in ("diagonal-condition-satisfying", "diagonal-unconstrained"):
         out[f"audit {regime} n=100000 seed=5"] = cli + [
             "audit", "--n", "100000", "--seed", "5", "--regime", regime]
+    # several chunks (8192 samples each at 2x2, 1618 at 3x3): weights drawn per chunk and the
+    # resampler's blocks cross chunk boundaries
+    for regime in ("diagonal-condition-satisfying", "diagonal-unconstrained"):
+        out[f"audit {regime} n=20000 seed=3"] = cli + ["audit", "--n", "20000", "--seed", "3", "--regime", regime]
+    out["audit diagonal-unconstrained 3x3 n=20000 seed=3"] = cli + [
+        "audit", "--n", "20000", "--seed", "3", "--dims", "3x3", "--regime", "diagonal-unconstrained"]
     # at 3x3 no row or column has a single cell, so no group term reuses its cell's log
     for dims in ("2x3", "3x3"):
         out[f"audit diagonal-unconstrained {dims} n=2000 seed=1"] = cli + [

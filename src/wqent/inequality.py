@@ -8,7 +8,7 @@ have one kernel over the occupied cells of a diagonal state, at any factor dims,
 run once per chunk. It is the one matrix path: the
 weighted mutual information is a report's ``gap`` and the trace condition its
 ``condition_gap``. An audit scans the gap of every sample and builds full
-reports for its violators only.
+reports for its violators only, once the scan has released the sample.
 """
 
 from __future__ import annotations
@@ -237,23 +237,31 @@ def _diag_stack(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sample_diagonal(rng: np.random.Generator, n: int, dim_a: int, dim_b: int, condition_satisfying: bool):
-    """``n`` diagonal states with a zero last cell and their diagonal weights, laid out as for
-    :func:`_diagonal_entropy_terms`; the condition-satisfying stream is the embedded qutrit's."""
-    probs = rng.standard_exponential((n, dim_a * dim_b - 1))
-    # normalized in place, the row sum term by term: a reduction over the short axis
-    # cost as much as the rest of the sampler
-    probs /= _sum(list(probs.T))[:, None]
-    weights = _scale_draws(rng, (n, dim_a + dim_b))
-    if condition_satisfying:
-        # resample weight rows until (phi1 - phi2)(chi2 - chi1) >= 0: each pass tests only its fresh
-        # draw, and writes each redrawn row once, as one item of a row view
-        row = np.dtype((np.void, weights.itemsize * weights.shape[1]))
-        w, rows, items = weights, np.arange(n), weights.view(row)[:, 0]
-        while (rows := rows[np.flatnonzero((w[:, 0] - w[:, 1]) * (w[:, 3] - w[:, 2]) < 0.0)]).size:
-            w = _scale_draws(rng, (rows.size, 4))
-            items[rows] = w.view(row)[:, 0]
-    return probs, weights
+def _failing_rows(w: np.ndarray) -> np.ndarray:
+    """Indices of the 2x2 weight rows ``(phi1, phi2, chi1, chi2)`` with ``(phi1 - phi2)(chi2 - chi1) < 0``."""
+    return np.flatnonzero((w[:, 0] - w[:, 1]) * (w[:, 3] - w[:, 2]) < 0.0)
+
+
+def _condition_satisfying_weights(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    """``n`` embedded-qutrit weight rows, each row redrawn until the sign condition holds.
+
+    Every pass tests only its fresh draws and redraws its failing rows in row order. Both run in
+    blocks of ``size`` rows, so no temporary grows with ``n``; the draws and their order are those
+    of one redraw per pass. Each redrawn row is written once, as one item of a row view.
+    """
+    weights = _scale_draws(rng, (n, 4))
+    row = np.dtype((np.void, weights.itemsize * 4))
+    items = weights.view(row)[:, 0]
+    rows = np.concatenate([start + _failing_rows(weights[start:start + size]) for start in range(0, n, size)])
+    while rows.size:
+        failing = []
+        for start in range(0, rows.size, size):
+            block = rows[start:start + size]
+            w = _scale_draws(rng, (block.size, 4))
+            items[block] = w.view(row)[:, 0]
+            failing.append(block[_failing_rows(w)])
+        rows = np.concatenate(failing)
+    return weights
 
 
 # a regime yields chunks: the gap of a run of samples, and a function from the chunk's
@@ -275,17 +283,29 @@ def _diagonal_violators(probs: np.ndarray, weights: np.ndarray, dim_a: int, dim_
     return _diagonal_report_fields(p, w, dim_a, dim_b, tuple(x[idx] for x in terms)), matrices
 
 
+def _diagonal_chunk(probs: np.ndarray, weights: np.ndarray, dim_a: int, dim_b: int):
+    """The scan's gap of one chunk of diagonal samples, and its violators function."""
+    terms = x_ab, x_a, x_b = _diagonal_entropy_terms(probs, weights, dim_a, dim_b)
+    # x_ab - (x_a + x_b) rounds as the report's s_a + s_b - s_ab does, since negation is exact
+    return x_ab - (x_a + x_b), partial(_diagonal_violators, probs, weights, dim_a, dim_b, terms)
+
+
 def _diagonal_chunks(rng: np.random.Generator, n: int, dim_a: int, dim_b: int,
                      condition_satisfying: bool) -> _Chunks:
-    # the whole sample is drawn at once, so the stream does not depend on the chunk size;
-    # every field is elementwise, so neither do its bits
-    probs, weights = _sample_diagonal(rng, n, dim_a, dim_b, condition_satisfying)
+    # every probability is drawn first, then the weights: the stream does not depend on the chunk
+    # size, and as every field is elementwise, neither do its bits. Each row of probs is a diagonal
+    # state with a zero last cell, laid out as for _diagonal_entropy_terms, normalized in place by
+    # its sum term by term: a reduction over the short axis cost as much as the rest of the sampler
+    probs = rng.standard_exponential((n, dim_a * dim_b - 1))
+    probs /= _sum(list(probs.T))[:, None]
     size = _chunk_items(dim_a * dim_b)  # sized by the d x d state a record holds
+    # the resampler redraws any row in any pass, so those weights exist whole before the scan;
+    # unconstrained ones are drawn per chunk, one double per entry in row order as a whole draw takes
+    weights = _condition_satisfying_weights(rng, n, size) if condition_satisfying else None
     for start in range(0, n, size):
-        p, w = probs[start:start + size], weights[start:start + size]
-        terms = x_ab, x_a, x_b = _diagonal_entropy_terms(p, w, dim_a, dim_b)
-        # x_ab - (x_a + x_b) rounds as the report's s_a + s_b - s_ab does, since negation is exact
-        yield x_ab - (x_a + x_b), partial(_diagonal_violators, p, w, dim_a, dim_b, terms)
+        p = probs[start:start + size]
+        w = _scale_draws(rng, (len(p), dim_a + dim_b)) if weights is None else weights[start:start + size]
+        yield _diagonal_chunk(p, w, dim_a, dim_b)
 
 
 def _general_violators(fields: dict[str, np.ndarray], rho: np.ndarray, wa: np.ndarray, wb: np.ndarray,
@@ -306,6 +326,18 @@ def _general_chunks(rng: np.random.Generator, n: int, dim_a: int, dim_b: int, to
         # mass is judged at the audit's tolerance
         fields = _report_fields(rho, _eigh(rho), wa, wb, dim_a, dim_b, tolerance)
         yield fields["gap"], partial(_general_violators, fields, rho, wa, wb)
+
+
+def _scan(chunks: _Chunks, tolerance: float) -> tuple[list, list]:
+    """Each chunk's smallest gap, and the report fields and stacks of every chunk with a violator:
+    copies taken by index, so nothing kept refers to the sample."""
+    mins, kept = [], []
+    for gap, violators in chunks:
+        mins.append(gap.min())
+        idx = np.flatnonzero(gap < -tolerance)
+        if idx.size:
+            kept.append(violators(idx))
+    return mins, kept
 
 
 def audit_random(
@@ -357,17 +389,14 @@ def audit_random(
     else:
         chunks = _diagonal_chunks(rng, n, dim_a, dim_b, regime == "diagonal-condition-satisfying")
 
-    # one scan: each chunk leaves its smallest gap, and its violators become records at once,
-    # each holding its own item of the chunk's stacks and built as the reports are
-    mins, violations, new = [], [], object.__new__
-    for gap, violators in chunks:
-        mins.append(gap.min())
-        idx = np.flatnonzero(gap < -tolerance)
-        if idx.size:
-            fields, matrices = violators(idx)
-            for row in zip(*matrices, _reports(fields, tolerance)):
-                record = new(ViolationRecord)
-                d = record.__dict__
-                d["state"], d["weight_a"], d["weight_b"], d["report"] = row
-                violations.append(record)
+    # draw -> scan -> release -> build: records are built only once the scan has ended, so the
+    # sample and the last chunk are gone by then and never share the peak with the records
+    mins, kept = _scan(chunks, tolerance)
+    violations, new = [], object.__new__
+    for fields, matrices in kept:
+        for row in zip(*matrices, _reports(fields, tolerance)):
+            record = new(ViolationRecord)
+            d = record.__dict__
+            d["state"], d["weight_a"], d["weight_b"], d["report"] = row
+            violations.append(record)
     return AuditSummary(n, tuple(violations), float(np.min(mins)), seed, regime)

@@ -43,6 +43,18 @@ def _positive_tol(value: float, name: str = "tol") -> None:
         raise ValidationError(f"{name} must be positive and finite, got {value}")
 
 
+def _below_noise_floor(eigenvalues: np.ndarray, tol: float) -> bool:
+    """Whether the smallest of the ascending ``eigenvalues`` is negative beyond noise: below ``-tol``
+    times the largest eigenvalue, or times 1 where that is smaller.
+
+    The eigensolver's rounding grows with the matrix norm, so an exactly semidefinite singular
+    matrix of large norm reads a small negative eigenvalue. Within noise of semidefinite, the
+    largest eigenvalue is that norm; a larger negative one is no noise at any ``tol`` below 1.
+    The smallest is divided by the scale, not ``tol`` multiplied by it, so nothing overflows.
+    """
+    return bool(eigenvalues[0] / max(1.0, eigenvalues[-1]) < -tol)
+
+
 def _hermitize(a: np.ndarray, a_dagger: np.ndarray | None = None) -> np.ndarray:
     # halved before the sum, so finite entries give a finite result; each entry and its
     # mirror add the same two halves, so the result is exactly Hermitian

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidSimplexError, NegativeEigenvalueError, ValidationError
 from .linalg import DEFAULT_TOL, SUPPORT_EPS, _as_stack, _dagger, _eigh, _hermitian_part, _hermitize
+from .linalg import _below_noise_floor
 
 DEFAULT_SCALE_RANGE = (0.05, 2.0)
 
@@ -81,9 +82,9 @@ def _validated(matrix, tol: float, label: str) -> np.ndarray:
 
 
 def _psd(eigenvalues: np.ndarray, tol: float, label: str) -> float:
-    """The smallest of the ascending ``eigenvalues``, once it is not below ``-tol``."""
+    """The smallest of the ascending ``eigenvalues``, once it is not :func:`~wqent.linalg._below_noise_floor`."""
     low = eigenvalues[0]
-    if low < -tol:
+    if _below_noise_floor(eigenvalues, tol):
         raise NegativeEigenvalueError(f"{label} is not positive semidefinite (min eigenvalue {low:.3e})")
     return low
 
@@ -93,8 +94,10 @@ class DensityMatrix:
 
     ``spectrum``, eigenvectors with LAPACK's phases, is the decomposition of
     ``matrix`` made during validation at ``tol``, never recomputed. Eigenvalues in
-    ``[-tol, 0)`` passed as noise; evaluation counts every eigenvalue at or below
-    1e-12 as zero, and ``tol`` bounds off-support mass.
+    ``[-tol, 0)`` passed as noise (the floor scales with an eigenvalue above 1,
+    which a unit-trace state cannot exceed by more than about ``tol``);
+    evaluation counts every eigenvalue at or below 1e-12 as zero, and ``tol``
+    bounds off-support mass.
     """
 
     __slots__ = ("matrix", "spectrum", "tol")
@@ -123,9 +126,10 @@ class DensityMatrix:
 class WeightMatrix:
     """Hermitian positive semidefinite observable weight.
 
-    Judged on its eigenvalues alone: those in ``[-tol, 0)`` pass as noise, as for
-    a state, and a minimum at or below ``tol`` is flagged on ``degenerate``: such
-    a weight kills the corresponding directions in every entropy it enters.
+    Judged on its eigenvalues alone, by the state's rule: a negative one passes as noise
+    down to ``-tol`` times the largest eigenvalue, or times 1 if that is below 1, and a
+    minimum at or below ``tol`` is flagged on ``degenerate``: such a weight kills the
+    corresponding directions in every entropy it enters.
     """
 
     __slots__ = ("matrix", "degenerate")

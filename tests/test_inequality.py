@@ -45,10 +45,11 @@ from wqent.inequality import (
     SubadditivityReport,
     ViolationRecord,
     _diag_stack,
+    _diagonal_chunk,
+    _diagonal_chunks,
     _diagonal_entropy_terms,
     _diagonal_report_fields,
     _report_fields,
-    _sample_diagonal,
 )
 
 EXAMPLE_WEIGHTS = (0.75, 0.25, 1 / 3, 2 / 3)
@@ -526,7 +527,7 @@ class TestDiagonalEngine:
     @pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 4), (3, 5)])
     def test_matches_batched_engine_bit_for_bit(self, da, db):
         m = da * db - 1
-        probs, weights = _sample_diagonal(np.random.default_rng(5), 10_000, da, db, False)
+        probs, weights = sample_diagonal_full_retest(np.random.default_rng(5), 10_000, da, db, False)
         edge = [0.0, 1e-12, np.nextafter(1e-12, np.inf), np.nextafter(1e-12, -np.inf), 5e-324]
         # x at cell c, 0.5 at the next and 0.5 - x at the one before: at 2x2 the rows
         # (x, 0.5, 0.5 - x) and (0.5 - x, x, 0.5)
@@ -549,17 +550,15 @@ class TestDiagonalEngine:
                 # the engine sums each reduced spectrum in ascending order, the kernel in cell order
                 assert np.abs(v - reference[k]).max() <= 2e-15, k
 
-    def test_scan_gap_matches_report_gap_bit_for_bit(self, monkeypatch):
+    def test_scan_gap_matches_report_gap_bit_for_bit(self):
         # min_gap is the smallest gap the scan reads, so it must be the smallest recorded gap too
-        probs, weights = _sample_diagonal(np.random.default_rng(8), 10_000, 2, 2, False)
+        probs, weights = sample_diagonal_full_retest(np.random.default_rng(8), 10_000, 2, 2, False)
         edge = [0.0, 1e-12, np.nextafter(1e-12, np.inf), np.nextafter(1e-12, -np.inf), 5e-324]
         rows = [[x, 0.5, 0.5 - x] for x in edge] + [[0.5 - x, x, 0.5] for x in edge]
         rows += [[0.5, 0.5 - x, x] for x in edge] + [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         probs = np.concatenate([probs, rows])
         weights = np.concatenate([weights, np.tile([0.75, 0.25, 1 / 3, 2 / 3], (len(rows), 1))])
-        monkeypatch.setattr(wqent.inequality, "_sample_diagonal", lambda *args: (probs, weights))
-        monkeypatch.setattr(wqent.inequality, "_CHUNK_ENTRIES", len(probs) * 16)
-        [(gap, violators)] = wqent.inequality._diagonal_chunks(None, len(probs), 2, 2, False)
+        gap, violators = _diagonal_chunk(probs, weights, 2, 2)
         fields, _ = violators(np.arange(len(probs)))
         assert gap.tobytes() == fields["gap"].tobytes() == diagonal_fields(probs, weights, 2, 2)["gap"].tobytes()
 
@@ -601,7 +600,7 @@ class TestCommutingFamily:
     def test_diagonal_regimes_bound_condition_gap(self, seed, regime):
         # condition-satisfying samples exist at 2x2 only; unconstrained ones at every dims
         da, db, condition_satisfying = regime
-        probs, weights = _sample_diagonal(np.random.default_rng(seed), 2000, da, db, condition_satisfying)
+        probs, weights = sample_diagonal_full_retest(np.random.default_rng(seed), 2000, da, db, condition_satisfying)
         fields = diagonal_fields(probs, weights, da, db)
         assert (fields["gap"] - fields["condition_gap"]).min() >= -1e-12
 
@@ -609,7 +608,7 @@ class TestCommutingFamily:
     def test_bound_holds_on_1e5_unconstrained_samples(self, da, db):
         # one audit-sized draw per dims, whose smallest margin of gap over condition_gap is far
         # above rounding: a kernel that drops a row or column term fails here
-        probs, weights = _sample_diagonal(np.random.default_rng(0), 100_000, da, db, False)
+        probs, weights = sample_diagonal_full_retest(np.random.default_rng(0), 100_000, da, db, False)
         fields = diagonal_fields(probs, weights, da, db)
         assert (fields["gap"] - fields["condition_gap"]).min() >= -1e-12
 
@@ -661,12 +660,20 @@ class TestNonCommutingCounterexample:
         assert abs(report["gap"] - logm_gap(*counterexample_matrices()).real) < 1e-12
 
 
-def sample_diagonal_full_retest(rng, n, condition_satisfying):
-    """The diagonal sampler as it was when every pass re-tested all n rows."""
-    e = rng.standard_exponential((n, 3))
-    probs = e / e.sum(axis=1, keepdims=True)
+def sample_diagonal_full_retest(rng, n, dim_a, dim_b, condition_satisfying):
+    """The diagonal sampler drawn whole, as it was when every resampling pass re-tested all n rows.
+
+    Every probability first, then every weight row (phi, then chi), then the redraws of the
+    condition-satisfying regime, which exists at 2x2 only. Each row is normalised by its sum
+    taken left to right, as the audit's sampler rounds it.
+    """
+    e = rng.standard_exponential((n, dim_a * dim_b - 1))
+    total = e[:, 0].copy()
+    for c in range(1, e.shape[1]):
+        total += e[:, c]
+    probs = e / total[:, None]
     lo, hi = DEFAULT_SCALE_RANGE
-    weights = rng.uniform(lo, hi, size=(n, 4))
+    weights = rng.uniform(lo, hi, size=(n, dim_a + dim_b))
     f, c = weights[:, :2], weights[:, 2:]
     while condition_satisfying and (bad := (f[:, 0] - f[:, 1]) * (c[:, 1] - c[:, 0]) < 0.0).any():
         weights[bad] = rng.uniform(lo, hi, size=(int(bad.sum()), 4))
@@ -675,7 +682,7 @@ def sample_diagonal_full_retest(rng, n, condition_satisfying):
 
 def diagonal_records_per_item(n, seed, tolerance=1e-10):
     """Violation records of the unconstrained diagonal audit, built one item at a time."""
-    probs, weights = _sample_diagonal(np.random.default_rng(seed), n, 2, 2, False)
+    probs, weights = sample_diagonal_full_retest(np.random.default_rng(seed), n, 2, 2, False)
     fields = diagonal_fields(probs, weights, 2, 2)
     out = []
     for i in np.nonzero(fields["gap"] < -tolerance)[0]:
@@ -716,19 +723,40 @@ def matrix_json(m):
     return json.dumps(matrix_to_dict(m)).encode()
 
 
+def chunk_draws(monkeypatch, rng, n, dim_a, dim_b, condition_satisfying):
+    """The probabilities and weights of each chunk the diagonal scan evaluates, copied as drawn."""
+    draws = []
+
+    def recorded(p, w, *dims):
+        draws.append((p.copy(), w.copy()))
+        return None, None
+
+    monkeypatch.setattr(wqent.inequality, "_diagonal_chunk", recorded)
+    for _ in _diagonal_chunks(rng, n, dim_a, dim_b, condition_satisfying):
+        pass
+    return draws
+
+
 class TestDiagonalSampler:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("condition_satisfying", [True, False])
-    def test_stream_matches_full_retest(self, seed, condition_satisfying):
-        # at n = 1e5 the resampler runs its roughly 19 passes at audit size
-        for n in (10_000, 100_000):
-            rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            probs, weights = _sample_diagonal(rng_new, n, 2, 2, condition_satisfying)
-            ref_probs, ref_weights = sample_diagonal_full_retest(rng_ref, n, condition_satisfying)
-            assert np.array_equal(probs, ref_probs)
-            assert np.array_equal(weights, ref_weights)
-            # both consumed the same number of draws
-            assert rng_new.random() == rng_ref.random()
+    def test_stream_matches_full_retest(self, monkeypatch, seed, condition_satisfying):
+        # at n = 1e5 the resampler runs its roughly 19 passes at audit size, the first ones over
+        # several blocks; with 7-row chunks every pass crosses block boundaries
+        default = wqent.inequality._CHUNK_ENTRIES
+        for dim_a, dim_b in [(2, 2)] if condition_satisfying else [(2, 2), (2, 3), (3, 3)]:
+            for n, entries in ((10_000, default), (100_000, default), (1000, 7 * (dim_a * dim_b) ** 2)):
+                monkeypatch.setattr(wqent.inequality, "_CHUNK_ENTRIES", entries)
+                rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                draws = chunk_draws(monkeypatch, rng_new, n, dim_a, dim_b, condition_satisfying)
+                ref_probs, ref_weights = sample_diagonal_full_retest(rng_ref, n, dim_a, dim_b, condition_satisfying)
+                size = wqent.inequality._chunk_items(dim_a * dim_b)
+                assert len(draws) == -(-n // size) > 1
+                for start, (probs, weights) in zip(range(0, n, size), draws):
+                    assert np.array_equal(probs, ref_probs[start:start + size])
+                    assert np.array_equal(weights, ref_weights[start:start + size])
+                # both consumed the same number of draws
+                assert rng_new.random() == rng_ref.random()
 
 
 class TestViolationRecords:
@@ -944,6 +972,20 @@ class TestChunkedScan:
         finally:
             tracemalloc.stop()
         assert peak < 40e6, peak
+
+    @pytest.mark.parametrize("regime", AUDIT_REGIMES[:2])
+    def test_diagonal_memory_is_bounded(self, regime):
+        # the sample takes 5.6 MB here (2.4 MB of probabilities, then 3.2 MB of weights, which the
+        # unconstrained regime draws per chunk) and seed 5's 5,063 records about 6.8 MB; with the
+        # records built after the scan, neither regime holds the sample and the records at once
+        audit_random(10, 2, 2, 0, regime)
+        tracemalloc.start()
+        try:
+            audit_random(100_000, 2, 2, 5, regime)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5e6, peak
 
 
 class TestBulkReports:

@@ -160,6 +160,29 @@ class TestWeightMatrix:
             WeightMatrix(np.diag([1.0, -1e-8]))
         assert str(err.value) == "weight is not positive semidefinite (min eigenvalue -1.000e-08)"
 
+    def test_semidefinite_singular_weights_of_large_norm_pass(self):
+        # the eigensolver's rounding grows with the norm: this weight reads a smallest eigenvalue of
+        # -3.6e-10, and an absolute floor of -1e-10 rejected 73 of 200 random rank-1 weights at 1e6
+        WeightMatrix(np.full((4, 4), 1e6))
+        rng = np.random.default_rng(1)
+        for scale in (1e6, 1e7, 1e12):
+            for _ in range(100):
+                v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+                v /= np.linalg.norm(v)
+                WeightMatrix(_hermitize(scale * np.outer(v, v.conj())))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e12])
+    def test_floor_scales_with_the_largest_eigenvalue(self, scale):
+        # below -tol times the largest eigenvalue a weight fails; above it the eigenvalue is noise
+        assert WeightMatrix(np.diag([scale, 0.0, -0.5e-10 * scale])).degenerate
+        with pytest.raises(NegativeEigenvalueError, match="not positive semidefinite"):
+            WeightMatrix(np.diag([scale, 0.0, -2e-10 * scale]))
+        # the caller's tol sets the floor the same way
+        assert WeightMatrix(np.diag([scale, 0.0, -1e-9 * scale]), tol=1e-8).degenerate
+        # a negative eigenvalue larger than the positive part is no noise at any tol below 1
+        with pytest.raises(NegativeEigenvalueError, match="not positive semidefinite"):
+            WeightMatrix(np.diag([scale, -2.0 * scale]), tol=0.9)
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             WeightMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
