@@ -21,7 +21,7 @@ from .errors import (
     MatrixFileError,
     ValidationError,
 )
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, _within_noise
 from .states import (
     BipartiteState,
     DensityMatrix,
@@ -261,7 +261,7 @@ def qutrit(p1, p2, phi1, phi2, chi1, chi2):
     click.echo(f"condition_gap = {gap:.12g}")
     click.echo(f"cross_check_delta = {delta:.12g}")
     # relative to the value once it exceeds 1: large weights scale the rounding of both paths
-    if delta > DEFAULT_TOL * max(1.0, abs(value)):
+    if not _within_noise(delta, abs(value), DEFAULT_TOL):
         click.echo(
             f"warning: closed form and matrix path disagree by {delta:.3e}", err=True
         )

@@ -38,14 +38,14 @@ def _check_leak(leaks: np.ndarray, leak_tol: float) -> None:
 
 
 def _qubit_entropy(x: np.ndarray, rho: np.ndarray, leak_tol: float) -> np.ndarray | None:
-    """:func:`_subsystem_entropy` of a stack of 2x2 reduced states in closed form; ``None`` if some
-    item has both eigenvalues off the support.
+    """:func:`_subsystem_entropy` of one 2x2 reduced state or a stack of them, in closed form; ``None`` if
+    some item has both eigenvalues off the support.
 
     For ``rho = [[p, q], [conj q, s]]``, ``h = (p - s) / 2`` and ``r = hypot(h, |q|)``, the larger
-    eigenvalue is ``(p + s) / 2 + r`` and the smaller ``det rho`` over it, as LAPACK's 2x2 kernel forms
-    it (``(p + s) / 2 - r`` read 9.99978e-13 for an exact 1e-12). The weights ``tr(x P-+)`` use
+    eigenvalue is ``(p + s) / 2 + r`` and the smaller ``det rho`` over it, which keeps a small
+    eigenvalue's relative accuracy. The weights ``tr(x P-+)`` use
     ``P-+ = (I -+ [[h, q], [conj q, -h]] / r) / 2``, accurate however close the eigenvalues. Where
-    ``q == 0`` the diagonals are used as they are, in ``eigh``'s order, which keeps ``eigh``'s bits.
+    ``q == 0`` the diagonals are used as they are, in ascending order.
     """
     p, s, q = rho[..., 0, 0].real, rho[..., 1, 1].real, rho[..., 0, 1]
     x00, x11 = x[..., 0, 0], x[..., 1, 1]
@@ -75,13 +75,11 @@ def _subsystem_entropy(x: np.ndarray, rho_kept: np.ndarray, leak_tol: float) -> 
     """``-Re tr(x ln rho_kept)`` on the support of ``rho_kept``, ``x`` leaking at most ``leak_tol`` off it.
 
     ``rho_kept`` is a partial trace of a validated (exactly Hermitian) state, so it is
-    exactly Hermitian too and is diagonalized without a second check. A stack of 2x2
-    reduced states takes the closed form :func:`_qubit_entropy`, which agrees with ``eigh``
-    to within 1e-14 and has its bits where ``rho_kept`` is diagonal. One item goes through
-    ``eigh``, which costs less there, and so does a stack in which some item has both
-    eigenvalues off the support, which a unit-trace state cannot have.
+    exactly Hermitian too and is diagonalized without a second check. Every 2x2 reduced
+    state, one item or a stack, takes the closed form :func:`_qubit_entropy`; ``eigh`` serves
+    larger ones, and a 2x2 item with both eigenvalues off the support.
     """
-    if rho_kept.ndim > 2 and rho_kept.shape[-1] == 2:
+    if rho_kept.shape[-1] == 2:
         out = _qubit_entropy(x, rho_kept, leak_tol)
         if out is not None:
             return out

@@ -8,7 +8,6 @@ sits at index ``a * dim_b + b``, matching the layout produced by ``np.kron``.
 
 from __future__ import annotations
 
-import math
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -38,21 +37,19 @@ def _dagger(a: np.ndarray) -> np.ndarray:
 
 
 def _positive_tol(value: float, name: str = "tol") -> None:
-    """The check every caller-given tolerance passes: a finite number above zero."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValidationError(f"{name} must be positive and finite, got {value}")
+    """The check every caller-given tolerance passes: a number strictly between 0 and 1 (a NaN fails)."""
+    if not 0.0 < value < 1.0:
+        raise ValidationError(f"{name} must be positive and finite and below 1, got {value}")
 
 
-def _below_noise_floor(eigenvalues: np.ndarray, tol: float) -> bool:
-    """Whether the smallest of the ascending ``eigenvalues`` is negative beyond noise: below ``-tol``
-    times the largest eigenvalue, or times 1 where that is smaller.
+def _within_noise(deviation: float, scale: float, tol: float) -> bool:
+    """The one noise rule: ``deviation`` is at most ``tol`` times ``scale``, or times 1 where that is smaller.
 
-    The eigensolver's rounding grows with the matrix norm, so an exactly semidefinite singular
-    matrix of large norm reads a small negative eigenvalue. Within noise of semidefinite, the
-    largest eigenvalue is that norm; a larger negative one is no noise at any ``tol`` below 1.
-    The smallest is divided by the scale, not ``tol`` multiplied by it, so nothing overflows.
+    Rounding grows with the magnitude of what is computed, so a deviation of a matrix of large
+    norm is judged relative to that norm. The deviation is divided by the scale, not ``tol``
+    multiplied by it, so nothing overflows; the rule is in positive form, so a NaN ratio fails.
     """
-    return bool(eigenvalues[0] / max(1.0, eigenvalues[-1]) < -tol)
+    return deviation / max(1.0, scale) <= tol
 
 
 def _hermitize(a: np.ndarray, a_dagger: np.ndarray | None = None) -> np.ndarray:
@@ -62,14 +59,16 @@ def _hermitize(a: np.ndarray, a_dagger: np.ndarray | None = None) -> np.ndarray:
 
 
 def _hermitian_part(a: np.ndarray, tol: float, label: str = "matrix") -> np.ndarray:
-    """``(a + a^dagger) / 2`` once ``tol`` is positive and finite and no entry of ``|a - a^dagger|`` exceeds it."""
+    """``(a + a^dagger) / 2`` once ``tol`` is in (0, 1) and the largest ``|a - a^dagger|`` is within noise
+    (:func:`_within_noise`) of the largest real or imaginary part of ``a`` in magnitude."""
     _positive_tol(tol)
     a_dagger = _dagger(a)
-    # a deviation too large for a float reads inf, which fails the check
+    # a deviation too large for a float reads inf, which fails the check. The scale is read only
+    # for a deviation over tol, which Hermitian input never has, and from the parts, as |a| can overflow
     with np.errstate(over="ignore"):
         dev = float(np.abs(a - a_dagger).max())
-    if dev > tol:
-        raise NotHermitianError(f"{label} deviates from Hermitian by {dev:.3e}")
+        if not (dev <= tol or _within_noise(dev, max(np.abs(a.real).max(), np.abs(a.imag).max()), tol)):
+            raise NotHermitianError(f"{label} deviates from Hermitian by {dev:.3e}")
     return _hermitize(a, a_dagger)
 
 
@@ -141,8 +140,8 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
     back ascending; each eigenvector is rephased so its largest component is
     real and positive, which makes the output reproducible bit for bit.
 
-    Raises :class:`NotHermitianError` for inputs off-Hermitian beyond ``tol``, and
-    :class:`ValidationError` unless ``tol`` is positive and finite.
+    Raises :class:`NotHermitianError` for inputs off-Hermitian beyond noise (:func:`_within_noise`),
+    and :class:`ValidationError` unless ``tol`` lies in (0, 1).
     """
     lams, vecs = _eigh(_hermitian_part(_as_stack(m), tol))
     return SpectralDecomposition(lams, _fix_phases(vecs))

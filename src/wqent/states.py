@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidSimplexError, NegativeEigenvalueError, ValidationError
 from .linalg import DEFAULT_TOL, SUPPORT_EPS, _as_stack, _dagger, _eigh, _hermitian_part, _hermitize
-from .linalg import _below_noise_floor
+from .linalg import _within_noise
 
 DEFAULT_SCALE_RANGE = (0.05, 2.0)
 
@@ -74,7 +74,7 @@ def _finite(out, label: str):
 
 
 def _validated(matrix, tol: float, label: str) -> np.ndarray:
-    """The frozen Hermitian part of one finite square matrix, Hermitian within a positive finite ``tol``."""
+    """The frozen Hermitian part of one finite square matrix, Hermitian within noise at a ``tol`` in (0, 1)."""
     a = _as_stack(matrix)
     if a.ndim != 2:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
@@ -82,9 +82,10 @@ def _validated(matrix, tol: float, label: str) -> np.ndarray:
 
 
 def _psd(eigenvalues: np.ndarray, tol: float, label: str) -> float:
-    """The smallest of the ascending ``eigenvalues``, once it is not :func:`~wqent.linalg._below_noise_floor`."""
+    """The smallest of the ascending ``eigenvalues``, once minus it is within noise
+    (:func:`~wqent.linalg._within_noise`) of the largest, the norm of a matrix near semidefinite."""
     low = eigenvalues[0]
-    if _below_noise_floor(eigenvalues, tol):
+    if not _within_noise(-low, eigenvalues[-1], tol):
         raise NegativeEigenvalueError(f"{label} is not positive semidefinite (min eigenvalue {low:.3e})")
     return low
 

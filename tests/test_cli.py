@@ -229,7 +229,7 @@ class TestCheckCommand:
         )
         assert result.exit_code == 3
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8", "1", "2"])
     def test_bad_tol_exits_2(self, runner, tmp_path, tol):
         # one unmirrored off-diagonal entry: only a working Hermiticity check rejects it
         m = np.diag([0.25, 0.25, 0.25, 0.25])
@@ -453,7 +453,7 @@ class TestAuditCommand:
         result = runner.invoke(main, ["audit", "--regime", "bogus"])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "1", "2"])
     def test_bad_tol_exits_2(self, runner, tol):
         result = runner.invoke(main, ["audit", "--n", "10", "--tol", tol])
         assert result.exit_code == 2

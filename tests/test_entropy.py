@@ -384,8 +384,17 @@ class TestClosedForm:
 
 
 def eigh_entropies(x, rho, leak_tol=1e-10):
-    """The subsystem entropy of each item alone: one 2-D item always goes through ``eigh``."""
-    return np.array([_subsystem_entropy(xi, ri, leak_tol) for xi, ri in zip(x, rho)])
+    """``-Re tr(x ln rho)`` on the support from ``np.linalg.eigh``, item by item, raising as the kernel
+    does when ``x`` puts more than ``leak_tol`` off the support."""
+    out = []
+    for xi, ri in zip(x, rho):
+        lams, u = np.linalg.eigh(ri)
+        y = u.conj().T @ xi @ u
+        off = lams <= SUPPORT_EPS
+        if off.any() and np.abs(y[np.ix_(off, off)]).max() > leak_tol:
+            raise ValidationError("reduced weighted state has mass outside the support")
+        out.append(-sum(y[i, i].real * math.log(lam) for i, lam in enumerate(lams) if lam > SUPPORT_EPS))
+    return np.array(out)
 
 
 def jacobi_entropies(x, rho):
@@ -410,7 +419,7 @@ def near_diagonal(low, q, low_first):
 
 
 class TestQubitClosedForm:
-    """The closed-form 2x2 subsystem entropy that stacks take, against ``eigh`` and the Jacobi oracle."""
+    """The closed-form 2x2 subsystem entropy, of one item or a stack, against ``eigh`` and the Jacobi oracle."""
 
     def assert_agree(self, x, rho):
         got = _subsystem_entropy(x, rho, 1e-10)
@@ -449,6 +458,9 @@ class TestQubitClosedForm:
         x = np.stack([random_weight(2, rng).matrix for _ in rho]) @ rho
         got = _subsystem_entropy(x, rho, 1e-10)
         assert np.abs(got - jacobi_entropies(x, rho)).max() <= 1e-14
+        # each item alone, as one check evaluates it, has the stacked bits
+        alone = np.array([_subsystem_entropy(xi, ri, 1e-10) for xi, ri in zip(x, rho)])
+        assert alone.tobytes() == got.tobytes()
         # LAPACK can miss such an eigenvalue by a few ulps, across the threshold: it returned
         # 9.999999999999998e-13 for an exact 1.0000000000000002e-12 with q complex and the small
         # entry last. eigh is the reference wherever it keeps the exact eigenvalue's side
@@ -481,9 +493,11 @@ class TestQubitClosedForm:
             rho_a, x = partial_trace(rho, 2, 2, "A"), partial_trace(weight @ rho, 2, 2, "A")
             assert abs(rho_a[0, 1]) > 0.0  # the closed form proper, not its q == 0 rule
             outcomes = []
-            for args in ((x, rho_a), (x[None], rho_a[None])):  # eigh, then the closed form
+            # eigh, then the closed form on the one item, as a check takes it
+            for entropy in (lambda: eigh_entropies(x[None], rho_a[None], leak_tol)[0],
+                            lambda: _subsystem_entropy(x, rho_a, leak_tol)):
                 try:
-                    outcomes.append(float(np.squeeze(_subsystem_entropy(*args, leak_tol))))
+                    outcomes.append(float(entropy()))
                 except ValidationError as exc:
                     assert "outside the support" in str(exc)
                     outcomes.append(None)
@@ -508,9 +522,13 @@ class TestQubitClosedForm:
         x = random_x(rng, 3)
         x[1:] *= 1e-20
         _subsystem_entropy(x[[0]], rho[[0]], 1e-10)
+        _subsystem_entropy(x[0], rho[0], 1e-10)
         assert calls == []
         got = _subsystem_entropy(x, rho, 1e-10)
         assert calls == [(3, 2, 2)]
+        # one such item alone, as a state validated at a tol near 1 can give, takes the fallback too
+        assert _subsystem_entropy(x[1], rho[1], 1e-10) == got[1]
+        assert calls == [(3, 2, 2), (2, 2)]
         assert np.abs(got - eigh_entropies(x, rho)).max() <= 1e-14
         # and the eigh path's leak rule, over the whole off-support block, judges them
         x[2, 0, 1] = 1e-6

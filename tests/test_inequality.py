@@ -50,6 +50,7 @@ from wqent.inequality import (
     _diagonal_entropy_terms,
     _diagonal_report_fields,
     _report_fields,
+    _reports,
 )
 
 EXAMPLE_WEIGHTS = (0.75, 0.25, 1 / 3, 2 / 3)
@@ -239,10 +240,11 @@ class TestCheckSubadditivity:
                 assert rep.condition_holds
 
     def test_flags_use_report_tolerance(self):
-        # a genuine violation flips the flag at tight tolerance; the verdicts read the state's tol
+        # a genuine violation flips the flag at tight tolerance; the verdicts read the state's tol,
+        # which stays below 1: the condition gap here is -0.222
         probs = (0.03, 0.6, 0.37, 0.0)
-        wa = diag_weight(0.1, 1.9)  # phi1 < phi2
-        wb = diag_weight(0.1, 1.9)  # chi2 > chi1 -> sign test fails
+        wa = diag_weight(0.5, 1.5)  # phi1 < phi2
+        wb = diag_weight(0.5, 1.5)  # chi2 > chi1 -> sign test fails
         rep = check_subadditivity(wa, wb, ququart_at(probs, 1e-10))
         assert rep.condition_gap < 0
         assert not rep.condition_holds
@@ -323,8 +325,8 @@ class TestCheckSubadditivity:
         monkeypatch.setattr(wqent.inequality, "_partial_trace", counting_trace)
         state = BipartiteState(DensityMatrix(rho), 2, 3)
         check_subadditivity(WeightMatrix(wa), WeightMatrix(wb), state)
-        # rho_AB at validation; rho_A, rho_B in evaluation
-        assert shapes == [(6, 6), (2, 2), (3, 3)]
+        # rho_AB at validation; rho_B in evaluation, while rho_A, 2x2, takes the closed form
+        assert shapes == [(6, 6), (3, 3)]
         # phi_A, phi_B at validation: a weight's eigenvalues alone
         assert value_shapes == [(2, 2), (3, 3)]
         # rho_A, rho_B, tr_B(phi rho) and tr_A(phi rho), each taken once
@@ -416,7 +418,27 @@ def leaky_state():
 LEAK_WEIGHT = np.array([[1.0, 0.4], [0.4, 1.0]], dtype=complex)
 
 
+def report_bits(report):
+    """Every field of a report as its exact bits, then both verdicts and the tolerance."""
+    return tuple(float(getattr(report, k)).hex() for k in REPORT_FIELDS) + (
+        report.condition_holds, report.subadditivity_holds, report.tolerance)
+
+
 class TestReportEngine:
+    @pytest.mark.parametrize("da", [2, 3, 4])
+    @pytest.mark.parametrize("db", [2, 3, 4])
+    def test_scalar_check_is_the_one_item_stack(self, da, db):
+        # check_subadditivity is the engine at n = 1: its report has the bits of the engine run on a
+        # one-item stack, dense states and states with a singular rho_A alike
+        rng = np.random.default_rng(10 * da + db)
+        for i in range(111):
+            rho = random_density(da * db, rng) if i % 3 else frame_state(rng, da, db, i % 2 == 0)
+            wa, wb = random_weight(da, rng), random_weight(db, rng)
+            rep = check_subadditivity(wa, wb, BipartiteState(rho, da, db))
+            spectrum = SpectralDecomposition(*(part[None] for part in rho.spectrum))
+            fields = _report_fields(rho.matrix[None], spectrum, wa.matrix[None], wb.matrix[None], da, db, rho.tol)
+            assert report_bits(rep) == report_bits(_reports(fields, rho.tol)[0]), (i, rep)
+
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(2, 4))
     @settings(max_examples=40, deadline=None)
     def test_stack_matches_scalar_checks(self, seed, da, db):
@@ -1084,15 +1106,13 @@ class TestAudit:
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
     def test_general_violations_reproduce_through_check(self, dims):
-        summary = audit_random(2000, *dims, 1, "general-unconstrained", tolerance=1e-9)
+        # a record re-checked one at a time reproduces its report bit for bit
+        summary = audit_random(20_000, *dims, 1, "general-unconstrained", tolerance=1e-9)
         assert summary.violations
         for v in summary.violations:
             state = BipartiteState(DensityMatrix(v.state, tol=1e-9), *dims)
             rep = check_subadditivity(WeightMatrix(v.weight_a), WeightMatrix(v.weight_b), state)
-            for k in REPORT_FIELDS:
-                assert abs(getattr(rep, k) - getattr(v.report, k)) <= 1e-12, k
-            assert (rep.condition_holds, rep.subadditivity_holds) == (
-                v.report.condition_holds, v.report.subadditivity_holds)
+            assert report_bits(rep) == report_bits(v.report)
 
     def test_factor_dims_below_two_are_a_validation_error(self):
         # the same rule and type as BipartiteState; a regime's 2x2 need stays a DimensionError

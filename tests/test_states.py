@@ -101,13 +101,14 @@ def test_non_finite_entries_are_rejected(build, bad):
         build(m)
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-8])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-8, 1.0, 2.0])
 @pytest.mark.parametrize(
     "build", [DensityMatrix, WeightMatrix, Projector, hermitian_eig],
     ids=["DensityMatrix", "WeightMatrix", "Projector", "hermitian_eig"],
 )
 def test_tolerance_must_be_positive_and_finite(build, tol):
-    # a NaN tolerance would switch every "> tol" check off
+    # a NaN tolerance would switch every "> tol" check off, and at 1 or more the zero matrix
+    # passed as a state whose every report field read 0 with both verdicts true
     with pytest.raises(ValidationError, match="positive and finite"):
         build(np.diag([1.0, 0.0]), tol=tol)
 
@@ -136,6 +137,40 @@ class TestLargeEntries:
         # the test suite turns a RuntimeWarning into an error, so none escapes either
         with pytest.raises(NotHermitianError, match="deviates from Hermitian by inf"):
             DensityMatrix([[0.5, 1e308], [-1e308, 0.5]])
+
+    def test_entries_near_the_float_maximum_keep_their_deviation(self):
+        # |a| of such an entry overflows; its parts do not, so a deviation of 0.2 times the
+        # entries is still no noise
+        a = np.array([[0.0, 1.3e308 + 1.3e308j], [1.7e308 - 1.3e308j, 0.0]])
+        with pytest.raises(NotHermitianError, match="deviates from Hermitian by 4.000e\\+307"):
+            WeightMatrix(a)
+
+
+class TestHermiticityScale:
+    """The Hermiticity check judges ``max|a - a^dagger|`` against ``tol`` times the largest entry, or 1."""
+
+    def test_rank_one_weights_of_large_norm_construct(self):
+        # numpy's complex outer product is Hermitian up to rounding only: at 1e7 it deviates by
+        # up to about 1e-9, and an absolute check rejected 189 of these 200
+        for scale in (1e5, 1e6, 1e7):
+            rng = np.random.default_rng(1)
+            for _ in range(200):
+                v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+                v /= np.linalg.norm(v)
+                WeightMatrix(scale * np.outer(v, v.conj()))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6, 1e12])
+    def test_floor_is_tol_times_the_largest_entry_or_1(self, scale):
+        # at or below unit scale the floor is tol itself, as it was for every scale
+        floor = 1e-10 * max(1.0, scale)
+        for dev, ok in ((0.9 * floor, True), (1.1 * floor, False)):
+            m = np.diag([scale, scale]).astype(complex)
+            m[0, 1] = dev
+            if ok:
+                WeightMatrix(m)
+            else:
+                with pytest.raises(NotHermitianError, match="deviates from Hermitian"):
+                    WeightMatrix(m)
 
 
 class TestWeightMatrix:
