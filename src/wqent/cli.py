@@ -1,18 +1,25 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 validation failure or a size too large to
-allocate, 3 dimension mismatch, 4 channel undefined, 5 matrix-file parse
-error. Matrix files are JSON objects with keys ``dim``, ``re`` and
-optionally ``im`` (dim x dim arrays).
+Exit codes: 0 success, 2 usage error (with a ``usage:`` line), validation
+failure or a size too large to allocate, 3 dimension mismatch, 4 channel
+undefined, 5 matrix-file parse error. Matrix files are JSON objects with keys
+``dim``, ``re`` and optionally ``im`` (dim x dim arrays).
+
+Parsing is the standard library's ``argparse``. Each command imports the
+modules it runs when it runs, so a call loads only those: importing this
+module loads ``errors`` and ``linalg`` alone.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
+import sys
 from itertools import repeat
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
-import click
 import numpy as np
 
 from .errors import (
@@ -22,26 +29,10 @@ from .errors import (
     ValidationError,
 )
 from .linalg import DEFAULT_TOL, _within_noise
-from .states import (
-    BipartiteState,
-    DensityMatrix,
-    QutritDiagonal,
-    WeightMatrix,
-    embed_qutrit,
-)
-from .entropy import qutrit_mutual_information_closed_form, weighted_entropy
-from .inequality import (
-    AUDIT_REGIMES,
-    _REPORT_NAMES,
-    AuditSummary,
-    SubadditivityReport,
-    audit_random,
-    check_subadditivity,
-    qutrit_condition_gap,
-    qutrit_weight_condition,
-)
-from .channel import Projector, channel_then_check
-from .sweeps import PROB_SWEEP_WEIGHTS, WEIGHT_SWEEP_PROBS, grid_to_csv, sweep_probabilities, sweep_weights
+
+if TYPE_CHECKING:
+    from .inequality import AuditSummary, SubadditivityReport
+    from .states import WeightMatrix
 
 # Exit code per error type. The four wqent errors are siblings under ValueError, so
 # their order does not matter. A MemoryError is a size that cannot be allocated.
@@ -113,7 +104,10 @@ def _parse_dims(text: str) -> tuple[int, int]:
         raise ValidationError(f"dims must look like '2x2', got {text!r}") from exc
 
 
-_REPORT_SHAPE = dict.fromkeys(_REPORT_NAMES, "%s")
+def _report_shape() -> dict:
+    from .inequality import _REPORT_NAMES
+
+    return dict.fromkeys(_REPORT_NAMES, "%s")
 
 
 def _matrix_shape(dim: int) -> dict:
@@ -131,6 +125,8 @@ def _records_json(shape: dict, matrices: list[np.ndarray], reports: list[Subaddi
     ``true`` and ``false``, and non-finite values take ``json``'s spelling
     first. Every line after the first is prefixed with ``indent``.
     """
+    from .inequality import _REPORT_NAMES
+
     template = json.dumps(shape, indent=2).replace('"%s"', "%s").replace("\n", "\n" + indent)
     # one row per record, its values in template order; the verdicts read 1.0 or 0.0 here
     k = len(reports)
@@ -165,7 +161,7 @@ def audit_to_json(summary: AuditSummary, dim_a: int, dim_b: int, tolerance: floa
     if not records:
         return text
     shape = {"state": _matrix_shape(dim_a * dim_b), "weight_a": _matrix_shape(dim_a),
-             "weight_b": _matrix_shape(dim_b), "report": _REPORT_SHAPE}
+             "weight_b": _matrix_shape(dim_b), "report": _report_shape()}
     matrices = [np.stack([getattr(r, name) for r in records]) for name in ("state", "weight_a", "weight_b")]
     body = _records_json(shape, matrices, [r.report for r in records], "    ")
     # text ends in '"violations": []\n}'; the records go between the brackets
@@ -174,7 +170,7 @@ def audit_to_json(summary: AuditSummary, dim_a: int, dim_b: int, tolerance: floa
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
         return
     try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -184,70 +180,46 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _diag_weight(x1: float, x2: float, tol: float = DEFAULT_TOL) -> WeightMatrix:
+    from .states import WeightMatrix
+
     return WeightMatrix(np.diag([complex(x1), complex(x2)]), tol=tol)
 
 
-def _prob_sweep_weights(f):
-    """The ``--phi1 --phi2 --chi1 --chi2`` options, in that order, defaulting to ``PROB_SWEEP_WEIGHTS``."""
-    for name, value in reversed(tuple(zip(("phi1", "phi2", "chi1", "chi2"), PROB_SWEEP_WEIGHTS))):
-        f = click.option(f"--{name}", default=value, show_default=True)(f)
-    return f
+def _or_defaults(values: tuple, defaults: tuple) -> tuple:
+    """Each option value, or the default in its place where the option was not given (``None``)."""
+    return tuple(d if v is None else v for v, d in zip(values, defaults))
 
 
-class _ExitCodeGroup(click.Group):
-    """Turns an error type listed in ``EXIT_CODES``, raised by any command, into its exit code."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except tuple(t for t, _ in EXIT_CODES) as exc:
-            click.echo(f"error: {exc}", err=True)
-            ctx.exit(next(code for t, code in EXIT_CODES if isinstance(exc, t)))
-
-
-@click.group(cls=_ExitCodeGroup)
-def main():
-    """Weighted entropies and subadditivity checks for small qudit systems."""
-
-
-@main.command()
-@click.argument("state_file")
-@click.argument("weight_file")
-@click.option("--tol", default=DEFAULT_TOL, show_default=True, help="validation tolerance")
 def entropy(state_file, weight_file, tol):
-    """Weighted entropy of STATE_FILE under WEIGHT_FILE, in nats."""
+    """Weighted entropy of state_file under weight_file, in nats."""
+    from .entropy import weighted_entropy
+    from .states import DensityMatrix, WeightMatrix
+
     rho = DensityMatrix(load_matrix(state_file), tol=tol)
     phi = WeightMatrix(load_matrix(weight_file), tol=tol)
-    click.echo(f"{weighted_entropy(phi, rho):.12g}")
+    print(f"{weighted_entropy(phi, rho):.12g}")
 
 
-@main.command()
-@click.argument("state_file")
-@click.argument("weight_a_file")
-@click.argument("weight_b_file")
-@click.option("--dims", default="2x2", show_default=True, help="subsystem dims, e.g. 2x3")
-@click.option("--tol", default=DEFAULT_TOL, show_default=True)
-@click.option("--out", default=None, help="write the JSON report here instead of stdout")
 def check(state_file, weight_a_file, weight_b_file, dims, tol, out):
     """Subadditivity report for a bipartite state, as JSON."""
+    from .inequality import check_subadditivity
+    from .states import BipartiteState, DensityMatrix, WeightMatrix
+
     dim_a, dim_b = _parse_dims(dims)
     rho = DensityMatrix(load_matrix(state_file), tol=tol)
     state = BipartiteState(rho, dim_a, dim_b)
     wa = WeightMatrix(load_matrix(weight_a_file), tol=tol)
     wb = WeightMatrix(load_matrix(weight_b_file), tol=tol)
     report = check_subadditivity(wa, wb, state)
-    _emit(_records_json(_REPORT_SHAPE, [], [report]) + "\n", out)
+    _emit(_records_json(_report_shape(), [], [report]) + "\n", out)
 
 
-@main.command()
-@click.argument("p1", type=float)
-@click.argument("p2", type=float)
-@click.argument("phi1", type=float)
-@click.argument("phi2", type=float)
-@click.argument("chi1", type=float)
-@click.argument("chi2", type=float)
 def qutrit(p1, p2, phi1, phi2, chi1, chi2):
     """Closed-form mutual information of a diagonal qutrit, cross-checked."""
+    from .entropy import qutrit_mutual_information_closed_form
+    from .inequality import check_subadditivity, qutrit_condition_gap, qutrit_weight_condition
+    from .states import QutritDiagonal, embed_qutrit
+
     value = qutrit_mutual_information_closed_form(p1, p2, phi1, phi2, chi1, chi2)
     cond = qutrit_weight_condition(phi1, phi2, chi1, chi2)
     gap = qutrit_condition_gap(p1, p2, phi1, phi2, chi1, chi2)
@@ -256,28 +228,21 @@ def qutrit(p1, p2, phi1, phi2, chi1, chi2):
     general = check_subadditivity(_diag_weight(phi1, phi2), _diag_weight(chi1, chi2), state).gap
     delta = abs(value - general)
 
-    click.echo(f"mutual_information = {value:.12g}")
-    click.echo(f"weight_condition_value = {cond.value:.12g} ({'holds' if cond.holds else 'fails'})")
-    click.echo(f"condition_gap = {gap:.12g}")
-    click.echo(f"cross_check_delta = {delta:.12g}")
+    print(f"mutual_information = {value:.12g}")
+    print(f"weight_condition_value = {cond.value:.12g} ({'holds' if cond.holds else 'fails'})")
+    print(f"condition_gap = {gap:.12g}")
+    # flushed, so the values come before a warning when both streams go to one place
+    print(f"cross_check_delta = {delta:.12g}", flush=True)
     # relative to the value once it exceeds 1: large weights scale the rounding of both paths
     if not _within_noise(delta, abs(value), DEFAULT_TOL):
-        click.echo(
-            f"warning: closed form and matrix path disagree by {delta:.3e}", err=True
-        )
+        print(f"warning: closed form and matrix path disagree by {delta:.3e}", file=sys.stderr)
 
 
-@main.group()
-def sweep():
-    """Write mutual-information grids as CSV."""
-
-
-@sweep.command("prob")
-@click.option("--grid-n", default=97, show_default=True, help="cells per axis")
-@_prob_sweep_weights
-@click.option("--out", default=None, help="output CSV path (default stdout)")
 def sweep_prob(grid_n, phi1, phi2, chi1, chi2, out):
     """Mutual information over the (p1, p2) simplex at fixed weights."""
+    from .sweeps import PROB_SWEEP_WEIGHTS, grid_to_csv, sweep_probabilities
+
+    phi1, phi2, chi1, chi2 = _or_defaults((phi1, phi2, chi1, chi2), PROB_SWEEP_WEIGHTS)
     grid = sweep_probabilities(grid_n, phi1, phi2, chi1, chi2)
     comments = [
         f"sweep prob grid_n={grid_n} phi1={phi1:.17g} phi2={phi2:.17g} "
@@ -287,14 +252,11 @@ def sweep_prob(grid_n, phi1, phi2, chi1, chi2, out):
     _emit(grid_to_csv(grid, comments), out)
 
 
-@sweep.command("weight")
-@click.option("--region", type=click.Choice(["a", "b"]), required=True)
-@click.option("--grid-n", default=97, show_default=True, help="samples per axis")
-@click.option("--p1", default=WEIGHT_SWEEP_PROBS[0], show_default=True)
-@click.option("--p2", default=WEIGHT_SWEEP_PROBS[1], show_default=True)
-@click.option("--out", default=None, help="output CSV path (default stdout)")
 def sweep_weight(region, grid_n, p1, p2, out):
     """Mutual information over a (phi1, chi1) rectangle at a fixed state."""
+    from .sweeps import WEIGHT_SWEEP_PROBS, grid_to_csv, sweep_weights
+
+    p1, p2 = _or_defaults((p1, p2), WEIGHT_SWEEP_PROBS)
     grid = sweep_weights(region, grid_n, p1, p2)
     comments = [
         f"sweep weight region={region} grid_n={grid_n} p1={p1:.17g} p2={p2:.17g}",
@@ -303,40 +265,139 @@ def sweep_weight(region, grid_n, p1, p2, out):
     _emit(grid_to_csv(grid, comments), out)
 
 
-@main.command()
-@click.argument("state_file")
-@click.argument("projector_file")
-@_prob_sweep_weights
-@click.option("--tol", default=DEFAULT_TOL, show_default=True)
-@click.option("--out", default=None, help="write the JSON result here instead of stdout")
 def channel(state_file, projector_file, phi1, phi2, chi1, chi2, tol, out):
     """Apply the projective channel, then re-check subadditivity (2x2 systems)."""
+    from .channel import Projector, channel_then_check
+    from .states import BipartiteState, DensityMatrix
+    from .sweeps import PROB_SWEEP_WEIGHTS
+
+    phi1, phi2, chi1, chi2 = _or_defaults((phi1, phi2, chi1, chi2), PROB_SWEEP_WEIGHTS)
     rho = DensityMatrix(load_matrix(state_file), tol=tol)
     state = BipartiteState(rho, 2, 2)
     proj = Projector(load_matrix(projector_file), tol=tol)
     rho_out, report = channel_then_check(proj, _diag_weight(phi1, phi2, tol), _diag_weight(chi1, chi2, tol), state)
-    shape = {"state": _matrix_shape(rho_out.matrix.shape[0]), "report": _REPORT_SHAPE}
+    shape = {"state": _matrix_shape(rho_out.matrix.shape[0]), "report": _report_shape()}
     _emit(_records_json(shape, [rho_out.matrix[None]], [report]) + "\n", out)
 
 
-@main.command()
-@click.option("--n", default=1000, show_default=True, help="number of samples")
-@click.option("--dims", default="2x2", show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option(
-    "--regime",
-    type=click.Choice(AUDIT_REGIMES),
-    default="diagonal-condition-satisfying",
-    show_default=True,
-)
-@click.option("--tol", default=DEFAULT_TOL, show_default=True)
-@click.option("--out", default=None, help="write the JSON summary here instead of stdout")
 def audit(n, dims, seed, regime, tol, out):
     """Randomized subadditivity audit; violations land in the JSON summary."""
+    from .inequality import audit_random
+
     dim_a, dim_b = _parse_dims(dims)
     summary = audit_random(n, dim_a, dim_b, seed, regime, tolerance=tol)
     _emit(audit_to_json(summary, dim_a, dim_b, tol) + "\n", out)
 
 
+def _parser() -> argparse.ArgumentParser:
+    """``wqent`` and its commands; each command's function is its ``run`` default."""
+    parser = argparse.ArgumentParser(prog="wqent", description=main.__doc__, allow_abbrev=False)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(group, name, run):
+        doc = run.__doc__
+        sub = group.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub
+
+    def tol(sub):
+        sub.add_argument("--tol", type=float, default=DEFAULT_TOL, help="validation tolerance (default: %(default)s)")
+
+    def out(sub, what):
+        sub.add_argument("--out", help=f"write the {what} here instead of stdout")
+
+    def prob_sweep_weights(sub):
+        for name in ("phi1", "phi2", "chi1", "chi2"):
+            sub.add_argument(f"--{name}", type=float, help="default: the paper's value, from sweeps.PROB_SWEEP_WEIGHTS")
+
+    sub = command(commands, "entropy", entropy)
+    sub.add_argument("state_file")
+    sub.add_argument("weight_file")
+    tol(sub)
+
+    sub = command(commands, "check", check)
+    for name in ("state_file", "weight_a_file", "weight_b_file"):
+        sub.add_argument(name)
+    sub.add_argument("--dims", default="2x2", help="subsystem dims, e.g. 2x3 (default: %(default)s)")
+    tol(sub)
+    out(sub, "JSON report")
+
+    sub = command(commands, "qutrit", qutrit)
+    for name in ("p1", "p2", "phi1", "phi2", "chi1", "chi2"):
+        sub.add_argument(name, type=float)
+
+    doc = "Write mutual-information grids as CSV."
+    sweeps = commands.add_parser("sweep", help=doc, description=doc, allow_abbrev=False)
+    sweeps = sweeps.add_subparsers(metavar="GRID", required=True)
+    sub = command(sweeps, "prob", sweep_prob)
+    sub.add_argument("--grid-n", type=int, default=97, help="cells per axis (default: %(default)s)")
+    prob_sweep_weights(sub)
+    out(sub, "CSV")
+    sub = command(sweeps, "weight", sweep_weight)
+    sub.add_argument("--region", required=True, help="the (phi1, chi1) rectangle of sweeps.WEIGHT_REGIONS: a or b")
+    sub.add_argument("--grid-n", type=int, default=97, help="samples per axis (default: %(default)s)")
+    for name in ("p1", "p2"):
+        sub.add_argument(f"--{name}", type=float, help="default: the paper's value, from sweeps.WEIGHT_SWEEP_PROBS")
+    out(sub, "CSV")
+
+    sub = command(commands, "channel", channel)
+    sub.add_argument("state_file")
+    sub.add_argument("projector_file")
+    prob_sweep_weights(sub)
+    tol(sub)
+    out(sub, "JSON result")
+
+    sub = command(commands, "audit", audit)
+    sub.add_argument("--n", type=int, default=1000, help="number of samples (default: %(default)s)")
+    sub.add_argument("--dims", default="2x2", help="subsystem dims (default: %(default)s)")
+    sub.add_argument("--seed", type=int, default=0, help="random seed (default: %(default)s)")
+    sub.add_argument("--regime", default="diagonal-condition-satisfying",
+                     help="one of inequality.AUDIT_REGIMES (default: %(default)s)")
+    tol(sub)
+    out(sub, "JSON summary")
+    return parser
+
+
+def _joined_values(argv: list[str]) -> list[str]:
+    """Each negative number that follows a long option joined to it: ``--phi1 -1e-8`` as ``--phi1=-1e-8``.
+
+    argparse takes a word that starts with ``-`` for an option unless it reads
+    as a plain negative number such as ``-0.5``. Every long option but
+    ``--help`` takes a value. Words after ``--`` are left as they are.
+    """
+    out: list[str] = []
+    for i, arg in enumerate(argv):
+        if arg == "--":
+            return out + argv[i:]
+        prev = out[-1] if out else ""
+        if arg.startswith("-") and prev.startswith("--") and "=" not in prev and prev != "--help":
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{prev}={arg}"
+                continue
+        out.append(arg)
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Weighted entropies and subadditivity checks for small qudit systems."""
+    args = vars(_parser().parse_args(_joined_values(sys.argv[1:] if argv is None else list(argv))))
+    run = args.pop("run")
+    try:
+        run(**args)
+    except tuple(t for t, _ in EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for t, code in EXIT_CODES if isinstance(exc, t))
+    except BrokenPipeError:
+        # the reader closed stdout early (``wqent sweep prob | head``): exit 1 without a
+        # traceback, and let the flush at exit write to nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -7,8 +7,8 @@ import math
 import time
 
 import numpy as np
-from click.testing import CliRunner
 
+from cli_runner import CliRunner
 from jacobi_oracle import jacobi_eigvalsh
 from wqent.cli import main as cli_main
 from wqent.channel import basis_projector, channel_then_check

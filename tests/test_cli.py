@@ -1,17 +1,21 @@
+import importlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cli_runner import CliRunner
 from json_oracle import audit_payload, channel_payload, report_to_dict
-from wqent import cli
 from wqent.cli import audit_to_json, main
 from wqent.entropy import qutrit_mutual_information_closed_form
 from wqent.linalg import DEFAULT_TOL
@@ -295,7 +299,7 @@ class TestQutritCommand:
 
     def test_cross_check_warns_above_default_tol(self, runner, monkeypatch):
         closed_form = qutrit_mutual_information_closed_form
-        monkeypatch.setattr("wqent.cli.qutrit_mutual_information_closed_form",
+        monkeypatch.setattr("wqent.entropy.qutrit_mutual_information_closed_form",
                             lambda *args: closed_form(*args) + 5e-10)
         result = runner.invoke(main, ["qutrit", "0.1", "0.1", "0.75", "0.25", str(1 / 3), str(2 / 3)])
         assert result.exit_code == 0
@@ -585,11 +589,11 @@ class TestJsonMatchesOracle:
     def test_random_payloads(self, example_files, case):
         """The report and the channel state are patched into the commands, so every float reaches the writer."""
         report, state, audit_case = case
-        with mock.patch.object(cli, "check_subadditivity", return_value=report):
+        with mock.patch("wqent.inequality.check_subadditivity", return_value=report):
             result = CliRunner().invoke(main, ["check", example_files["state"], example_files["wa"],
                                                example_files["wb"]])
         assert result.output == json.dumps(report_to_dict(report), indent=2) + "\n"
-        with mock.patch.object(cli, "channel_then_check", return_value=(SimpleNamespace(matrix=state), report)):
+        with mock.patch("wqent.channel.channel_then_check", return_value=(SimpleNamespace(matrix=state), report)):
             result = CliRunner().invoke(main, ["channel", example_files["state"], example_files["proj"]])
         assert result.output == json.dumps(channel_payload(state, report), indent=2) + "\n"
         assert audit_to_json(*audit_case) == json.dumps(audit_payload(*audit_case), indent=2)
@@ -609,8 +613,119 @@ class TestJsonMatchesOracle:
         assert result.output == json.dumps(audit_payload(summary, dim_a, dim_b, 1e-10), indent=2) + "\n"
 
 
-def test_help_lists_commands(runner):
-    result = runner.invoke(main, ["--help"])
+HELP = {
+    (): ("entropy", "check", "qutrit", "sweep", "channel", "audit"),
+    ("entropy",): ("state_file", "weight_file", "--tol"),
+    ("check",): ("state_file", "weight_a_file", "weight_b_file", "--dims", "--tol", "--out"),
+    ("qutrit",): ("p1", "p2", "phi1", "phi2", "chi1", "chi2"),
+    ("sweep",): ("prob", "weight"),
+    ("sweep", "prob"): ("--grid-n", "--phi1", "--phi2", "--chi1", "--chi2", "--out"),
+    ("sweep", "weight"): ("--region", "--grid-n", "--p1", "--p2", "--out"),
+    ("channel",): ("state_file", "projector_file", "--phi1", "--phi2", "--chi1", "--chi2", "--tol", "--out"),
+    ("audit",): ("--n", "--dims", "--seed", "--regime", "--tol", "--out"),
+}
+
+
+@pytest.mark.parametrize("command", list(HELP), ids=lambda c: " ".join(c) or "wqent")
+def test_help_lists_commands(runner, command):
+    result = runner.invoke(main, [*command, "--help"])
     assert result.exit_code == 0
-    for name in ("entropy", "check", "qutrit", "sweep", "channel", "audit"):
+    assert result.stderr == ""
+    for name in HELP[command]:
         assert name in result.output
+
+
+# a usage error exits 2 with a usage line; a bad regime or region is the library's own error
+USAGE_ERRORS = [
+    (["entropy", "state.json"], "usage: wqent entropy"),
+    ([], "usage: wqent"),
+    (["sweep"], "usage: wqent sweep"),
+    (["audit", "--bogus"], "usage: wqent"),
+    (["nosuchcommand"], "usage: wqent"),
+    (["check", "s.json", "a.json", "b.json", "--tol", "x"], "usage: wqent check"),
+    (["entropy", "s.json", "w.json", "--tol", "1e-6e"], "usage: wqent entropy"),
+    (["audit", "--n", "x"], "usage: wqent audit"),
+    (["audit", "--n", "1.5"], "usage: wqent audit"),
+    (["sweep", "prob", "--grid-n", "many"], "usage: wqent sweep prob"),
+    (["qutrit", "0.1", "0.1", "0.75", "0.25", "x", "0.5"], "usage: wqent qutrit"),
+    (["audit", "--regime", "bogus"], "error: unknown regime 'bogus'"),
+    (["sweep", "weight", "--region", "c"], "error: region must be one of ['a', 'b']"),
+]
+
+
+@pytest.mark.parametrize("args, stderr", USAGE_ERRORS, ids=[" ".join(a) or "no command" for a, _ in USAGE_ERRORS])
+def test_usage_errors_exit_2_with_empty_stdout(runner, args, stderr):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(stderr)
+
+
+def test_negative_option_values_need_no_equals_sign(runner, example_files):
+    # argparse alone reads "-1e-8" after an option as another option; main joins it to the option
+    args = ["channel", example_files["state"], example_files["proj"], "--tol", "1e-6"]
+    spaced = runner.invoke(main, args + ["--phi1", "-1e-8"])
+    joined = runner.invoke(main, args + ["--phi1=-1e-8"])
+    assert spaced.exit_code == 0, spaced.stderr
+    assert spaced.output == joined.output
+
+
+# public name -> the submodule that defines it, as the package exports them
+PUBLIC = {
+    "errors": ("ChannelUndefinedError", "DimensionError", "InvalidSimplexError", "MatrixFileError",
+               "NegativeEigenvalueError", "NotHermitianError", "ValidationError"),
+    "linalg": ("SpectralDecomposition", "hermitian_eig", "partial_trace", "xlogx_matrix"),
+    "states": ("BipartiteState", "DensityMatrix", "QutritDiagonal", "WeightMatrix", "embed_ququart",
+               "embed_qutrit", "haar_unitary", "random_density", "random_weight"),
+    "entropy": ("qutrit_mutual_information_closed_form", "weighted_entropy"),
+    "inequality": ("AuditSummary", "SubadditivityReport", "ViolationRecord", "WeightCondition",
+                   "audit_random", "check_subadditivity", "qutrit_condition_gap", "qutrit_weight_condition"),
+    "channel": ("Projector", "apply_projective_channel", "basis_projector", "channel_then_check"),
+    "sweeps": ("SweepGrid", "grid_to_csv", "sweep_probabilities", "sweep_weights"),
+}
+HEAVY = ("wqent.inequality", "wqent.channel", "wqent.sweeps")
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_python(*args):
+    """A fresh interpreter on this checkout's sources, its stdout and stderr captured."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestStartup:
+    """A CLI call loads only what it runs; the package resolves its public names on first access."""
+
+    def test_importing_the_cli_loads_errors_and_linalg_alone(self):
+        proc = fresh_python("-c", "import sys, wqent.cli; print(*sorted(sys.modules))")
+        loaded = set(proc.stdout.split())
+        assert {m for m in loaded if m.startswith("wqent")} == {"wqent", "wqent.cli", "wqent.errors", "wqent.linalg"}
+        assert "click" not in loaded
+
+    @pytest.mark.parametrize("args, heavy", [
+        (["entropy", "state", "wab"], ()),
+        (["check", "state", "wa", "wb"], ("wqent.inequality",)),
+        (["qutrit", "0.1", "0.1", "0.75", "0.25", "0.5", "0.5"], ("wqent.inequality",)),
+        (["audit", "--n", "10"], ("wqent.inequality",)),
+        (["sweep", "prob", "--grid-n", "3"], ("wqent.sweeps",)),
+        (["channel", "state", "proj"], HEAVY),
+    ], ids=["entropy", "check", "qutrit", "audit", "sweep prob", "channel"])
+    def test_a_command_imports_only_what_it_runs(self, example_files, tmp_path, args, heavy):
+        files = dict(example_files, wab=write_matrix(tmp_path / "wab.json", np.diag([0.25, 0.5, 0.25 / 3, 0.5 / 3])))
+        proc = fresh_python("-X", "importtime", "-m", "wqent.cli", *[files.get(a, a) for a in args])
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert {m for m in HEAVY if m in imported} == set(heavy)
+
+    def test_public_names_resolve_from_their_submodules(self):
+        import wqent
+
+        names = [name for names in PUBLIC.values() for name in names]
+        assert len(names) == 38
+        assert sorted(wqent.__all__) == sorted(dir(wqent)) == sorted(names)
+        for module, names in PUBLIC.items():
+            for name in names:
+                assert getattr(wqent, name) is getattr(importlib.import_module(f"wqent.{module}"), name)
+        with pytest.raises(AttributeError, match="no attribute 'nosuchname'"):
+            wqent.nosuchname

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_runner import CliRunner
 from jacobi_oracle import jacobi_eigh
 from json_oracle import matrix_to_dict, report_to_dict
 import wqent.entropy

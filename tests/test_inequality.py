@@ -8,10 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_runner import CliRunner
 from json_oracle import matrix_to_dict
 import wqent.entropy
 import wqent.inequality
@@ -635,7 +635,36 @@ class TestCommutingFamily:
         assert (fields["gap"] - fields["condition_gap"]).min() >= -1e-12
 
 
-COUNTEREXAMPLE = pathlib.Path(__file__).parent / "fixtures" / "noncommuting_counterexample"
+class TestDiagonalStateReduction:
+    """For a diagonal state every report field reads only the diagonals of the weights.
+
+    ``rho ln rho`` and both reduced states are diagonal, so every trace sees
+    ``(phi_A)_aa (phi_B)_bb`` alone, and the off-support block of each reduced
+    weighted state is 0. So diagonal states under any PSD product weights fall in the
+    commuting family, with weights ``diag(phi_A) (x) diag(phi_B)``.
+    """
+
+    @pytest.mark.parametrize("da, db", [(da, db) for da in range(2, 5) for db in range(2, 5)])
+    def test_dense_weights_report_as_their_diagonals(self, da, db):
+        rng = np.random.default_rng(11)
+        for k in range(30):
+            p = rng.dirichlet(np.ones(da * db))
+            if k % 2:
+                p[rng.integers(da * db)] = 0.0
+                p /= p.sum()
+            state = BipartiteState(DensityMatrix(np.diag(p)), da, db)
+            wa, wb = random_weight(da, rng), random_weight(db, rng)
+            dense = check_subadditivity(wa, wb, state)
+            diag = check_subadditivity(WeightMatrix(np.diag(np.diag(wa.matrix))),
+                                       WeightMatrix(np.diag(np.diag(wb.matrix))), state)
+            for name in REPORT_FIELDS:
+                got, want = getattr(dense, name), getattr(diag, name)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (k, name, got, want)
+            assert (dense.condition_holds, dense.subadditivity_holds) == (diag.condition_holds,
+                                                                          diag.subadditivity_holds), k
+
+
+COUNTEREXAMPLE =pathlib.Path(__file__).parent / "fixtures" / "noncommuting_counterexample"
 
 
 def counterexample_matrices():
