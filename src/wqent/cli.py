@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from itertools import repeat
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -31,7 +30,7 @@ from .errors import (
 from .linalg import DEFAULT_TOL, _within_noise
 
 if TYPE_CHECKING:
-    from .inequality import AuditSummary, SubadditivityReport
+    from .inequality import AuditSummary
     from .states import WeightMatrix
 
 # Exit code per error type. The four wqent errors are siblings under ValueError, so
@@ -114,16 +113,16 @@ def _matrix_shape(dim: int) -> dict:
     return {"dim": dim, "re": [["%s"] * dim] * dim, "im": [["%s"] * dim] * dim}
 
 
-def _records_json(shape: dict, matrices: list[np.ndarray], reports: list[SubadditivityReport],
+def _records_json(shape: dict, matrices: list[np.ndarray], reports: np.ndarray | list[tuple],
                   indent: str = "") -> str:
-    """One record per report, each as ``json.dumps(record, indent=2)`` writes it, joined by ``,``.
+    """One record per row of ``reports``, each as ``json.dumps(record, indent=2)`` writes it, joined by ``,``.
 
-    ``shape`` is a placeholder record, each value a ``%s`` and the report last;
-    ``matrices`` holds one ``(k, d, d)`` stack per matrix in ``shape``, in its
-    order. Every value of every record goes through one ``%`` call. ``str`` of
-    a float is the ``float.__repr__`` that ``json`` writes; the verdicts become
-    ``true`` and ``false``, and non-finite values take ``json``'s spelling
-    first. Every line after the first is prefixed with ``indent``.
+    ``shape`` is a placeholder record, each value a ``%s`` and the report last; ``matrices``
+    holds one ``(k, d, d)`` stack per matrix in ``shape``, in its order, and ``reports`` the
+    ``(k, 10)`` report values in field order. Every value of every record goes through one
+    ``%`` call. ``str`` of a float is the ``float.__repr__`` that ``json`` writes; the verdicts
+    become ``true`` and ``false``, and non-finite values take ``json``'s spelling first. Every
+    line after the first is prefixed with ``indent``.
     """
     from .inequality import _REPORT_NAMES
 
@@ -131,8 +130,8 @@ def _records_json(shape: dict, matrices: list[np.ndarray], reports: list[Subaddi
     # one row per record, its values in template order; the verdicts read 1.0 or 0.0 here
     k = len(reports)
     flat = [m.reshape(k, -1) for m in matrices]
-    table = np.concatenate([part for m in flat for part in (m.real, m.imag)]
-                           + [np.array([*map(attrgetter(*_REPORT_NAMES), reports)], dtype=float)], axis=1)
+    table = np.concatenate([part for m in flat for part in (m.real, m.imag)] + [np.asarray(reports, dtype=float)],
+                           axis=1)
     values = table.ravel().tolist()
     for i in np.flatnonzero(~np.isfinite(table.ravel())).tolist():
         values[i] = json.dumps(values[i])
@@ -146,8 +145,11 @@ def _records_json(shape: dict, matrices: list[np.ndarray], reports: list[Subaddi
 def audit_to_json(summary: AuditSummary, dim_a: int, dim_b: int, tolerance: float) -> str:
     """The audit payload as ``json.dumps(payload, indent=2)`` writes it, byte for byte.
 
-    The head goes through ``json.dumps``; the violations through :func:`_records_json`.
+    The head goes through ``json.dumps``; the violations, from the summary's columns, through
+    :func:`_records_json`, so no record is built.
     """
+    from .inequality import _verdicts
+
     text = json.dumps({
         "regime": summary.regime,
         "dims": f"{dim_a}x{dim_b}",
@@ -157,13 +159,14 @@ def audit_to_json(summary: AuditSummary, dim_a: int, dim_b: int, tolerance: floa
         "min_gap": summary.min_gap,
         "violations": [],
     }, indent=2)
-    records = summary.violations
-    if not records:
+    if not summary.columns:
         return text
     shape = {"state": _matrix_shape(dim_a * dim_b), "weight_a": _matrix_shape(dim_a),
              "weight_b": _matrix_shape(dim_b), "report": _report_shape()}
-    matrices = [np.stack([getattr(r, name) for r in records]) for name in ("state", "weight_a", "weight_b")]
-    body = _records_json(shape, matrices, [r.report for r in records], "    ")
+    matrices = [np.concatenate(stacks) for stacks in zip(*(m for _, m in summary.columns))]
+    reports = np.concatenate([np.column_stack([*f.values(), *_verdicts(f, summary.tolerance),
+                                               np.full(len(f["gap"]), summary.tolerance)]) for f, _ in summary.columns])
+    body = _records_json(shape, matrices, reports, "    ")
     # text ends in '"violations": []\n}'; the records go between the brackets
     return f"{text[:-3]}\n    {body}\n  ]\n}}"
 
@@ -202,6 +205,7 @@ def entropy(state_file, weight_file, tol):
 
 def check(state_file, weight_a_file, weight_b_file, dims, tol, out):
     """Subadditivity report for a bipartite state, as JSON."""
+    from dataclasses import astuple
     from .inequality import check_subadditivity
     from .states import BipartiteState, DensityMatrix, WeightMatrix
 
@@ -211,7 +215,7 @@ def check(state_file, weight_a_file, weight_b_file, dims, tol, out):
     wa = WeightMatrix(load_matrix(weight_a_file), tol=tol)
     wb = WeightMatrix(load_matrix(weight_b_file), tol=tol)
     report = check_subadditivity(wa, wb, state)
-    _emit(_records_json(_report_shape(), [], [report]) + "\n", out)
+    _emit(_records_json(_report_shape(), [], [astuple(report)]) + "\n", out)
 
 
 def qutrit(p1, p2, phi1, phi2, chi1, chi2):
@@ -267,6 +271,7 @@ def sweep_weight(region, grid_n, p1, p2, out):
 
 def channel(state_file, projector_file, phi1, phi2, chi1, chi2, tol, out):
     """Apply the projective channel, then re-check subadditivity (2x2 systems)."""
+    from dataclasses import astuple
     from .channel import Projector, channel_then_check
     from .states import BipartiteState, DensityMatrix
     from .sweeps import PROB_SWEEP_WEIGHTS
@@ -277,7 +282,7 @@ def channel(state_file, projector_file, phi1, phi2, chi1, chi2, tol, out):
     proj = Projector(load_matrix(projector_file), tol=tol)
     rho_out, report = channel_then_check(proj, _diag_weight(phi1, phi2, tol), _diag_weight(chi1, chi2, tol), state)
     shape = {"state": _matrix_shape(rho_out.matrix.shape[0]), "report": _report_shape()}
-    _emit(_records_json(shape, [rho_out.matrix[None]], [report]) + "\n", out)
+    _emit(_records_json(shape, [rho_out.matrix[None]], [astuple(report)]) + "\n", out)
 
 
 def audit(n, dims, seed, regime, tol, out):

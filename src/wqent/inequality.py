@@ -7,15 +7,15 @@ and one chunk of samples at a time for the general audit; the diagonal regimes
 have one kernel over the occupied cells of a diagonal state, at any factor dims,
 run once per chunk. It is the one matrix path: the
 weighted mutual information is a report's ``gap`` and the trace condition its
-``condition_gap``. An audit scans the gap of every sample and builds full
-reports for its violators only, once the scan has released the sample.
+``condition_gap``. An audit scans the gap of every sample and keeps the fields
+and matrices of its violators only; their records are built when first read.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, fields as dataclass_fields
-from functools import lru_cache, partial
+from dataclasses import dataclass, field, fields as dataclass_fields
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -113,6 +113,11 @@ def _report_fields(rho: np.ndarray, spectrum: SpectralDecomposition, phi_a: np.n
     return fields
 
 
+def _verdicts(fields: dict[str, np.ndarray], tolerance: float) -> tuple[np.ndarray, np.ndarray]:
+    """``condition_holds`` and ``subadditivity_holds`` of each item: its two gaps against ``-tolerance``."""
+    return fields["condition_gap"] >= -tolerance, fields["gap"] >= -tolerance
+
+
 def _reports(fields: dict[str, np.ndarray], tolerance: float) -> list[SubadditivityReport]:
     """One report per item of ``fields`` (a ``(k,)`` array per field, in :func:`_fields` order).
 
@@ -122,10 +127,8 @@ def _reports(fields: dict[str, np.ndarray], tolerance: float) -> list[Subadditiv
     The slots are stored one key at a time, in field order, which took half as long as
     ``__dict__.update(zip(names, row))``.
     """
-    condition_holds = (fields["condition_gap"] >= -tolerance).tolist()
-    subadditivity_holds = (fields["gap"] >= -tolerance).tolist()
     new, out = object.__new__, []
-    for row in zip(*(v.tolist() for v in fields.values()), condition_holds, subadditivity_holds):
+    for row in zip(*(v.tolist() for v in fields.values()), *(v.tolist() for v in _verdicts(fields, tolerance))):
         report = new(SubadditivityReport)
         d = report.__dict__
         (d["s_ab"], d["s_a"], d["s_b"], d["gap"], d["condition_lhs"], d["condition_rhs"], d["condition_gap"],
@@ -153,21 +156,53 @@ def check_subadditivity(weight_a: WeightMatrix, weight_b: WeightMatrix,
     return _reports({k: v[None] for k, v in fields.items()}, rho.tol)[0]
 
 
-@dataclass(frozen=True)
+def _same(ours, theirs) -> bool:
+    """Item by item equality, arrays by ``np.array_equal``."""
+    return len(ours) == len(theirs) and all(map(np.array_equal, ours, theirs))
+
+
+@dataclass(frozen=True, eq=False)
 class ViolationRecord:
     state: np.ndarray
     weight_a: np.ndarray
     weight_b: np.ndarray
     report: SubadditivityReport
 
+    def __eq__(self, other):
+        values = operator.attrgetter("state", "weight_a", "weight_b", "report")
+        return type(other) is ViolationRecord and _same(values(self), values(other))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class AuditSummary:
+    """An audit's head, and its violators' columns as the scan kept them: one ``(fields, (state, weight_a,
+    weight_b))`` pair per chunk with any, judged at ``tolerance``. ``violations`` builds their records on
+    first read and keeps that tuple; ``==``, over the columns joined across chunks, and ``repr`` build none."""
+
     samples: int
-    violations: tuple[ViolationRecord, ...]
     min_gap: float
     seed: int
     regime: str
+    tolerance: float
+    columns: tuple = field(repr=False)
+
+    @cached_property
+    def violations(self) -> tuple[ViolationRecord, ...]:
+        records, new = [], object.__new__
+        for fields, matrices in self.columns:
+            for row in zip(*matrices, _reports(fields, self.tolerance)):
+                record = new(ViolationRecord)
+                d = record.__dict__
+                d["state"], d["weight_a"], d["weight_b"], d["report"] = row
+                records.append(record)
+        return tuple(records)
+
+    def _values(self) -> list:
+        return [self.samples, self.min_gap, self.seed, self.regime, self.tolerance,
+                *(np.concatenate(parts) for parts in zip(*([*f.values(), *m] for f, m in self.columns)))]
+
+    def __eq__(self, other):
+        return type(other) is AuditSummary and _same(self._values(), other._values())
 
 
 @lru_cache(maxsize=None)
@@ -389,14 +424,7 @@ def audit_random(
     else:
         chunks = _diagonal_chunks(rng, n, dim_a, dim_b, regime == "diagonal-condition-satisfying")
 
-    # draw -> scan -> release -> build: records are built only once the scan has ended, so the
-    # sample and the last chunk are gone by then and never share the peak with the records
+    # draw -> scan -> release: the summary keeps the violators' columns, copies taken by index, and
+    # builds no record, so the sample and the last chunk are gone before any record exists
     mins, kept = _scan(chunks, tolerance)
-    violations, new = [], object.__new__
-    for fields, matrices in kept:
-        for row in zip(*matrices, _reports(fields, tolerance)):
-            record = new(ViolationRecord)
-            d = record.__dict__
-            d["state"], d["weight_a"], d["weight_b"], d["report"] = row
-            violations.append(record)
-    return AuditSummary(n, tuple(violations), float(np.min(mins)), seed, regime)
+    return AuditSummary(n, float(np.min(mins)), seed, regime, tolerance, tuple(kept))

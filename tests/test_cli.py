@@ -19,7 +19,7 @@ from json_oracle import audit_payload, channel_payload, report_to_dict
 from wqent.cli import audit_to_json, main
 from wqent.entropy import qutrit_mutual_information_closed_form
 from wqent.linalg import DEFAULT_TOL
-from wqent.inequality import AUDIT_REGIMES, AuditSummary, SubadditivityReport, ViolationRecord, audit_random
+from wqent.inequality import _REPORT_NAMES, AUDIT_REGIMES, AuditSummary, SubadditivityReport, audit_random
 
 
 @pytest.fixture
@@ -568,16 +568,21 @@ def reports(tolerance):
 
 @st.composite
 def payloads(draw):
-    """A report for ``check``, a dim-4 state for ``channel`` and an audit summary with its dims and tolerance."""
+    """A report for ``check``, a dim-4 state for ``channel`` and an audit summary with its dims and tolerance.
+
+    The summary is built from columns as an audit keeps them: up to three chunks of one to three
+    violators, each chunk seven field arrays of edge floats and three matrix stacks.
+    """
     tolerance = draw(st.sampled_from([1e-10, 1e-6, 0.5]))
     dim_a, dim_b = draw(st.sampled_from([(2, 2), (2, 3), (3, 3)]))
-    records = tuple(
-        ViolationRecord(draw(complex_matrices(dim_a * dim_b)), draw(complex_matrices(dim_a)),
-                        draw(complex_matrices(dim_b)), draw(reports(tolerance)))
-        for _ in range(draw(st.integers(0, 3)))
-    )
-    summary = AuditSummary(draw(st.integers(1, 10**6)), records, draw(EDGE_FLOATS),
-                           draw(st.integers(0, 2**32)), draw(st.sampled_from(AUDIT_REGIMES)))
+    columns = []
+    for k in draw(st.lists(st.integers(1, 3), max_size=3)):
+        fields = {name: draw(arrays(np.float64, k, elements=EDGE_FLOATS, fill=st.sampled_from(EDGE_POOL)))
+                  for name in _REPORT_NAMES[:7]}
+        columns.append((fields, tuple(np.stack([draw(complex_matrices(d)) for _ in range(k)])
+                                      for d in (dim_a * dim_b, dim_a, dim_b))))
+    summary = AuditSummary(draw(st.integers(1, 10**6)), draw(EDGE_FLOATS), draw(st.integers(0, 2**32)),
+                           draw(st.sampled_from(AUDIT_REGIMES)), tolerance, tuple(columns))
     return draw(reports(tolerance)), draw(complex_matrices(4)), (summary, dim_a, dim_b, tolerance)
 
 

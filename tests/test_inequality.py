@@ -31,7 +31,7 @@ from wqent.states import (
     _density_stack,
     _weight_stack,
 )
-from wqent.cli import main as cli_main
+from wqent.cli import audit_to_json, main as cli_main
 from wqent.channel import Projector, channel_then_check
 from wqent.entropy import qutrit_mutual_information_closed_form, weighted_entropy
 from wqent.linalg import DEFAULT_TOL, _eigh, _fix_phases, _hermitian_part, _partial_trace, hermitian_eig
@@ -1027,8 +1027,8 @@ class TestChunkedScan:
     @pytest.mark.parametrize("regime", AUDIT_REGIMES[:2])
     def test_diagonal_memory_is_bounded(self, regime):
         # the sample takes 5.6 MB here (2.4 MB of probabilities, then 3.2 MB of weights, which the
-        # unconstrained regime draws per chunk) and seed 5's 5,063 records about 6.8 MB; with the
-        # records built after the scan, neither regime holds the sample and the records at once
+        # unconstrained regime draws per chunk) and seed 5's 5,063 records about 6.8 MB once read; the
+        # audit keeps only its violators' columns, so neither regime holds the sample and the records at once
         audit_random(10, 2, 2, 0, regime)
         tracemalloc.start()
         try:
@@ -1086,6 +1086,86 @@ class TestBulkReports:
             assert dataclasses.replace(v, report=None).state is v.state
         with pytest.raises(dataclasses.FrozenInstanceError):
             records[0].report = None
+
+
+LAZY_CASES = [
+    (20_000, (2, 2), "diagonal-unconstrained"),
+    (20_000, (2, 3), "diagonal-unconstrained"),
+    (20_000, (3, 3), "diagonal-unconstrained"),
+    (20_000, (2, 2), "general-unconstrained"),
+]
+
+
+@pytest.fixture
+def counted_reports(monkeypatch):
+    """Patch ``_reports`` to count its calls; returns the list of the item counts it was called for."""
+    calls = []
+
+    def counted(fields, tolerance):
+        calls.append(len(fields["gap"]))
+        return _reports(fields, tolerance)
+
+    monkeypatch.setattr(wqent.inequality, "_reports", counted)
+    return calls
+
+
+class TestLazyRecords:
+    """An audit keeps its violators as columns; ``violations`` builds their records on first read."""
+
+    @pytest.mark.parametrize("n, dims, regime", LAZY_CASES)
+    def test_head_json_eq_and_repr_build_no_record(self, counted_reports, n, dims, regime):
+        summary = audit_random(n, *dims, 0, regime, tolerance=1e-9)
+        twin = audit_random(n, *dims, 0, regime, tolerance=1e-9)
+        assert (summary.samples, summary.seed, summary.regime) == (n, 0, regime)
+        assert math.isfinite(summary.min_gap)
+        text = audit_to_json(summary, *dims, 1e-9)
+        assert summary == twin
+        assert len(repr(summary)) < 200
+        assert counted_reports == []
+        records = summary.violations
+        assert counted_reports == [len(f["gap"]) for f, _ in summary.columns]
+        assert len(records) == sum(counted_reports) == len(json.loads(text)["violations"]) > 0
+        # a second read returns the kept tuple and builds nothing
+        assert summary.violations is records
+        assert counted_reports == [len(f["gap"]) for f, _ in summary.columns]
+
+    @pytest.mark.parametrize("n, dims, regime", LAZY_CASES)
+    def test_records_equal_an_eager_build(self, n, dims, regime):
+        summary = audit_random(n, *dims, 0, regime, tolerance=1e-9)
+        eager = [(*m, r) for f, stacks in summary.columns for m, r in zip(zip(*stacks), _reports(f, 1e-9))]
+        assert len(summary.violations) == len(eager) > 0
+        for v, (state, wa, wb, report) in zip(summary.violations, eager):
+            assert type(v) is ViolationRecord
+            assert repr(v.report) == repr(report)
+            for got, want in ((v.state, state), (v.weight_a, wa), (v.weight_b, wb)):
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    def test_equal_arguments_compare_equal(self):
+        a = audit_random(2000, 2, 2, 1, "diagonal-unconstrained")
+        b = audit_random(2000, 2, 2, 1, "diagonal-unconstrained")
+        assert a == b and not a != b
+        assert a.violations[0] == b.violations[0]
+        assert a.violations == b.violations
+        assert a != audit_random(2000, 2, 2, 2, "diagonal-unconstrained")
+        assert a != audit_random(2000, 2, 2, 1, "diagonal-unconstrained", tolerance=1e-9)
+        assert a.violations[0] != a.violations[1]
+        moved = dataclasses.replace(a.violations[0], state=a.violations[0].state.copy())
+        moved.state[0, 0] += 1e-12
+        assert moved != a.violations[0]
+        assert a != "audit" and a.violations[0] != "record"
+
+    def test_equality_ignores_where_chunks_fall(self, monkeypatch):
+        whole = audit_random(2000, 2, 2, 1, "diagonal-unconstrained")
+        monkeypatch.setattr(wqent.inequality, "_CHUNK_ENTRIES", 7 * 16)
+        chunked = audit_random(2000, 2, 2, 1, "diagonal-unconstrained")
+        assert len(chunked.columns) > len(whole.columns) == 1
+        assert chunked == whole
+
+    def test_no_violators_compare_by_head(self):
+        a = audit_random(500, 2, 2, 3, "diagonal-condition-satisfying")
+        assert a.columns == () and a.violations == ()
+        assert a == audit_random(500, 2, 2, 3, "diagonal-condition-satisfying")
+        assert a != audit_random(500, 2, 2, 4, "diagonal-condition-satisfying")
 
 
 class TestAudit:
