@@ -5,7 +5,7 @@ Usage: python scripts/compare_outputs.py OLD_SRC NEW_SRC
 OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts. Every case
 runs in a fresh interpreter with ``PYTHONPATH`` set to one of them. The cases,
 listed once in ``cases()``, cover the default sweep CSVs, audits in every
-regime (the diagonal ones within one chunk and across several), ``entropy``,
+regime, each within one chunk and across several, ``entropy``,
 ``check``, ``channel`` and ``qutrit`` on the worked example, ``check`` and
 ``channel`` on the non-commuting fixture, ``check`` on a dense complex 2x3
 state, finite entries whose sums or products overflow a float, and failing
@@ -106,6 +106,9 @@ def cases(files: dict) -> dict:
     for dims in ("2x2", "2x3"):
         out[f"audit general-unconstrained {dims} n=2000 seed=1"] = cli + [
             "audit", "--n", "2000", "--seed", "1", "--dims", dims, "--regime", "general-unconstrained"]
+    # three chunks of 8192 2x2 samples with 24, 20 and 6 violators, joined into one table
+    out["audit general-unconstrained 2x2 n=20000 seed=0"] = cli + [
+        "audit", "--n", "20000", "--seed", "0", "--regime", "general-unconstrained"]
     out["entropy worked example"] = cli + ["entropy", files["state"], files["wab"]]
     for tol in ([], ["--tol", "1e-6"]):
         name = " ".join(["worked example"] + tol)

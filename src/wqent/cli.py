@@ -7,7 +7,9 @@ undefined, 5 matrix-file parse error. Matrix files are JSON objects with keys
 
 Parsing is the standard library's ``argparse``. Each command imports the
 modules it runs when it runs, so a call loads only those: importing this
-module loads ``errors`` and ``linalg`` alone.
+module loads ``errors`` and ``linalg`` alone. ``check`` and ``channel`` write
+``json.dumps(result, indent=2)``; ``audit`` writes the same bytes for its
+summary through :func:`audit_to_json`, from the violators' table.
 """
 
 from __future__ import annotations
@@ -103,70 +105,38 @@ def _parse_dims(text: str) -> tuple[int, int]:
         raise ValidationError(f"dims must look like '2x2', got {text!r}") from exc
 
 
-def _report_shape() -> dict:
-    from .inequality import _REPORT_NAMES
+def audit_to_json(summary: AuditSummary, dim_a: int, dim_b: int) -> str:
+    """The audit payload as ``json.dumps(payload, indent=2)`` writes it, byte for byte, at the summary's tolerance.
 
-    return dict.fromkeys(_REPORT_NAMES, "%s")
-
-
-def _matrix_shape(dim: int) -> dict:
-    return {"dim": dim, "re": [["%s"] * dim] * dim, "im": [["%s"] * dim] * dim}
-
-
-def _records_json(shape: dict, matrices: list[np.ndarray], reports: np.ndarray | list[tuple],
-                  indent: str = "") -> str:
-    """One record per row of ``reports``, each as ``json.dumps(record, indent=2)`` writes it, joined by ``,``.
-
-    ``shape`` is a placeholder record, each value a ``%s`` and the report last; ``matrices``
-    holds one ``(k, d, d)`` stack per matrix in ``shape``, in its order, and ``reports`` the
-    ``(k, 10)`` report values in field order. Every value of every record goes through one
-    ``%`` call. ``str`` of a float is the ``float.__repr__`` that ``json`` writes; the verdicts
-    become ``true`` and ``false``, and non-finite values take ``json``'s spelling first. Every
-    line after the first is prefixed with ``indent``.
+    The head goes through ``json.dumps``. The violations, read from the summary's table with no record built,
+    fill a ``%s`` template record with one ``%`` call: ``str`` of a float is the ``float.__repr__`` that
+    ``json`` writes, the verdicts become ``true`` and ``false``, and non-finite values take ``json``'s spelling.
     """
-    from .inequality import _REPORT_NAMES
+    from .inequality import _REPORT_NAMES, _verdicts
 
-    template = json.dumps(shape, indent=2).replace('"%s"', "%s").replace("\n", "\n" + indent)
+    text = json.dumps({"regime": summary.regime, "dims": f"{dim_a}x{dim_b}", "samples": summary.samples,
+                       "seed": summary.seed, "tolerance": summary.tolerance, "min_gap": summary.min_gap,
+                       "violations": []}, indent=2)
+    if summary.columns is None:
+        return text
+    fields, matrices = summary.columns
+    shape = {key: {"dim": d, "re": [["%s"] * d] * d, "im": [["%s"] * d] * d}
+             for key, d in (("state", dim_a * dim_b), ("weight_a", dim_a), ("weight_b", dim_b))}
+    shape["report"] = dict.fromkeys(_REPORT_NAMES, "%s")
+    template = json.dumps(shape, indent=2).replace('"%s"', "%s").replace("\n", "\n    ")
     # one row per record, its values in template order; the verdicts read 1.0 or 0.0 here
-    k = len(reports)
+    k = len(fields["gap"])
     flat = [m.reshape(k, -1) for m in matrices]
-    table = np.concatenate([part for m in flat for part in (m.real, m.imag)] + [np.asarray(reports, dtype=float)],
-                           axis=1)
+    table = np.column_stack([part for m in flat for part in (m.real, m.imag)]
+                            + [*fields.values(), *_verdicts(fields, summary.tolerance), np.full(k, summary.tolerance)])
     values = table.ravel().tolist()
     for i in np.flatnonzero(~np.isfinite(table.ravel())).tolist():
         values[i] = json.dumps(values[i])
     width = table.shape[1]
-    for key in ("condition_holds", "subadditivity_holds"):
-        col = width - len(_REPORT_NAMES) + _REPORT_NAMES.index(key)
+    # condition_holds and subadditivity_holds, before the report's last value, its tolerance
+    for col in (width - 3, width - 2):
         values[col::width] = ["true" if v else "false" for v in values[col::width]]
-    return (",\n" + indent).join(repeat(template, k)) % tuple(values)
-
-
-def audit_to_json(summary: AuditSummary, dim_a: int, dim_b: int, tolerance: float) -> str:
-    """The audit payload as ``json.dumps(payload, indent=2)`` writes it, byte for byte.
-
-    The head goes through ``json.dumps``; the violations, from the summary's columns, through
-    :func:`_records_json`, so no record is built.
-    """
-    from .inequality import _verdicts
-
-    text = json.dumps({
-        "regime": summary.regime,
-        "dims": f"{dim_a}x{dim_b}",
-        "samples": summary.samples,
-        "seed": summary.seed,
-        "tolerance": tolerance,
-        "min_gap": summary.min_gap,
-        "violations": [],
-    }, indent=2)
-    if not summary.columns:
-        return text
-    shape = {"state": _matrix_shape(dim_a * dim_b), "weight_a": _matrix_shape(dim_a),
-             "weight_b": _matrix_shape(dim_b), "report": _report_shape()}
-    matrices = [np.concatenate(stacks) for stacks in zip(*(m for _, m in summary.columns))]
-    reports = np.concatenate([np.column_stack([*f.values(), *_verdicts(f, summary.tolerance),
-                                               np.full(len(f["gap"]), summary.tolerance)]) for f, _ in summary.columns])
-    body = _records_json(shape, matrices, reports, "    ")
+    body = ",\n    ".join(repeat(template, k)) % tuple(values)
     # text ends in '"violations": []\n}'; the records go between the brackets
     return f"{text[:-3]}\n    {body}\n  ]\n}}"
 
@@ -205,7 +175,7 @@ def entropy(state_file, weight_file, tol):
 
 def check(state_file, weight_a_file, weight_b_file, dims, tol, out):
     """Subadditivity report for a bipartite state, as JSON."""
-    from dataclasses import astuple
+    from dataclasses import asdict
     from .inequality import check_subadditivity
     from .states import BipartiteState, DensityMatrix, WeightMatrix
 
@@ -215,7 +185,7 @@ def check(state_file, weight_a_file, weight_b_file, dims, tol, out):
     wa = WeightMatrix(load_matrix(weight_a_file), tol=tol)
     wb = WeightMatrix(load_matrix(weight_b_file), tol=tol)
     report = check_subadditivity(wa, wb, state)
-    _emit(_records_json(_report_shape(), [], [astuple(report)]) + "\n", out)
+    _emit(json.dumps(asdict(report), indent=2) + "\n", out)
 
 
 def qutrit(p1, p2, phi1, phi2, chi1, chi2):
@@ -271,7 +241,7 @@ def sweep_weight(region, grid_n, p1, p2, out):
 
 def channel(state_file, projector_file, phi1, phi2, chi1, chi2, tol, out):
     """Apply the projective channel, then re-check subadditivity (2x2 systems)."""
-    from dataclasses import astuple
+    from dataclasses import asdict
     from .channel import Projector, channel_then_check
     from .states import BipartiteState, DensityMatrix
     from .sweeps import PROB_SWEEP_WEIGHTS
@@ -281,8 +251,9 @@ def channel(state_file, projector_file, phi1, phi2, chi1, chi2, tol, out):
     state = BipartiteState(rho, 2, 2)
     proj = Projector(load_matrix(projector_file), tol=tol)
     rho_out, report = channel_then_check(proj, _diag_weight(phi1, phi2, tol), _diag_weight(chi1, chi2, tol), state)
-    shape = {"state": _matrix_shape(rho_out.matrix.shape[0]), "report": _report_shape()}
-    _emit(_records_json(shape, [rho_out.matrix[None]], [astuple(report)]) + "\n", out)
+    m = rho_out.matrix
+    result = {"state": {"dim": m.shape[0], "re": m.real.tolist(), "im": m.imag.tolist()}, "report": asdict(report)}
+    _emit(json.dumps(result, indent=2) + "\n", out)
 
 
 def audit(n, dims, seed, regime, tol, out):
@@ -291,7 +262,7 @@ def audit(n, dims, seed, regime, tol, out):
 
     dim_a, dim_b = _parse_dims(dims)
     summary = audit_random(n, dim_a, dim_b, seed, regime, tolerance=tol)
-    _emit(audit_to_json(summary, dim_a, dim_b, tol) + "\n", out)
+    _emit(audit_to_json(summary, dim_a, dim_b) + "\n", out)
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -5,10 +5,10 @@ boolean verdicts, and the audit collects violations instead of raising.
 One engine over stacks fills every report, one item for ``check_subadditivity``
 and one chunk of samples at a time for the general audit; the diagonal regimes
 have one kernel over the occupied cells of a diagonal state, at any factor dims,
-run once per chunk. It is the one matrix path: the
-weighted mutual information is a report's ``gap`` and the trace condition its
-``condition_gap``. An audit scans the gap of every sample and keeps the fields
-and matrices of its violators only; their records are built when first read.
+run once per chunk. It is the one matrix path: the weighted mutual information
+is a report's ``gap`` and the trace condition its ``condition_gap``. An audit
+scans the gap of every sample and joins its violators' rows of the chunks once,
+into one table of report fields and matrices; records are built when first read.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field, fields as dataclass_fields
 from functools import cached_property, lru_cache, partial
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -175,34 +175,36 @@ class ViolationRecord:
 
 @dataclass(frozen=True, eq=False)
 class AuditSummary:
-    """An audit's head, and its violators' columns as the scan kept them: one ``(fields, (state, weight_a,
-    weight_b))`` pair per chunk with any, judged at ``tolerance``. ``violations`` builds their records on
-    first read and keeps that tuple; ``==``, over the columns joined across chunks, and ``repr`` build none."""
+    """An audit's head, and its violators' table as the audit built it: ``(fields, (state, weight_a,
+    weight_b))``, one row per violator in sample order, judged at ``tolerance``; ``None`` without any.
+    ``violations`` builds their records on first read and keeps that tuple; ``==`` and ``repr`` build none."""
 
     samples: int
     min_gap: float
     seed: int
     regime: str
     tolerance: float
-    columns: tuple = field(repr=False)
+    columns: tuple | None = field(repr=False)
 
     @cached_property
     def violations(self) -> tuple[ViolationRecord, ...]:
+        if self.columns is None:
+            return ()
+        fields, matrices = self.columns
         records, new = [], object.__new__
-        for fields, matrices in self.columns:
-            for row in zip(*matrices, _reports(fields, self.tolerance)):
-                record = new(ViolationRecord)
-                d = record.__dict__
-                d["state"], d["weight_a"], d["weight_b"], d["report"] = row
-                records.append(record)
+        for row in zip(*matrices, _reports(fields, self.tolerance)):
+            record = new(ViolationRecord)
+            d = record.__dict__
+            d["state"], d["weight_a"], d["weight_b"], d["report"] = row
+            records.append(record)
         return tuple(records)
 
-    def _values(self) -> list:
-        return [self.samples, self.min_gap, self.seed, self.regime, self.tolerance,
-                *(np.concatenate(parts) for parts in zip(*([*f.values(), *m] for f, m in self.columns)))]
-
     def __eq__(self, other):
-        return type(other) is AuditSummary and _same(self._values(), other._values())
+        def values(s):
+            fields, matrices = s.columns or ({}, ())
+            return [s.samples, s.min_gap, s.seed, s.regime, s.tolerance, *fields.values(), *matrices]
+
+        return type(other) is AuditSummary and _same(values(self), values(other))
 
 
 @lru_cache(maxsize=None)
@@ -299,10 +301,7 @@ def _condition_satisfying_weights(rng: np.random.Generator, n: int, size: int) -
     return weights
 
 
-# a regime yields chunks: the gap of a run of samples, and a function from the chunk's
-# violating indices to their seven report-field arrays and (state, weight_a, weight_b) stacks
-_Violators = Callable[[np.ndarray], tuple[dict[str, np.ndarray], tuple[np.ndarray, ...]]]
-_Chunks = Iterator[tuple[np.ndarray, _Violators]]
+_Chunks = Iterator[tuple[np.ndarray, tuple[np.ndarray, ...]]]
 
 
 def _chunk_items(d: int) -> int:
@@ -310,23 +309,9 @@ def _chunk_items(d: int) -> int:
     return max(1, _CHUNK_ENTRIES // d**2)
 
 
-def _diagonal_violators(probs: np.ndarray, weights: np.ndarray, dim_a: int, dim_b: int,
-                        terms: tuple[np.ndarray, ...], idx: np.ndarray):
-    # every field is elementwise, so the violators' rows of the chunk's sums give their bits
-    p, w = probs[idx], weights[idx]
-    matrices = _diag_stack(np.pad(p, ((0, 0), (0, 1)))), _diag_stack(w[:, :dim_a]), _diag_stack(w[:, dim_a:])
-    return _diagonal_report_fields(p, w, dim_a, dim_b, tuple(x[idx] for x in terms)), matrices
-
-
-def _diagonal_chunk(probs: np.ndarray, weights: np.ndarray, dim_a: int, dim_b: int):
-    """The scan's gap of one chunk of diagonal samples, and its violators function."""
-    terms = x_ab, x_a, x_b = _diagonal_entropy_terms(probs, weights, dim_a, dim_b)
-    # x_ab - (x_a + x_b) rounds as the report's s_a + s_b - s_ab does, since negation is exact
-    return x_ab - (x_a + x_b), partial(_diagonal_violators, probs, weights, dim_a, dim_b, terms)
-
-
 def _diagonal_chunks(rng: np.random.Generator, n: int, dim_a: int, dim_b: int,
                      condition_satisfying: bool) -> _Chunks:
+    """Each chunk's gap, and its ``probs``, weights and entropy sums ``x_ab, x_a, x_b``."""
     # every probability is drawn first, then the weights: the stream does not depend on the chunk
     # size, and as every field is elementwise, neither do its bits. Each row of probs is a diagonal
     # state with a zero last cell, laid out as for _diagonal_entropy_terms, normalized in place by
@@ -340,15 +325,20 @@ def _diagonal_chunks(rng: np.random.Generator, n: int, dim_a: int, dim_b: int,
     for start in range(0, n, size):
         p = probs[start:start + size]
         w = _scale_draws(rng, (len(p), dim_a + dim_b)) if weights is None else weights[start:start + size]
-        yield _diagonal_chunk(p, w, dim_a, dim_b)
+        x_ab, x_a, x_b = _diagonal_entropy_terms(p, w, dim_a, dim_b)
+        # x_ab - (x_a + x_b) rounds as the report's s_a + s_b - s_ab does, since negation is exact
+        yield x_ab - (x_a + x_b), (p, w, x_ab, x_a, x_b)
 
 
-def _general_violators(fields: dict[str, np.ndarray], rho: np.ndarray, wa: np.ndarray, wb: np.ndarray,
-                       idx: np.ndarray):
-    return {k: v[idx] for k, v in fields.items()}, (rho[idx], wa[idx], wb[idx])
+def _diagonal_table(dim_a: int, dim_b: int, p: np.ndarray, w: np.ndarray, *terms: np.ndarray):
+    """The violators' report fields and ``(state, weight_a, weight_b)`` stacks from their diagonal rows."""
+    # every field is elementwise, so the violators' rows of the chunks' sums give their bits
+    matrices = _diag_stack(np.pad(p, ((0, 0), (0, 1)))), _diag_stack(w[:, :dim_a]), _diag_stack(w[:, dim_a:])
+    return _diagonal_report_fields(p, w, dim_a, dim_b, terms), matrices
 
 
 def _general_chunks(rng: np.random.Generator, n: int, dim_a: int, dim_b: int, tolerance: float) -> _Chunks:
+    """Each chunk's gap, and its seven report fields and ``(state, weight_a, weight_b)`` stacks."""
     # each chunk draws its states, then its A weights, then its B weights, so the stream
     # is the whole-sample stream whenever n fits in one chunk
     size = _chunk_items(dim_a * dim_b)
@@ -360,19 +350,24 @@ def _general_chunks(rng: np.random.Generator, n: int, dim_a: int, dim_b: int, to
         # the draws are hermitized, so they are diagonalized unchecked; off-support
         # mass is judged at the audit's tolerance
         fields = _report_fields(rho, _eigh(rho), wa, wb, dim_a, dim_b, tolerance)
-        yield fields["gap"], partial(_general_violators, fields, rho, wa, wb)
+        yield fields["gap"], (*fields.values(), rho, wa, wb)
 
 
-def _scan(chunks: _Chunks, tolerance: float) -> tuple[list, list]:
-    """Each chunk's smallest gap, and the report fields and stacks of every chunk with a violator:
-    copies taken by index, so nothing kept refers to the sample."""
+def _general_table(*rows: np.ndarray):
+    """The violators' report fields and ``(state, weight_a, weight_b)`` stacks from their general rows."""
+    return dict(zip(_REPORT_NAMES[:7], rows)), rows[7:]
+
+
+def _scan(chunks: _Chunks, tolerance: float) -> tuple[list, list[np.ndarray]]:
+    """Each chunk's smallest gap, and the violators' rows of each chunk array, joined across chunks
+    (empty without violators): copies taken by index, so nothing kept refers to the sample."""
     mins, kept = [], []
-    for gap, violators in chunks:
+    for gap, arrays in chunks:
         mins.append(gap.min())
         idx = np.flatnonzero(gap < -tolerance)
         if idx.size:
-            kept.append(violators(idx))
-    return mins, kept
+            kept.append([a[idx] for a in arrays])
+    return mins, [np.concatenate(rows) for rows in zip(*kept)]
 
 
 def audit_random(
@@ -418,13 +413,14 @@ def audit_random(
         raise ValidationError(f"factor dims must be >= 2, got {dim_a}x{dim_b}")
     rng = np.random.default_rng(seed)
     if regime == "general-unconstrained":
-        chunks = _general_chunks(rng, n, dim_a, dim_b, tolerance)
+        chunks, table = _general_chunks(rng, n, dim_a, dim_b, tolerance), _general_table
     elif regime == "diagonal-condition-satisfying" and (dim_a, dim_b) != (2, 2):
         raise DimensionError(f"regime {regime!r} needs 2x2 factors, got {dim_a}x{dim_b}")
     else:
         chunks = _diagonal_chunks(rng, n, dim_a, dim_b, regime == "diagonal-condition-satisfying")
+        table = partial(_diagonal_table, dim_a, dim_b)
 
-    # draw -> scan -> release: the summary keeps the violators' columns, copies taken by index, and
-    # builds no record, so the sample and the last chunk are gone before any record exists
-    mins, kept = _scan(chunks, tolerance)
-    return AuditSummary(n, float(np.min(mins)), seed, regime, tolerance, tuple(kept))
+    # draw -> scan -> release -> build: the scan's joined rows are copies taken by index, so the sample
+    # and the last chunk are gone before the violators' table is built, once per audit, and no record
+    mins, rows = _scan(chunks, tolerance)
+    return AuditSummary(n, float(np.min(mins)), seed, regime, tolerance, table(*rows) if rows else None)

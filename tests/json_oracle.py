@@ -1,8 +1,9 @@
 """The JSON payloads of ``check``, ``channel`` and ``audit`` as dicts, as a test oracle.
 
-These are the dict builders the CLI ran ``json.dumps(payload, indent=2)`` over
-before it filled one record template for all three commands. Tests require the
-template writer to produce the same text, byte for byte.
+``check`` and ``channel`` write ``json.dumps(payload, indent=2)`` of the same
+dicts; the audit writer fills one record template from the summary's table
+instead of building them. Tests require all three to produce this text, byte
+for byte.
 """
 
 import dataclasses

@@ -568,22 +568,22 @@ def reports(tolerance):
 
 @st.composite
 def payloads(draw):
-    """A report for ``check``, a dim-4 state for ``channel`` and an audit summary with its dims and tolerance.
+    """A report for ``check``, a dim-4 state for ``channel`` and an audit summary with its dims.
 
-    The summary is built from columns as an audit keeps them: up to three chunks of one to three
-    violators, each chunk seven field arrays of edge floats and three matrix stacks.
+    The summary holds a table as an audit builds it, or none: zero to nine violators, seven field
+    arrays of edge floats and three matrix stacks, judged at the summary's tolerance.
     """
     tolerance = draw(st.sampled_from([1e-10, 1e-6, 0.5]))
     dim_a, dim_b = draw(st.sampled_from([(2, 2), (2, 3), (3, 3)]))
-    columns = []
-    for k in draw(st.lists(st.integers(1, 3), max_size=3)):
+    k, columns = draw(st.integers(0, 9)), None
+    if k:
         fields = {name: draw(arrays(np.float64, k, elements=EDGE_FLOATS, fill=st.sampled_from(EDGE_POOL)))
                   for name in _REPORT_NAMES[:7]}
-        columns.append((fields, tuple(np.stack([draw(complex_matrices(d)) for _ in range(k)])
-                                      for d in (dim_a * dim_b, dim_a, dim_b))))
+        columns = fields, tuple(np.stack([draw(complex_matrices(d)) for _ in range(k)])
+                                for d in (dim_a * dim_b, dim_a, dim_b))
     summary = AuditSummary(draw(st.integers(1, 10**6)), draw(EDGE_FLOATS), draw(st.integers(0, 2**32)),
-                           draw(st.sampled_from(AUDIT_REGIMES)), tolerance, tuple(columns))
-    return draw(reports(tolerance)), draw(complex_matrices(4)), (summary, dim_a, dim_b, tolerance)
+                           draw(st.sampled_from(AUDIT_REGIMES)), tolerance, columns)
+    return draw(reports(tolerance)), draw(complex_matrices(4)), (summary, dim_a, dim_b)
 
 
 class TestJsonMatchesOracle:
@@ -601,7 +601,18 @@ class TestJsonMatchesOracle:
         with mock.patch("wqent.channel.channel_then_check", return_value=(SimpleNamespace(matrix=state), report)):
             result = CliRunner().invoke(main, ["channel", example_files["state"], example_files["proj"]])
         assert result.output == json.dumps(channel_payload(state, report), indent=2) + "\n"
-        assert audit_to_json(*audit_case) == json.dumps(audit_payload(*audit_case), indent=2)
+        summary, dim_a, dim_b = audit_case
+        assert audit_to_json(*audit_case) == json.dumps(audit_payload(*audit_case, summary.tolerance), indent=2)
+
+    def test_audit_json_is_written_at_the_summary_tolerance(self):
+        # the head and every record carry the tolerance the verdicts were judged at; none can be passed
+        summary = audit_random(2000, 2, 2, 1, "diagonal-unconstrained", tolerance=1e-9)
+        payload = json.loads(audit_to_json(summary, 2, 2))
+        assert payload["tolerance"] == 1e-9
+        assert len(payload["violations"]) == len(summary.violations) > 0
+        assert {v["report"]["tolerance"] for v in payload["violations"]} == {1e-9}
+        with pytest.raises(TypeError):
+            audit_to_json(summary, 2, 2, 0.5)
 
     @pytest.mark.parametrize("regime, dims, n, seed", [
         ("diagonal-unconstrained", "2x2", 2000, 3),

@@ -38,6 +38,7 @@ from wqent.linalg import DEFAULT_TOL, _eigh, _fix_phases, _hermitian_part, _part
 from wqent.linalg import SpectralDecomposition, partial_trace
 from wqent.inequality import (
     AUDIT_REGIMES,
+    AuditSummary,
     audit_random,
     check_subadditivity,
     qutrit_condition_gap,
@@ -45,7 +46,6 @@ from wqent.inequality import (
     SubadditivityReport,
     ViolationRecord,
     _diag_stack,
-    _diagonal_chunk,
     _diagonal_chunks,
     _diagonal_entropy_terms,
     _diagonal_report_fields,
@@ -572,17 +572,33 @@ class TestDiagonalEngine:
                 # the engine sums each reduced spectrum in ascending order, the kernel in cell order
                 assert np.abs(v - reference[k]).max() <= 2e-15, k
 
-    def test_scan_gap_matches_report_gap_bit_for_bit(self):
-        # min_gap is the smallest gap the scan reads, so it must be the smallest recorded gap too
-        probs, weights = sample_diagonal_full_retest(np.random.default_rng(8), 10_000, 2, 2, False)
+    def test_scan_gap_matches_report_gap_bit_for_bit(self, monkeypatch):
+        # the scan judges each sample by its gap x_ab - (x_a + x_b): it must record exactly the samples
+        # whose report gap is below -tol, and min_gap must be the smallest report gap, bit for bit
+        probs, _ = sample_diagonal_full_retest(np.random.default_rng(8), 10_000, 2, 2, False)
         edge = [0.0, 1e-12, np.nextafter(1e-12, np.inf), np.nextafter(1e-12, -np.inf), 5e-324]
         rows = [[x, 0.5, 0.5 - x] for x in edge] + [[0.5 - x, x, 0.5] for x in edge]
         rows += [[0.5, 0.5 - x, x] for x in edge] + [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         probs = np.concatenate([probs, rows])
-        weights = np.concatenate([weights, np.tile([0.75, 0.25, 1 / 3, 2 / 3], (len(rows), 1))])
-        gap, violators = _diagonal_chunk(probs, weights, 2, 2)
-        fields, _ = violators(np.arange(len(probs)))
-        assert gap.tobytes() == fields["gap"].tobytes() == diagonal_fields(probs, weights, 2, 2)["gap"].tobytes()
+        draw = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: ExponentialRows(probs, draw(seed)))
+        draws = []
+
+        def recorded(p, w, *dims):
+            draws.append((p.copy(), w.copy()))
+            return _diagonal_entropy_terms(p, w, *dims)
+
+        monkeypatch.setattr(wqent.inequality, "_diagonal_entropy_terms", recorded)
+        summary = audit_random(len(probs), 2, 2, 0, "diagonal-unconstrained")
+        p, w = (np.concatenate(parts) for parts in zip(*draws))
+        assert len(draws) == 2 and len(p) == len(probs)
+        gap = diagonal_fields(p, w, 2, 2)["gap"]
+        idx = np.flatnonzero(gap < -summary.tolerance)
+        fields, (state, _, _) = summary.columns
+        assert 0 < len(idx) < len(gap)
+        assert fields["gap"].tobytes() == gap[idx].tobytes()
+        assert np.einsum("nii->ni", state)[:, :3].real.tobytes() == p[idx].tobytes()
+        assert np.float64(summary.min_gap).tobytes() == gap.min().tobytes()
 
     def test_handles_zero_probabilities(self):
         probs = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
@@ -774,15 +790,30 @@ def matrix_json(m):
     return json.dumps(matrix_to_dict(m)).encode()
 
 
+class ExponentialRows:
+    """A generator whose exponential draw is the given rows; every other draw comes from ``rng``."""
+
+    def __init__(self, rows, rng):
+        self.rows, self.rng = rows, rng
+
+    def standard_exponential(self, shape):
+        assert shape == self.rows.shape
+        return self.rows.copy()
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
 def chunk_draws(monkeypatch, rng, n, dim_a, dim_b, condition_satisfying):
     """The probabilities and weights of each chunk the diagonal scan evaluates, copied as drawn."""
     draws = []
 
     def recorded(p, w, *dims):
         draws.append((p.copy(), w.copy()))
-        return None, None
+        zero = np.zeros(len(p))
+        return zero, zero, zero
 
-    monkeypatch.setattr(wqent.inequality, "_diagonal_chunk", recorded)
+    monkeypatch.setattr(wqent.inequality, "_diagonal_entropy_terms", recorded)
     for _ in _diagonal_chunks(rng, n, dim_a, dim_b, condition_satisfying):
         pass
     return draws
@@ -1110,7 +1141,7 @@ def counted_reports(monkeypatch):
 
 
 class TestLazyRecords:
-    """An audit keeps its violators as columns; ``violations`` builds their records on first read."""
+    """An audit keeps its violators as one table; ``violations`` builds their records on first read."""
 
     @pytest.mark.parametrize("n, dims, regime", LAZY_CASES)
     def test_head_json_eq_and_repr_build_no_record(self, counted_reports, n, dims, regime):
@@ -1118,27 +1149,52 @@ class TestLazyRecords:
         twin = audit_random(n, *dims, 0, regime, tolerance=1e-9)
         assert (summary.samples, summary.seed, summary.regime) == (n, 0, regime)
         assert math.isfinite(summary.min_gap)
-        text = audit_to_json(summary, *dims, 1e-9)
+        text = audit_to_json(summary, *dims)
         assert summary == twin
         assert len(repr(summary)) < 200
         assert counted_reports == []
         records = summary.violations
-        assert counted_reports == [len(f["gap"]) for f, _ in summary.columns]
+        # one build, over the whole table
+        assert counted_reports == [len(summary.columns[0]["gap"])]
         assert len(records) == sum(counted_reports) == len(json.loads(text)["violations"]) > 0
         # a second read returns the kept tuple and builds nothing
         assert summary.violations is records
-        assert counted_reports == [len(f["gap"]) for f, _ in summary.columns]
+        assert counted_reports == [len(summary.columns[0]["gap"])]
 
     @pytest.mark.parametrize("n, dims, regime", LAZY_CASES)
     def test_records_equal_an_eager_build(self, n, dims, regime):
         summary = audit_random(n, *dims, 0, regime, tolerance=1e-9)
-        eager = [(*m, r) for f, stacks in summary.columns for m, r in zip(zip(*stacks), _reports(f, 1e-9))]
+        fields, stacks = summary.columns
+        eager = [(*m, r) for m, r in zip(zip(*stacks), _reports(fields, 1e-9))]
         assert len(summary.violations) == len(eager) > 0
         for v, (state, wa, wb, report) in zip(summary.violations, eager):
             assert type(v) is ViolationRecord
             assert repr(v.report) == repr(report)
             for got, want in ((v.state, state), (v.weight_a, wa), (v.weight_b, wb)):
                 assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    @pytest.mark.parametrize("n, dims, regime, table", [
+        (20_000, (2, 2), "diagonal-unconstrained", "_diagonal_table"),
+        (20_000, (3, 3), "diagonal-unconstrained", "_diagonal_table"),
+        (20_000, (2, 2), "general-unconstrained", "_general_table"),
+        (20_000, (2, 2), "diagonal-condition-satisfying", "_diagonal_table"),
+        (8000, (2, 3), "general-unconstrained", "_general_table"),
+    ])
+    def test_table_is_built_once_with_violators_and_never_without(self, monkeypatch, n, dims, regime, table):
+        calls, build = [], getattr(wqent.inequality, table)
+
+        def counted(*args):
+            calls.append(len(args[-1]))
+            return build(*args)
+
+        monkeypatch.setattr(wqent.inequality, table, counted)
+        summary = audit_random(n, *dims, 0, regime)
+        assert n > wqent.inequality._chunk_items(dims[0] * dims[1])
+        if regime == "diagonal-condition-satisfying" or dims == (2, 3):
+            assert summary.columns is None and calls == [] and summary.violations == ()
+        else:
+            # the joined rows of every chunk, in one call
+            assert calls == [len(summary.violations)] and calls[0] > 0
 
     def test_equal_arguments_compare_equal(self):
         a = audit_random(2000, 2, 2, 1, "diagonal-unconstrained")
@@ -1155,15 +1211,39 @@ class TestLazyRecords:
         assert a != "audit" and a.violations[0] != "record"
 
     def test_equality_ignores_where_chunks_fall(self, monkeypatch):
+        assert wqent.inequality._chunk_items(4) >= 2000
         whole = audit_random(2000, 2, 2, 1, "diagonal-unconstrained")
         monkeypatch.setattr(wqent.inequality, "_CHUNK_ENTRIES", 7 * 16)
         chunked = audit_random(2000, 2, 2, 1, "diagonal-unconstrained")
-        assert len(chunked.columns) > len(whole.columns) == 1
+        # more violators than one 7-sample chunk holds, so the table joins several chunks
+        assert len(chunked.columns[0]["gap"]) > wqent.inequality._chunk_items(4) == 7
         assert chunked == whole
+        assert audit_to_json(chunked, 2, 2) == audit_to_json(whole, 2, 2)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_general_chunks_join_as_one_whole_sample_evaluation(self, monkeypatch, seed):
+        # chunks draw their own states and weights, so the reference evaluates the same draws at once
+        draws, engine = [], _report_fields
+
+        def recorded(rho, spectrum, wa, wb, *args):
+            draws.append((rho.copy(), wa.copy(), wb.copy()))
+            return engine(rho, spectrum, wa, wb, *args)
+
+        monkeypatch.setattr(wqent.inequality, "_report_fields", recorded)
+        monkeypatch.setattr(wqent.inequality, "_CHUNK_ENTRIES", 64 * 16)
+        chunked = audit_random(2000, 2, 2, seed, "general-unconstrained")
+        rho, wa, wb = (np.concatenate(parts) for parts in zip(*draws))
+        fields = _report_fields(rho, _eigh(rho), wa, wb, 2, 2, DEFAULT_TOL)
+        idx = np.flatnonzero(fields["gap"] < -DEFAULT_TOL)
+        assert len(draws) == 32 and len(np.unique(idx // 64)) > 1
+        whole = AuditSummary(2000, float(fields["gap"].min()), seed, "general-unconstrained", DEFAULT_TOL,
+                             ({k: v[idx] for k, v in fields.items()}, (rho[idx], wa[idx], wb[idx])))
+        assert chunked == whole
+        assert audit_to_json(chunked, 2, 2) == audit_to_json(whole, 2, 2)
 
     def test_no_violators_compare_by_head(self):
         a = audit_random(500, 2, 2, 3, "diagonal-condition-satisfying")
-        assert a.columns == () and a.violations == ()
+        assert a.columns is None and a.violations == ()
         assert a == audit_random(500, 2, 2, 3, "diagonal-condition-satisfying")
         assert a != audit_random(500, 2, 2, 4, "diagonal-condition-satisfying")
 
