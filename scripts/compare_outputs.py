@@ -93,12 +93,13 @@ def cases(files: dict) -> dict:
     for regime in ("diagonal-condition-satisfying", "diagonal-unconstrained"):
         out[f"audit {regime} n=100000 seed=5"] = cli + [
             "audit", "--n", "100000", "--seed", "5", "--regime", regime]
-    # several chunks (8192 samples each at 2x2, 1618 at 3x3): weights drawn per chunk and the
-    # resampler's blocks cross chunk boundaries
+    # several chunks (8192 samples each at 2x2, 3640 at 2x3, 1618 at 3x3): weights drawn per chunk,
+    # each chunk normalized on its own, and the resampler's blocks cross chunk boundaries
     for regime in ("diagonal-condition-satisfying", "diagonal-unconstrained"):
         out[f"audit {regime} n=20000 seed=3"] = cli + ["audit", "--n", "20000", "--seed", "3", "--regime", regime]
-    out["audit diagonal-unconstrained 3x3 n=20000 seed=3"] = cli + [
-        "audit", "--n", "20000", "--seed", "3", "--dims", "3x3", "--regime", "diagonal-unconstrained"]
+    for dims in ("2x3", "3x3"):
+        out[f"audit diagonal-unconstrained {dims} n=20000 seed=3"] = cli + [
+            "audit", "--n", "20000", "--seed", "3", "--dims", dims, "--regime", "diagonal-unconstrained"]
     # at 3x3 no row or column has a single cell, so no group term reuses its cell's log
     for dims in ("2x3", "3x3"):
         out[f"audit diagonal-unconstrained {dims} n=2000 seed=1"] = cli + [

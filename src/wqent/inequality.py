@@ -223,20 +223,20 @@ def _sum(terms: list[np.ndarray]) -> np.ndarray:
     return sum(terms[1:], terms[0])
 
 
-def _diagonal_entropy_terms(probs: np.ndarray, weights: np.ndarray, dim_a: int, dim_b: int):
+def _diagonal_entropy_terms(p: np.ndarray, weights: np.ndarray, dim_a: int, dim_b: int):
     """Entropy sums ``(x_ab, x_a, x_b)`` of diagonal ``dim_a x dim_b`` states with a zero last cell.
 
-    Each entropy of the report is ``0.0 - x``. Column ``c`` of ``probs (n, dim_a dim_b - 1)``
-    is cell ``divmod(c, dim_b)``; ``weights (n, dim_a + dim_b)`` holds phi, then chi. Each sum
-    runs left to right in cell order, with support conventions keyed on the same eigenvalues as
-    the matrix path. A row or column term is its masses ``w_ab p_c`` summed, times the support
-    log of its marginal, which for a one-cell group is its cell's log.
+    Each entropy of the report is ``0.0 - x``. The states are cell-major: row ``c`` of
+    ``p (dim_a dim_b - 1, n)`` holds cell ``divmod(c, dim_b)`` of every state. ``weights (n,
+    dim_a + dim_b)`` holds one state's phi, then chi, per row. Each sum runs left to right in cell
+    order, with support conventions keyed on the same eigenvalues as the matrix path. A row or
+    column term is its masses ``w_ab p_c`` summed, times the support log of its marginal, which
+    for a one-cell group is its cell's log.
     """
     rows, cols = _cell_groups(dim_a, dim_b)
-    # one contiguous row per cell: over the strided columns of probs the kernel took about a fifth
-    # longer. The weights stay strided views: copying them made the kernel about 14% slower at 2x2
-    p, phi, chi = np.ascontiguousarray(probs.T), weights[:, :dim_a].T, weights[:, dim_a:].T
-    lns = [_ln_support(q) for q in p]
+    # the weights stay strided views: copying them made the kernel about 14% slower at 2x2
+    phi, chi = weights[:, :dim_a].T, weights[:, dim_a:].T
+    lns = _ln_support(p)
     # x_ab and each mass accumulate in place: as fresh arrays the kernel took about 9% longer at 2x2
     x_ab, masses = None, []
     for c, (q, ln) in enumerate(zip(p, lns)):
@@ -276,7 +276,7 @@ def _diag_stack(rows: np.ndarray) -> np.ndarray:
 
 def _failing_rows(w: np.ndarray) -> np.ndarray:
     """Indices of the 2x2 weight rows ``(phi1, phi2, chi1, chi2)`` with ``(phi1 - phi2)(chi2 - chi1) < 0``."""
-    return np.flatnonzero((w[:, 0] - w[:, 1]) * (w[:, 3] - w[:, 2]) < 0.0)
+    return ((w[:, 0] - w[:, 1]) * (w[:, 3] - w[:, 2]) < 0.0).nonzero()[0]
 
 
 def _condition_satisfying_weights(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
@@ -284,18 +284,19 @@ def _condition_satisfying_weights(rng: np.random.Generator, n: int, size: int) -
 
     Every pass tests only its fresh draws and redraws its failing rows in row order. Both run in
     blocks of ``size`` rows, so no temporary grows with ``n``; the draws and their order are those
-    of one redraw per pass. Each redrawn row is written once, as one item of a row view.
+    of one redraw per pass. The first pass draws each block into the sample and tests it there,
+    while it is in cache; each redrawn row is written once, as one item of a row view.
     """
-    weights = _scale_draws(rng, (n, 4))
-    row = np.dtype((np.void, weights.itemsize * 4))
-    items = weights.view(row)[:, 0]
-    rows = np.concatenate([start + _failing_rows(weights[start:start + size]) for start in range(0, n, size)])
+    weights = np.empty((n, 4))
+    items = weights.view(np.dtype((np.void, weights.itemsize * 4)))[:, 0]
+    blocks = [weights[start:start + size] for start in range(0, n, size)]
+    rows = np.concatenate([i * size + _failing_rows(_scale_draws(rng, w.shape, out=w)) for i, w in enumerate(blocks)])
     while rows.size:
         failing = []
         for start in range(0, rows.size, size):
             block = rows[start:start + size]
             w = _scale_draws(rng, (block.size, 4))
-            items[block] = w.view(row)[:, 0]
+            items[block] = w.view(items.dtype)[:, 0]
             failing.append(block[_failing_rows(w)])
         rows = np.concatenate(failing)
     return weights
@@ -311,23 +312,24 @@ def _chunk_items(d: int) -> int:
 
 def _diagonal_chunks(rng: np.random.Generator, n: int, dim_a: int, dim_b: int,
                      condition_satisfying: bool) -> _Chunks:
-    """Each chunk's gap, and its ``probs``, weights and entropy sums ``x_ab, x_a, x_b``."""
+    """Each chunk's gap, and its normalized ``probs`` (one row per state), weights and entropy sums."""
     # every probability is drawn first, then the weights: the stream does not depend on the chunk
-    # size, and as every field is elementwise, neither do its bits. Each row of probs is a diagonal
-    # state with a zero last cell, laid out as for _diagonal_entropy_terms, normalized in place by
-    # its sum term by term: a reduction over the short axis cost as much as the rest of the sampler
+    # size, and as every field is elementwise, neither do its bits. Each row of probs is an unnormalized
+    # diagonal state with a zero last cell, its cell c = divmod(c, dim_b) in column c
     probs = rng.standard_exponential((n, dim_a * dim_b - 1))
-    probs /= _sum(list(probs.T))[:, None]
     size = _chunk_items(dim_a * dim_b)  # sized by the d x d state a record holds
     # the resampler redraws any row in any pass, so those weights exist whole before the scan;
     # unconstrained ones are drawn per chunk, one double per entry in row order as a whole draw takes
     weights = _condition_satisfying_weights(rng, n, size) if condition_satisfying else None
     for start in range(0, n, size):
-        p = probs[start:start + size]
-        w = _scale_draws(rng, (len(p), dim_a + dim_b)) if weights is None else weights[start:start + size]
+        # the chunk as one contiguous row per cell, which the kernel reads a fifth faster than strided
+        # columns, normalized there by each state's sum, taken left to right in cell order
+        p = np.ascontiguousarray(probs[start:start + size].T)
+        p /= _sum(list(p))
+        w = _scale_draws(rng, (p.shape[1], dim_a + dim_b)) if weights is None else weights[start:start + size]
         x_ab, x_a, x_b = _diagonal_entropy_terms(p, w, dim_a, dim_b)
         # x_ab - (x_a + x_b) rounds as the report's s_a + s_b - s_ab does, since negation is exact
-        yield x_ab - (x_a + x_b), (p, w, x_ab, x_a, x_b)
+        yield x_ab - (x_a + x_b), (p.T, w, x_ab, x_a, x_b)
 
 
 def _diagonal_table(dim_a: int, dim_b: int, p: np.ndarray, w: np.ndarray, *terms: np.ndarray):
@@ -364,7 +366,9 @@ def _scan(chunks: _Chunks, tolerance: float) -> tuple[list, list[np.ndarray]]:
     mins, kept = [], []
     for gap, arrays in chunks:
         mins.append(gap.min())
-        idx = np.flatnonzero(gap < -tolerance)
+        if mins[-1] >= -tolerance:
+            continue  # no violator here; a chunk with a NaN minimum is still searched
+        idx = (gap < -tolerance).nonzero()[0]
         if idx.size:
             kept.append([a[idx] for a in arrays])
     return mins, [np.concatenate(rows) for rows in zip(*kept)]

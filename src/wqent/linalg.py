@@ -83,7 +83,14 @@ def _trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _ln_support(x: np.ndarray) -> np.ndarray:
-    """``ln x`` elementwise, and 0 wherever ``x`` is at or below 1e-12 (or NaN), in one pass."""
+    """``ln x`` elementwise, and +0.0 wherever ``x`` is at or below 1e-12 (or NaN).
+
+    A plain ``np.log(x)`` when the smallest entry (NaN if any is) exceeds 1e-12, else one masked pass,
+    ``np.log(x, out=np.zeros(x.shape), where=x > 1e-12)``: the same bits, as the plain log takes
+    only logs the masked one takes, without its mask and zeroed output.
+    """
+    if x.min(initial=np.inf) > SUPPORT_EPS:
+        return np.log(x)
     return np.log(x, out=np.zeros(x.shape), where=x > SUPPORT_EPS)
 
 

@@ -223,14 +223,15 @@ def _unitary_stack(g: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return q
 
 
-def _scale_draws(g: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """``g.uniform(*DEFAULT_SCALE_RANGE, shape)`` bit for bit, from the same draws, scaled in place.
+def _scale_draws(g: np.random.Generator, shape: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
+    """``g.uniform(*DEFAULT_SCALE_RANGE, shape)`` bit for bit, from the same draws, scaled in place,
+    in a new array or in ``out`` (float64, of that shape) as ``g.random`` fills it.
 
     ``Generator.uniform`` forms ``lo + (hi - lo) * u`` from one ``g.random()`` double per entry;
     the same two roundings in place skip its broadcasting of the bounds.
     """
     lo, hi = DEFAULT_SCALE_RANGE
-    x = g.random(shape)
+    x = g.random(shape, out=out)
     x *= hi - lo
     x += lo
     return x

@@ -102,7 +102,7 @@ def test_03_condition_gap_identity(capsys):
     probs = rng.dirichlet((1.0, 1.0, 1.0), size=10_000)
     weights = rng.uniform(0.05, 2.0, size=(10_000, 4))
     t0 = time.perf_counter()
-    fields = _diagonal_report_fields(probs, weights, 2, 2, _diagonal_entropy_terms(probs, weights, 2, 2))
+    fields = _diagonal_report_fields(probs, weights, 2, 2, _diagonal_entropy_terms(probs.T, weights, 2, 2))
     ident = qutrit_condition_gap(
         probs[:, 0], probs[:, 1], weights[:, 0], weights[:, 1], weights[:, 2], weights[:, 3]
     )

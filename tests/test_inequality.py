@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import pathlib
@@ -58,8 +59,9 @@ REPORT_FIELDS = ("s_ab", "s_a", "s_b", "gap", "condition_lhs", "condition_rhs", 
 
 
 def diagonal_fields(probs, weights, dim_a, dim_b):
-    """The seven report fields of diagonal samples, their entropy sums computed first as a chunk does."""
-    return _diagonal_report_fields(probs, weights, dim_a, dim_b, _diagonal_entropy_terms(probs, weights, dim_a, dim_b))
+    """The seven report fields of diagonal samples, one per row of ``probs``, their entropy sums computed
+    first as a chunk does, from one row per cell."""
+    return _diagonal_report_fields(probs, weights, dim_a, dim_b, _diagonal_entropy_terms(probs.T, weights, dim_a, dim_b))
 
 
 def diag_weight(x1, x2):
@@ -585,7 +587,7 @@ class TestDiagonalEngine:
         draws = []
 
         def recorded(p, w, *dims):
-            draws.append((p.copy(), w.copy()))
+            draws.append((p.T.copy(), w.copy()))
             return _diagonal_entropy_terms(p, w, *dims)
 
         monkeypatch.setattr(wqent.inequality, "_diagonal_entropy_terms", recorded)
@@ -805,12 +807,12 @@ class ExponentialRows:
 
 
 def chunk_draws(monkeypatch, rng, n, dim_a, dim_b, condition_satisfying):
-    """The probabilities and weights of each chunk the diagonal scan evaluates, copied as drawn."""
+    """The probabilities, one row per sample, and weights of each chunk the diagonal scan evaluates."""
     draws = []
 
     def recorded(p, w, *dims):
-        draws.append((p.copy(), w.copy()))
-        zero = np.zeros(len(p))
+        draws.append((p.T.copy(), w.copy()))
+        zero = np.zeros(len(w))
         return zero, zero, zero
 
     monkeypatch.setattr(wqent.inequality, "_diagonal_entropy_terms", recorded)
@@ -839,6 +841,37 @@ class TestDiagonalSampler:
                     assert np.array_equal(weights, ref_weights[start:start + size])
                 # both consumed the same number of draws
                 assert rng_new.random() == rng_ref.random()
+
+
+# sha256 of audit_to_json(audit_random(20_000, dim_a, dim_b, 3, regime), dim_a, dim_b), and the audit
+# generator's next random() after the audit, as the audits gave them when the whole sample was normalized
+# at once, before chunking: wherever the chunks fall, their bytes and their stream stay these
+PINNED_AUDITS = {
+    ("diagonal-unconstrained", 2, 2): ("b11f734c06e41f830107f61241ea7ed33d9e8d73159d112fef85a15b9e018f3c",
+                                       0.022103829074491044),
+    ("diagonal-unconstrained", 2, 3): ("f8d9ab643b2043160564bf84994909c6e47b551f868fe0a4865172ef282a130e",
+                                       0.7840484793543906),
+    ("diagonal-unconstrained", 3, 3): ("123e4a66f62e7a837f690a4e9c2d7e5e4749c3bc0e9ca4cded0a618c5cf724be",
+                                       0.3426518082644153),
+    ("diagonal-condition-satisfying", 2, 2): ("e1e62b74c045e33eb2771330fe0bb54434a3ede0defa820b42545638be1cb6bd",
+                                              0.8282242927602265),
+}
+
+
+class TestPinnedAudits:
+    # 1000 entries: 62 samples a chunk at 2x2, 27 at 2x3 and 12 at 3x3, against 8192, 3640 and 1618
+    @pytest.mark.parametrize("entries", [None, 1000])
+    @pytest.mark.parametrize("regime, dim_a, dim_b", list(PINNED_AUDITS))
+    def test_json_digest_and_stream(self, monkeypatch, regime, dim_a, dim_b, entries):
+        if entries is not None:
+            monkeypatch.setattr(wqent.inequality, "_CHUNK_ENTRIES", entries)
+        generators, draw = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: generators.append(draw(seed)) or generators[-1])
+        summary = audit_random(20_000, dim_a, dim_b, 3, regime)
+        digest, next_draw = PINNED_AUDITS[regime, dim_a, dim_b]
+        assert hashlib.sha256(audit_to_json(summary, dim_a, dim_b).encode()).hexdigest() == digest
+        assert len(generators) == 1
+        assert generators[0].random() == next_draw
 
 
 class TestViolationRecords:
@@ -936,7 +969,7 @@ def shift_diagonal_gaps(monkeypatch, shift):
     sizes = []
 
     def shifted_terms(probs, weights, *dims):
-        sizes.append(len(probs))
+        sizes.append(len(weights))
         x_ab, x_a, x_b = real_terms(probs, weights, *dims)
         return x_ab - shift, x_a, x_b
 
@@ -1005,9 +1038,9 @@ class TestChunkedScan:
         # violators read their report fields from the chunk's sums, so the kernel never runs again
         real_terms, sizes = wqent.inequality._diagonal_entropy_terms, []
 
-        def counted_terms(probs, *args):
-            sizes.append(len(probs))
-            return real_terms(probs, *args)
+        def counted_terms(probs, weights, *args):
+            sizes.append(len(weights))
+            return real_terms(probs, weights, *args)
 
         monkeypatch.setattr(wqent.inequality, "_diagonal_entropy_terms", counted_terms)
         n = 20_000

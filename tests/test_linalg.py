@@ -179,3 +179,40 @@ def test_ln_support_matches_two_where_formula_bit_for_bit(x):
     assert got.shape == want.shape == x.shape
     assert got.tobytes() == want.tobytes()
     assert _xlnx(x).tobytes() == (x * want).tobytes()
+
+
+def masked_log(x):
+    """The support log as one masked pass over every input: the form ``_ln_support`` keeps off the support."""
+    return np.log(x, out=np.zeros(x.shape), where=x > 1e-12)
+
+
+ON_SUPPORT = [np.nextafter(1e-12, np.inf), 1e-11, 0.25, 1.0, 3.5, 1e300, np.inf]
+STACK = np.random.default_rng(4).random((5, 3)) + 1e-3
+
+
+def support_cases():
+    """``(id, x)`` pairs: each value as a 0-d array and as a numpy scalar, then vectors and ``(k, d)`` stacks,
+    wholly on the support (the plain log) or not (the masked pass)."""
+    values = SUPPORT_EDGE + [-3.0, -np.inf] + ON_SUPPORT
+    yield from ((f"0d-{v!r}", np.array(v)) for v in values)
+    yield from ((f"scalar-{v!r}", np.float64(v)) for v in values)
+    yield "vector on the support", np.array(ON_SUPPORT)
+    yield "vector with every edge", np.array(SUPPORT_EDGE)
+    yield "empty", np.empty((0, 3))
+    yield "stack on the support", STACK
+    for i, v in enumerate([0.0, -0.0, 1e-12, np.nextafter(1e-12, -np.inf), 5e-324, -0.5, np.nan]):
+        stack = STACK.copy()
+        stack[i % 5, i % 3] = v
+        yield f"stack with {v!r}", stack
+
+
+@pytest.mark.parametrize("x", [x for _, x in support_cases()], ids=[name for name, _ in support_cases()])
+def test_ln_support_equals_the_masked_log_on_either_branch(x):
+    # a plain log serves inputs wholly above 1e-12 and the masked pass every other: both must give the
+    # masked pass's bits, +0.0 off the support (also for -0.0 and NaN) and no RuntimeWarning
+    # (the test configuration turns one into an error)
+    want = masked_log(x)
+    got = np.asarray(_ln_support(x))
+    assert got.dtype == np.float64
+    assert got.shape == np.shape(x)
+    assert got.tobytes() == want.tobytes()
