@@ -8,8 +8,8 @@ listed once in ``cases()``, cover the default sweep CSVs, audits in every
 regime, each within one chunk and across several, ``entropy``,
 ``check``, ``channel`` and ``qutrit`` on the worked example, ``check`` and
 ``channel`` on the non-commuting fixture, ``check`` on a dense complex 2x3
-state, finite entries whose sums or products overflow a float, and failing
-calls for every error exit code (2 to 5). One case renders
+state, finite entries whose sums or products overflow a float, weighted mass
+off a reduced support, and failing calls for every error exit code (2 to 5). One case renders
 the three figure grids at four parameter sets in a single interpreter, so
 later renders repeat a layout, and prints the sha256 of each CSV.
 A case differs when its exit code, stdout or stderr does.
@@ -76,6 +76,17 @@ DENSE = {
 }
 
 
+# rho_A = diag(1, 0), yet phi rho puts 4.8e-4 of weighted mass on its kernel (the -1.8e-5 eigenvalue passes
+# at --tol 2e-5); and weights whose product phi rho overflows, so both reduced weighted states, and their
+# off-support masses, are NaN
+FULL = {
+    "leaky_state": [[0.5, 0.0, 0.0, 3e-3], [0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [3e-3, 0.0, 0.0, 0.0]],
+    "leak_weight": [[1.0, 0.4], [0.4, 1.0]],
+    "uniform": [[0.25] * 4] * 4,
+    "w1e154": [[1e154] * 2] * 2,
+}
+
+
 def cases(files: dict) -> dict:
     """Case name -> arguments after the interpreter."""
     cli = ["-m", "wqent.cli"]
@@ -127,6 +138,10 @@ def cases(files: dict) -> dict:
     out["exit 2: check worked example weights diag(1e200, 1)"] = cli + [
         "check", files["state"], files["w200"], files["w200"]]
     out["exit 2: channel worked example diag(1e308, 0, 0, 0)"] = cli + ["channel", files["state"], files["proj_big"]]
+    out["exit 2: check leaky state --tol 2e-5"] = cli + [
+        "check", files["leaky_state"], files["leak_weight"], files["leak_weight"], "--tol", "2e-5"]
+    out["exit 2: check uniform state weights full(1e154)"] = cli + [
+        "check", files["uniform"], files["w1e154"], files["w1e154"]]
     out["exit 2: sweep prob grid-n 0"] = cli + ["sweep", "prob", "--grid-n", "0"]
     out["exit 2: sweep prob grid-n 1 phi1 nan"] = cli + ["sweep", "prob", "--grid-n", "1", "--phi1", "nan"]
     # finite weights whose product overflows a float
@@ -151,6 +166,10 @@ def write_matrices(directory: pathlib.Path) -> dict:
     for name, matrix in DENSE.items():
         path = directory / f"{name}.json"
         path.write_text(json.dumps(matrix))
+        files[name] = str(path)
+    for name, re in FULL.items():
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps({"dim": len(re), "re": re}))
         files[name] = str(path)
     path = directory / "truncated.json"
     path.write_text(TRUNCATED)

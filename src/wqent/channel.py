@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ChannelUndefinedError, DimensionError, ValidationError
-from .linalg import DEFAULT_TOL, SUPPORT_EPS
+from .linalg import DEFAULT_TOL, SUPPORT_EPS, _within_noise
 from .states import BipartiteState, DensityMatrix, WeightMatrix, _validated
 from .inequality import SubadditivityReport, check_subadditivity
 
@@ -17,11 +17,10 @@ class Projector:
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
         a = _validated(matrix, tol, "projector")
-        # P^2 of finite entries can overflow; the check is in positive form, so an
-        # inf or NaN residual fails it
+        # P^2 of finite entries can overflow: an inf or NaN residual fails the noise rule
         with np.errstate(over="ignore", invalid="ignore"):
             idem = float(np.abs(a @ a - a).max())
-        if not idem <= tol:
+        if not _within_noise(idem, 1.0, tol):
             raise ValidationError(f"projector is not idempotent (max |P^2 - P| = {idem:.3e})")
         # the trace of a Hermitian idempotent is its rank
         self.rank = round(float(np.trace(a).real))

@@ -10,14 +10,15 @@ Hermitian matrices, so it is real up to rounding; the real part of a
 subsystem trace is the entropy of the symmetrised reduced weighted state
 ``tr_other((phi rho + rho phi) / 2)``, which is Hermitian. Each
 formula is written once, as a kernel over ``(..., d, d)`` stacks; the report
-engine in :mod:`wqent.inequality` is the one caller of the subsystem kernel.
+engine in :mod:`wqent.inequality` is the one caller of the subsystem kernel,
+which returns its largest off-support weighted mass for the engine to judge.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError
 from .linalg import SUPPORT_EPS, SpectralDecomposition, _dagger, _eigh, _ln_support, _trace_product
 from .linalg import xlogx_matrix
 from .states import DensityMatrix, WeightMatrix, _finite, _floats, _nonnegative_weights, _simplex
@@ -29,15 +30,7 @@ def _joint_entropy(phi: np.ndarray, spectrum: SpectralDecomposition) -> np.ndarr
     return 0.0 - _trace_product(phi, xlogx_matrix(spectrum)).real
 
 
-def _check_leak(leaks: np.ndarray, leak_tol: float) -> None:
-    """Raise unless every weighted mass in ``leaks``, found off a reduced support, is within ``leak_tol``."""
-    leak = float(leaks.max())
-    if leak > leak_tol:
-        raise ValidationError(f"reduced weighted state has {leak:.3e} of mass outside the support "
-                              "of the reduced state")
-
-
-def _qubit_entropy(x: np.ndarray, rho: np.ndarray, leak_tol: float) -> np.ndarray | None:
+def _qubit_entropy(x: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float] | None:
     """:func:`_subsystem_entropy` of one 2x2 reduced state or a stack of them, in closed form; ``None`` if
     some item has both eigenvalues off the support.
 
@@ -65,14 +58,13 @@ def _qubit_entropy(x: np.ndarray, rho: np.ndarray, leak_tol: float) -> np.ndarra
     if (hi <= SUPPORT_EPS).any():
         return None
     off = lo <= SUPPORT_EPS
-    if off.any():
-        _check_leak(np.abs(t_lo[off]), leak_tol)
+    leak = float(np.abs(t_lo[off]).max()) if off.any() else 0.0
     # hi is on the support here, so it takes a plain log
-    return 0.0 - (t_lo.real * _ln_support(lo) + t_hi.real * np.log(hi))
+    return 0.0 - (t_lo.real * _ln_support(lo) + t_hi.real * np.log(hi)), leak
 
 
-def _subsystem_entropy(x: np.ndarray, rho_kept: np.ndarray, leak_tol: float) -> np.ndarray:
-    """``-Re tr(x ln rho_kept)`` on the support of ``rho_kept``, ``x`` leaking at most ``leak_tol`` off it.
+def _subsystem_entropy(x: np.ndarray, rho_kept: np.ndarray) -> tuple[np.ndarray, float]:
+    """``-Re tr(x ln rho_kept)`` on the support of ``rho_kept``, and the largest mass ``|x|`` puts off it (or 0.0).
 
     ``rho_kept`` is a partial trace of a validated (exactly Hermitian) state, so it is
     exactly Hermitian too and is diagonalized without a second check. Every 2x2 reduced
@@ -80,15 +72,14 @@ def _subsystem_entropy(x: np.ndarray, rho_kept: np.ndarray, leak_tol: float) -> 
     larger ones, and a 2x2 item with both eigenvalues off the support.
     """
     if rho_kept.shape[-1] == 2:
-        out = _qubit_entropy(x, rho_kept, leak_tol)
+        out = _qubit_entropy(x, rho_kept)
         if out is not None:
             return out
     lams, u = _eigh(rho_kept)
     y = _dagger(u) @ x @ u
     off = lams <= SUPPORT_EPS
-    if off.any():
-        _check_leak(np.abs(y[off[..., :, None] & off[..., None, :]]), leak_tol)
-    return 0.0 - np.einsum("...ii,...i->...", y, _ln_support(lams)).real
+    leak = float(np.abs(y[off[..., :, None] & off[..., None, :]]).max()) if off.any() else 0.0
+    return 0.0 - np.einsum("...ii,...i->...", y, _ln_support(lams)).real, leak
 
 
 def weighted_entropy(phi: WeightMatrix, rho: DensityMatrix) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .linalg import DEFAULT_TOL, SpectralDecomposition, _eigh, _kron, _ln_support, _partial_trace, _positive_tol
-from .linalg import _trace_product
+from .linalg import _trace_product, _within_noise
 from .states import BipartiteState, WeightMatrix
 from .states import _density_stack, _finite, _floats, _nonnegative_weights, _scale_draws, _simplex, _weight_stack
 from .entropy import _joint_entropy, _subsystem_entropy
@@ -91,11 +91,11 @@ def _fields(s_ab, s_a, s_b, lhs, rhs) -> dict[str, np.ndarray]:
 
 
 def _report_fields(rho: np.ndarray, spectrum: SpectralDecomposition, phi_a: np.ndarray, phi_b: np.ndarray,
-                   dim_a: int, dim_b: int, leak_tol: float) -> dict[str, np.ndarray]:
+                   dim_a: int, dim_b: int, tol: float) -> dict[str, np.ndarray]:
     """Report fields of the engine's own ``(..., d, d)`` stacks (``spectrum`` decomposes ``rho``).
 
-    Each partial trace is taken once and unchecked. Raises if any item leaks over ``leak_tol`` off a
-    reduced support, and if finite weights overflow a float in their product or in a field.
+    Each partial trace is taken once and unchecked. Raises if A's, then B's, largest off-support weighted
+    mass is beyond noise at ``tol``, and if finite weights overflow a float in their product or in a field.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         phi = _finite(_kron(phi_a, phi_b), "the weight product phi_A (x) phi_B")
@@ -103,29 +103,38 @@ def _report_fields(rho: np.ndarray, spectrum: SpectralDecomposition, phi_a: np.n
         rho_a = _partial_trace(rho, dim_a, dim_b, "A")
         rho_b = _partial_trace(rho, dim_a, dim_b, "B")
         s_ab = _joint_entropy(phi, spectrum)
-        s_a = _subsystem_entropy(_partial_trace(weighted, dim_a, dim_b, "A"), rho_a, leak_tol)
-        s_b = _subsystem_entropy(_partial_trace(weighted, dim_a, dim_b, "B"), rho_b, leak_tol)
+        s_a, leak_a = _subsystem_entropy(_partial_trace(weighted, dim_a, dim_b, "A"), rho_a)
+        s_b, leak_b = _subsystem_entropy(_partial_trace(weighted, dim_a, dim_b, "B"), rho_b)
         # the trace condition compares tr(phi_AB rho_AB) with tr(phi_A rho_A) tr(phi_B rho_B)
         lhs = _trace_product(phi, rho).real
         rhs = _trace_product(phi_a, rho_a).real * _trace_product(phi_b, rho_b).real
         fields = _fields(s_ab, s_a, s_b, lhs, rhs)
+    for leak in (leak_a, leak_b):
+        # a NaN leak comes only from an overflowed weighted state: it passes, for the check below to name
+        if not (_within_noise(leak, 1.0, tol) or np.isnan(leak)):
+            raise ValidationError(f"reduced weighted state has {leak:.3e} of mass outside the support "
+                                  "of the reduced state")
     _finite(list(fields.values()), "the subadditivity report")
     return fields
 
 
+def _holds(gap, tolerance: float):
+    """Each verdict, elementwise: ``gap`` is at least ``-tolerance`` (the noise rule at scale 1; NaN fails)."""
+    return _within_noise(-gap, 1.0, tolerance)
+
+
 def _verdicts(fields: dict[str, np.ndarray], tolerance: float) -> tuple[np.ndarray, np.ndarray]:
-    """``condition_holds`` and ``subadditivity_holds`` of each item: its two gaps against ``-tolerance``."""
-    return fields["condition_gap"] >= -tolerance, fields["gap"] >= -tolerance
+    """``condition_holds`` and ``subadditivity_holds`` of each item: :func:`_holds` of its two gaps."""
+    return _holds(fields["condition_gap"], tolerance), _holds(fields["gap"], tolerance)
 
 
 def _reports(fields: dict[str, np.ndarray], tolerance: float) -> list[SubadditivityReport]:
     """One report per item of ``fields`` (a ``(k,)`` array per field, in :func:`_fields` order).
 
-    The fields become Python floats and the verdicts, which compare against ``-tolerance``,
-    Python bools. Each report is built the way ``pickle`` rebuilds one, by filling its
-    ``__dict__``, which skips the frozen ``__init__``'s one ``object.__setattr__`` per field.
-    The slots are stored one key at a time, in field order, which took half as long as
-    ``__dict__.update(zip(names, row))``.
+    The fields become Python floats and the verdicts (:func:`_verdicts`) Python bools. Each report
+    is built the way ``pickle`` rebuilds one, by filling its ``__dict__``, which skips the frozen
+    ``__init__``'s one ``object.__setattr__`` per field. The slots are stored one key at a time, in
+    field order, which took half as long as ``__dict__.update(zip(names, row))``.
     """
     new, out = object.__new__, []
     for row in zip(*(v.tolist() for v in fields.values()), *(v.tolist() for v in _verdicts(fields, tolerance))):
@@ -143,9 +152,9 @@ def check_subadditivity(weight_a: WeightMatrix, weight_b: WeightMatrix,
     """Full report: entropies, gap, trace condition, verdicts.
 
     Everything is judged at the ``tol`` the state was validated with, which
-    the report carries as ``tolerance``: both verdicts compare their gap
-    against ``-tol``, so a marginal negative within noise still counts as
-    holding, and ``tol`` bounds off-support mass.
+    the report carries as ``tolerance``, by the noise rule at scale 1: a verdict
+    holds while its gap is at least ``-tol``, so a marginal negative within
+    noise still counts as holding, and ``tol`` bounds off-support mass.
     """
     if weight_a.dim != state.dim_a or weight_b.dim != state.dim_b:
         raise DimensionError(f"weight dims {weight_a.dim}x{weight_b.dim} do not match "
@@ -366,10 +375,9 @@ def _scan(chunks: _Chunks, tolerance: float) -> tuple[list, list[np.ndarray]]:
     mins, kept = [], []
     for gap, arrays in chunks:
         mins.append(gap.min())
-        if mins[-1] >= -tolerance:
-            continue  # no violator here; a chunk with a NaN minimum is still searched
-        idx = (gap < -tolerance).nonzero()[0]
-        if idx.size:
+        # no gap is NaN: general fields pass _finite in _report_fields, and the diagonal sums are finite
+        if not _holds(mins[-1], tolerance):
+            idx = (~_holds(gap, tolerance)).nonzero()[0]
             kept.append([a[idx] for a in arrays])
     return mins, [np.concatenate(rows) for rows in zip(*kept)]
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import DimensionError, NotHermitianError, ValidationError
 
-# The default tolerance of every validation, verdict and trace-realness check.
+# The default tol of every decision the noise rule, _within_noise, judges: Hermiticity, semidefiniteness,
+# a state's trace, projector idempotency, `degenerate`, off-support mass, both verdicts and the qutrit cross-check.
 DEFAULT_TOL = 1e-10
 # Values at or below this count as zero: eigenvalues and probabilities off the
 # support, simplex slack, and a vanishing channel overlap.
@@ -45,11 +46,11 @@ def _positive_tol(value: float, name: str = "tol") -> None:
 def _within_noise(deviation: float, scale: float, tol: float) -> bool:
     """The one noise rule: ``deviation`` is at most ``tol`` times ``scale``, or times 1 where that is smaller.
 
-    Rounding grows with the magnitude of what is computed, so a deviation of a matrix of large
-    norm is judged relative to that norm. The deviation is divided by the scale, not ``tol``
-    multiplied by it, so nothing overflows; the rule is in positive form, so a NaN ratio fails.
+    Rounding grows with the magnitude of what is computed, so a deviation of a matrix of large norm
+    is divided by that norm, not ``tol`` multiplied by it, so nothing overflows; at a scale of at most 1
+    it is taken as it is, which saves an array a pass. The rule is in positive form, so a NaN fails.
     """
-    return deviation / max(1.0, scale) <= tol
+    return (deviation / scale if scale > 1.0 else deviation) <= tol
 
 
 def _hermitize(a: np.ndarray, a_dagger: np.ndarray | None = None) -> np.ndarray:
@@ -67,8 +68,8 @@ def _hermitian_part(a: np.ndarray, tol: float, label: str = "matrix") -> np.ndar
     # for a deviation over tol, which Hermitian input never has, and from the parts, as |a| can overflow
     with np.errstate(over="ignore"):
         dev = float(np.abs(a - a_dagger).max())
-        if not (dev <= tol or _within_noise(dev, max(np.abs(a.real).max(), np.abs(a.imag).max()), tol)):
-            raise NotHermitianError(f"{label} deviates from Hermitian by {dev:.3e}")
+    if not (_within_noise(dev, 1.0, tol) or _within_noise(dev, max(np.abs(a.real).max(), np.abs(a.imag).max()), tol)):
+        raise NotHermitianError(f"{label} deviates from Hermitian by {dev:.3e}")
     return _hermitize(a, a_dagger)
 
 

@@ -108,7 +108,7 @@ class DensityMatrix:
         spectrum = _eigh(a)
         _psd(spectrum.eigenvalues, tol, "state")
         tr = complex(np.trace(a))
-        if abs(tr - 1.0) > tol:
+        if not _within_noise(abs(tr - 1.0), 1.0, tol):
             raise ValidationError(f"state trace {tr.real:.12g} differs from 1 beyond {tol:.1e}")
         for part in spectrum:
             _frozen(part)
@@ -137,7 +137,7 @@ class WeightMatrix:
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
         a = _validated(matrix, tol, "weight")
-        self.degenerate = bool(_psd(np.linalg.eigvalsh(a), tol, "weight") <= tol)
+        self.degenerate = bool(_within_noise(_psd(np.linalg.eigvalsh(a), tol, "weight"), 1.0, tol))
         self.matrix = a
 
     @property

@@ -13,7 +13,7 @@ from json_oracle import matrix_to_dict, report_to_dict
 import wqent.entropy
 import wqent.inequality
 from wqent.errors import DimensionError, InvalidSimplexError, ValidationError
-from wqent.linalg import SUPPORT_EPS, _eigh, hermitian_eig, partial_trace, xlogx_matrix
+from wqent.linalg import SUPPORT_EPS, _eigh, _within_noise, hermitian_eig, partial_trace, xlogx_matrix
 from wqent.states import (
     BipartiteState,
     DensityMatrix,
@@ -383,9 +383,18 @@ class TestClosedForm:
         assert abs(closed - general) < 1e-10
 
 
+def kernel_entropies(x, rho, leak_tol=1e-10):
+    """The subsystem kernel's entropies, raising as the report engine does when the leak the kernel
+    returns is beyond noise at ``leak_tol``."""
+    entropy, leak = _subsystem_entropy(x, rho)
+    if not _within_noise(leak, 1.0, leak_tol):
+        raise ValidationError(f"reduced weighted state has {leak:.3e} of mass outside the support")
+    return entropy
+
+
 def eigh_entropies(x, rho, leak_tol=1e-10):
-    """``-Re tr(x ln rho)`` on the support from ``np.linalg.eigh``, item by item, raising as the kernel
-    does when ``x`` puts more than ``leak_tol`` off the support."""
+    """``-Re tr(x ln rho)`` on the support from ``np.linalg.eigh``, item by item, raising as the report
+    engine does when ``x`` puts more than ``leak_tol`` off the support."""
     out = []
     for xi, ri in zip(x, rho):
         lams, u = np.linalg.eigh(ri)
@@ -422,7 +431,7 @@ class TestQubitClosedForm:
     """The closed-form 2x2 subsystem entropy, of one item or a stack, against ``eigh`` and the Jacobi oracle."""
 
     def assert_agree(self, x, rho):
-        got = _subsystem_entropy(x, rho, 1e-10)
+        got = kernel_entropies(x, rho)
         assert np.abs(got - eigh_entropies(x, rho)).max() <= 1e-14
         assert np.abs(got - jacobi_entropies(x, rho)).max() <= 1e-14
 
@@ -456,10 +465,10 @@ class TestQubitClosedForm:
         rho, exact = np.array(rho), np.array(exact)
         # x = W rho, as for a product state, puts almost no mass off the support
         x = np.stack([random_weight(2, rng).matrix for _ in rho]) @ rho
-        got = _subsystem_entropy(x, rho, 1e-10)
+        got = kernel_entropies(x, rho)
         assert np.abs(got - jacobi_entropies(x, rho)).max() <= 1e-14
         # each item alone, as one check evaluates it, has the stacked bits
-        alone = np.array([_subsystem_entropy(xi, ri, 1e-10) for xi, ri in zip(x, rho)])
+        alone = np.array([kernel_entropies(xi, ri) for xi, ri in zip(x, rho)])
         assert alone.tobytes() == got.tobytes()
         # LAPACK can miss such an eigenvalue by a few ulps, across the threshold: it returned
         # 9.999999999999998e-13 for an exact 1.0000000000000002e-12 with q complex and the small
@@ -474,7 +483,7 @@ class TestQubitClosedForm:
         phi = np.stack([np.kron(random_weight(2, rng).matrix, random_weight(2, rng).matrix) for _ in range(50)])
         for keep in ("A", "B"):
             x, kept = partial_trace(np.tile(phi, (40, 1, 1)) @ rho, 2, 2, keep), partial_trace(rho, 2, 2, keep)
-            assert np.abs(_subsystem_entropy(x, kept, 1e-10) - eigh_entropies(x, kept)).max() <= 1e-14
+            assert np.abs(kernel_entropies(x, kept) - eigh_entropies(x, kept)).max() <= 1e-14
 
     @pytest.mark.parametrize("leak_tol", [1e-12, 1e-10, 1e-6])
     def test_pure_marginals_leak_on_the_same_inputs(self, leak_tol):
@@ -495,7 +504,7 @@ class TestQubitClosedForm:
             outcomes = []
             # eigh, then the closed form on the one item, as a check takes it
             for entropy in (lambda: eigh_entropies(x[None], rho_a[None], leak_tol)[0],
-                            lambda: _subsystem_entropy(x, rho_a, leak_tol)):
+                            lambda: kernel_entropies(x, rho_a, leak_tol)):
                 try:
                     outcomes.append(float(entropy()))
                 except ValidationError as exc:
@@ -521,16 +530,16 @@ class TestQubitClosedForm:
                         np.array([[1e-13, 2e-14j], [-2e-14j, 1e-13]])])
         x = random_x(rng, 3)
         x[1:] *= 1e-20
-        _subsystem_entropy(x[[0]], rho[[0]], 1e-10)
-        _subsystem_entropy(x[0], rho[0], 1e-10)
+        assert kernel_entropies(x[[0]], rho[[0]]).shape == (1,)
+        assert _subsystem_entropy(x[0], rho[0])[1] == 0.0  # nothing is off a full-rank support
         assert calls == []
-        got = _subsystem_entropy(x, rho, 1e-10)
+        got = kernel_entropies(x, rho)
         assert calls == [(3, 2, 2)]
         # one such item alone, as a state validated at a tol near 1 can give, takes the fallback too
-        assert _subsystem_entropy(x[1], rho[1], 1e-10) == got[1]
+        assert kernel_entropies(x[1], rho[1]) == got[1]
         assert calls == [(3, 2, 2), (2, 2)]
         assert np.abs(got - eigh_entropies(x, rho)).max() <= 1e-14
-        # and the eigh path's leak rule, over the whole off-support block, judges them
+        # and the eigh path measures the leak over the whole off-support block, for the engine to judge
         x[2, 0, 1] = 1e-6
         with pytest.raises(ValidationError, match="outside the support"):
-            _subsystem_entropy(x, rho, 1e-10)
+            kernel_entropies(x, rho)

@@ -1297,6 +1297,13 @@ class TestAudit:
             # every violation must come with a failed trace condition
             assert v.report.condition_gap < 1e-12
 
+    def test_readme_general_audit_violations_all_fail_the_condition(self):
+        # the README's "Where the inequality holds" quotes this count: 40 violations in three chunks
+        summary = audit_random(20_000, 2, 2, 1, "general-unconstrained")
+        assert len(summary.violations) == 40
+        assert not any(v.report.condition_holds for v in summary.violations)
+        assert all(v.report.condition_gap < 0.0 for v in summary.violations)
+
     def test_violation_records_are_reproducible(self):
         summary = audit_random(500, 2, 2, 7, "diagonal-unconstrained", tolerance=1e-9)
         v = summary.violations[0]
