@@ -121,6 +121,9 @@ def cases(files: dict) -> dict:
     # three chunks of 8192 2x2 samples with 24, 20 and 6 violators, joined into one table
     out["audit general-unconstrained 2x2 n=20000 seed=0"] = cli + [
         "audit", "--n", "20000", "--seed", "0", "--regime", "general-unconstrained"]
+    # 4 violators over six chunks of 3640: A's 2x2 reduced states take the closed form, B's 3x3 ones eigh
+    out["audit general-unconstrained 2x3 n=20000 seed=1"] = cli + [
+        "audit", "--n", "20000", "--seed", "1", "--dims", "2x3", "--regime", "general-unconstrained"]
     out["entropy worked example"] = cli + ["entropy", files["state"], files["wab"]]
     for tol in ([], ["--tol", "1e-6"]):
         name = " ".join(["worked example"] + tol)

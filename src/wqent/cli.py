@@ -105,8 +105,8 @@ def _parse_dims(text: str) -> tuple[int, int]:
         raise ValidationError(f"dims must look like '2x2', got {text!r}") from exc
 
 
-def audit_to_json(summary: AuditSummary, dim_a: int, dim_b: int) -> str:
-    """The audit payload as ``json.dumps(payload, indent=2)`` writes it, byte for byte, at the summary's tolerance.
+def audit_to_json(summary: AuditSummary) -> str:
+    """The audit payload as ``json.dumps(payload, indent=2)`` writes it, byte for byte, from the summary alone.
 
     The head goes through ``json.dumps``. The violations, read from the summary's table with no record built,
     fill a ``%s`` template record with one ``%`` call: ``str`` of a float is the ``float.__repr__`` that
@@ -114,12 +114,12 @@ def audit_to_json(summary: AuditSummary, dim_a: int, dim_b: int) -> str:
     """
     from .inequality import _REPORT_NAMES, _verdicts
 
-    text = json.dumps({"regime": summary.regime, "dims": f"{dim_a}x{dim_b}", "samples": summary.samples,
+    text = json.dumps({"regime": summary.regime, "dims": "%dx%d" % summary.dims, "samples": summary.samples,
                        "seed": summary.seed, "tolerance": summary.tolerance, "min_gap": summary.min_gap,
                        "violations": []}, indent=2)
     if summary.columns is None:
         return text
-    fields, matrices = summary.columns
+    (dim_a, dim_b), (fields, matrices) = summary.dims, summary.columns
     shape = {key: {"dim": d, "re": [["%s"] * d] * d, "im": [["%s"] * d] * d}
              for key, d in (("state", dim_a * dim_b), ("weight_a", dim_a), ("weight_b", dim_b))}
     shape["report"] = dict.fromkeys(_REPORT_NAMES, "%s")
@@ -260,9 +260,8 @@ def audit(n, dims, seed, regime, tol, out):
     """Randomized subadditivity audit; violations land in the JSON summary."""
     from .inequality import audit_random
 
-    dim_a, dim_b = _parse_dims(dims)
-    summary = audit_random(n, dim_a, dim_b, seed, regime, tolerance=tol)
-    _emit(audit_to_json(summary, dim_a, dim_b) + "\n", out)
+    summary = audit_random(n, *_parse_dims(dims), seed, regime, tolerance=tol)
+    _emit(audit_to_json(summary) + "\n", out)
 
 
 def _parser() -> argparse.ArgumentParser:

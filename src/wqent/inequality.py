@@ -7,8 +7,8 @@ and one chunk of samples at a time for the general audit; the diagonal regimes
 have one kernel over the occupied cells of a diagonal state, at any factor dims,
 run once per chunk. It is the one matrix path: the weighted mutual information
 is a report's ``gap`` and the trace condition its ``condition_gap``. An audit
-scans the gap of every sample and joins its violators' rows of the chunks once,
-into one table of report fields and matrices; records are built when first read.
+scans the gap of every sample and joins its violators' samples once; their report
+fields come from one more engine call on those samples; records are built when first read.
 """
 
 from __future__ import annotations
@@ -91,12 +91,13 @@ def _fields(s_ab, s_a, s_b, lhs, rhs) -> dict[str, np.ndarray]:
 
 
 def _report_fields(rho: np.ndarray, spectrum: SpectralDecomposition, phi_a: np.ndarray, phi_b: np.ndarray,
-                   dim_a: int, dim_b: int, tol: float) -> dict[str, np.ndarray]:
-    """Report fields of the engine's own ``(..., d, d)`` stacks (``spectrum`` decomposes ``rho``).
+                   tol: float) -> dict[str, np.ndarray]:
+    """Report fields of the engine's own ``(..., d, d)`` stacks (``spectrum`` decomposes ``rho``), at the weights' dims.
 
     Each partial trace is taken once and unchecked. Raises if A's, then B's, largest off-support weighted
     mass is beyond noise at ``tol``, and if finite weights overflow a float in their product or in a field.
     """
+    dim_a, dim_b = phi_a.shape[-1], phi_b.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
         phi = _finite(_kron(phi_a, phi_b), "the weight product phi_A (x) phi_B")
         weighted = phi @ rho
@@ -160,8 +161,7 @@ def check_subadditivity(weight_a: WeightMatrix, weight_b: WeightMatrix,
         raise DimensionError(f"weight dims {weight_a.dim}x{weight_b.dim} do not match "
                              f"state factors {state.dim_a}x{state.dim_b}")
     rho = state.rho
-    fields = _report_fields(rho.matrix, rho.spectrum, weight_a.matrix, weight_b.matrix,
-                            state.dim_a, state.dim_b, rho.tol)
+    fields = _report_fields(rho.matrix, rho.spectrum, weight_a.matrix, weight_b.matrix, rho.tol)
     return _reports({k: v[None] for k, v in fields.items()}, rho.tol)[0]
 
 
@@ -192,6 +192,7 @@ class AuditSummary:
     min_gap: float
     seed: int
     regime: str
+    dims: tuple[int, int]
     tolerance: float
     columns: tuple | None = field(repr=False)
 
@@ -211,7 +212,7 @@ class AuditSummary:
     def __eq__(self, other):
         def values(s):
             fields, matrices = s.columns or ({}, ())
-            return [s.samples, s.min_gap, s.seed, s.regime, s.tolerance, *fields.values(), *matrices]
+            return [s.samples, s.min_gap, s.seed, s.regime, s.dims, s.tolerance, *fields.values(), *matrices]
 
         return type(other) is AuditSummary and _same(values(self), values(other))
 
@@ -261,13 +262,11 @@ def _diagonal_entropy_terms(p: np.ndarray, weights: np.ndarray, dim_a: int, dim_
     return x_ab, x_a, x_b
 
 
-def _diagonal_report_fields(probs: np.ndarray, weights: np.ndarray, dim_a: int, dim_b: int,
-                            terms: tuple[np.ndarray, ...]) -> dict[str, np.ndarray]:
-    """Report fields of diagonal states under diagonal weights, laid out as for
-    :func:`_diagonal_entropy_terms`, from their entropy sums ``terms``."""
-    x_ab, x_a, x_b = terms
+def _diagonal_report_fields(probs: np.ndarray, weights: np.ndarray, dim_a: int, dim_b: int) -> dict[str, np.ndarray]:
+    """Report fields of the diagonal states in the rows of ``probs``, weights as for :func:`_diagonal_entropy_terms`."""
     rows, cols = _cell_groups(dim_a, dim_b)
     p, phi, chi = probs.T, weights[:, :dim_a].T, weights[:, dim_a:].T
+    x_ab, x_a, x_b = _diagonal_entropy_terms(p, weights, dim_a, dim_b)
     lhs = _sum([phi[c // dim_b] * chi[c % dim_b] * q for c, q in enumerate(p)])
     # tr(phi_A rho_A) tr(phi_B rho_B), each marginal summed in cell order
     rhs = (_sum([f * _sum([p[c] for c in g]) for f, g in zip(phi, rows)])
@@ -321,7 +320,7 @@ def _chunk_items(d: int) -> int:
 
 def _diagonal_chunks(rng: np.random.Generator, n: int, dim_a: int, dim_b: int,
                      condition_satisfying: bool) -> _Chunks:
-    """Each chunk's gap, and its normalized ``probs`` (one row per state), weights and entropy sums."""
+    """Each chunk's gap, and its normalized ``probs`` (one row per state) and weights."""
     # every probability is drawn first, then the weights: the stream does not depend on the chunk
     # size, and as every field is elementwise, neither do its bits. Each row of probs is an unnormalized
     # diagonal state with a zero last cell, its cell c = divmod(c, dim_b) in column c
@@ -338,18 +337,18 @@ def _diagonal_chunks(rng: np.random.Generator, n: int, dim_a: int, dim_b: int,
         w = _scale_draws(rng, (p.shape[1], dim_a + dim_b)) if weights is None else weights[start:start + size]
         x_ab, x_a, x_b = _diagonal_entropy_terms(p, w, dim_a, dim_b)
         # x_ab - (x_a + x_b) rounds as the report's s_a + s_b - s_ab does, since negation is exact
-        yield x_ab - (x_a + x_b), (p.T, w, x_ab, x_a, x_b)
+        yield x_ab - (x_a + x_b), (p.T, w)
 
 
-def _diagonal_table(dim_a: int, dim_b: int, p: np.ndarray, w: np.ndarray, *terms: np.ndarray):
+def _diagonal_table(dim_a: int, dim_b: int, p: np.ndarray, w: np.ndarray):
     """The violators' report fields and ``(state, weight_a, weight_b)`` stacks from their diagonal rows."""
-    # every field is elementwise, so the violators' rows of the chunks' sums give their bits
+    # every field is elementwise, so the violators' own rows give the bits their chunks gave
     matrices = _diag_stack(np.pad(p, ((0, 0), (0, 1)))), _diag_stack(w[:, :dim_a]), _diag_stack(w[:, dim_a:])
-    return _diagonal_report_fields(p, w, dim_a, dim_b, terms), matrices
+    return _diagonal_report_fields(p, w, dim_a, dim_b), matrices
 
 
 def _general_chunks(rng: np.random.Generator, n: int, dim_a: int, dim_b: int, tolerance: float) -> _Chunks:
-    """Each chunk's gap, and its seven report fields and ``(state, weight_a, weight_b)`` stacks."""
+    """Each chunk's gap, and its ``(state, weight_a, weight_b)`` stacks."""
     # each chunk draws its states, then its A weights, then its B weights, so the stream
     # is the whole-sample stream whenever n fits in one chunk
     size = _chunk_items(dim_a * dim_b)
@@ -360,18 +359,19 @@ def _general_chunks(rng: np.random.Generator, n: int, dim_a: int, dim_b: int, to
         wb = _weight_stack(rng, k, dim_b)
         # the draws are hermitized, so they are diagonalized unchecked; off-support
         # mass is judged at the audit's tolerance
-        fields = _report_fields(rho, _eigh(rho), wa, wb, dim_a, dim_b, tolerance)
-        yield fields["gap"], (*fields.values(), rho, wa, wb)
+        yield _report_fields(rho, _eigh(rho), wa, wb, tolerance)["gap"], (rho, wa, wb)
 
 
-def _general_table(*rows: np.ndarray):
-    """The violators' report fields and ``(state, weight_a, weight_b)`` stacks from their general rows."""
-    return dict(zip(_REPORT_NAMES[:7], rows)), rows[7:]
+def _general_table(tolerance: float, rho: np.ndarray, wa: np.ndarray, wb: np.ndarray):
+    """The engine's report fields of the violators' ``(state, weight_a, weight_b)`` stacks, and those stacks."""
+    # items are evaluated alone, so violators keep their chunks' bits. The one whole-stack branch, _subsystem_entropy's
+    # eigh fallback, needs both eigenvalues of a 2x2 reduced state <= 1e-12; a unit-trace draw's larger is >= 1/2
+    return _report_fields(rho, _eigh(rho), wa, wb, tolerance), (rho, wa, wb)
 
 
 def _scan(chunks: _Chunks, tolerance: float) -> tuple[list, list[np.ndarray]]:
-    """Each chunk's smallest gap, and the violators' rows of each chunk array, joined across chunks
-    (empty without violators): copies taken by index, so nothing kept refers to the sample."""
+    """Each chunk's smallest gap, and the violators' rows of each chunk's sample arrays, joined across
+    chunks (empty without violators): copies taken by index, so nothing kept refers to the sample."""
     mins, kept = [], []
     for gap, arrays in chunks:
         mins.append(gap.min())
@@ -425,7 +425,7 @@ def audit_random(
         raise ValidationError(f"factor dims must be >= 2, got {dim_a}x{dim_b}")
     rng = np.random.default_rng(seed)
     if regime == "general-unconstrained":
-        chunks, table = _general_chunks(rng, n, dim_a, dim_b, tolerance), _general_table
+        chunks, table = _general_chunks(rng, n, dim_a, dim_b, tolerance), partial(_general_table, tolerance)
     elif regime == "diagonal-condition-satisfying" and (dim_a, dim_b) != (2, 2):
         raise DimensionError(f"regime {regime!r} needs 2x2 factors, got {dim_a}x{dim_b}")
     else:
@@ -435,4 +435,5 @@ def audit_random(
     # draw -> scan -> release -> build: the scan's joined rows are copies taken by index, so the sample
     # and the last chunk are gone before the violators' table is built, once per audit, and no record
     mins, rows = _scan(chunks, tolerance)
-    return AuditSummary(n, float(np.min(mins)), seed, regime, tolerance, table(*rows) if rows else None)
+    return AuditSummary(n, float(np.min(mins)), seed, regime, (dim_a, dim_b), tolerance,
+                        table(*rows) if rows else None)

@@ -33,13 +33,14 @@ def channel_payload(state: np.ndarray, report: SubadditivityReport) -> dict:
     return {"state": matrix_to_dict(state), "report": report_to_dict(report)}
 
 
-def audit_payload(summary, dim_a, dim_b, tolerance) -> dict:
+def audit_payload(summary) -> dict:
+    dim_a, dim_b = summary.dims
     return {
         "regime": summary.regime,
         "dims": f"{dim_a}x{dim_b}",
         "samples": summary.samples,
         "seed": summary.seed,
-        "tolerance": tolerance,
+        "tolerance": summary.tolerance,
         "min_gap": summary.min_gap,
         "violations": [
             {

@@ -568,10 +568,10 @@ def reports(tolerance):
 
 @st.composite
 def payloads(draw):
-    """A report for ``check``, a dim-4 state for ``channel`` and an audit summary with its dims.
+    """A report for ``check``, a dim-4 state for ``channel`` and an audit summary.
 
-    The summary holds a table as an audit builds it, or none: zero to nine violators, seven field
-    arrays of edge floats and three matrix stacks, judged at the summary's tolerance.
+    The summary holds its dims and a table as an audit builds it, or none: zero to nine violators, seven
+    field arrays of edge floats and three matrix stacks at those dims, judged at the summary's tolerance.
     """
     tolerance = draw(st.sampled_from([1e-10, 1e-6, 0.5]))
     dim_a, dim_b = draw(st.sampled_from([(2, 2), (2, 3), (3, 3)]))
@@ -582,8 +582,8 @@ def payloads(draw):
         columns = fields, tuple(np.stack([draw(complex_matrices(d)) for _ in range(k)])
                                 for d in (dim_a * dim_b, dim_a, dim_b))
     summary = AuditSummary(draw(st.integers(1, 10**6)), draw(EDGE_FLOATS), draw(st.integers(0, 2**32)),
-                           draw(st.sampled_from(AUDIT_REGIMES)), tolerance, columns)
-    return draw(reports(tolerance)), draw(complex_matrices(4)), (summary, dim_a, dim_b)
+                           draw(st.sampled_from(AUDIT_REGIMES)), (dim_a, dim_b), tolerance, columns)
+    return draw(reports(tolerance)), draw(complex_matrices(4)), summary
 
 
 class TestJsonMatchesOracle:
@@ -593,7 +593,7 @@ class TestJsonMatchesOracle:
     @settings(max_examples=150, deadline=None)
     def test_random_payloads(self, example_files, case):
         """The report and the channel state are patched into the commands, so every float reaches the writer."""
-        report, state, audit_case = case
+        report, state, summary = case
         with mock.patch("wqent.inequality.check_subadditivity", return_value=report):
             result = CliRunner().invoke(main, ["check", example_files["state"], example_files["wa"],
                                                example_files["wb"]])
@@ -601,18 +601,20 @@ class TestJsonMatchesOracle:
         with mock.patch("wqent.channel.channel_then_check", return_value=(SimpleNamespace(matrix=state), report)):
             result = CliRunner().invoke(main, ["channel", example_files["state"], example_files["proj"]])
         assert result.output == json.dumps(channel_payload(state, report), indent=2) + "\n"
-        summary, dim_a, dim_b = audit_case
-        assert audit_to_json(*audit_case) == json.dumps(audit_payload(*audit_case, summary.tolerance), indent=2)
+        assert audit_to_json(summary) == json.dumps(audit_payload(summary), indent=2)
 
     def test_audit_json_is_written_at_the_summary_tolerance(self):
-        # the head and every record carry the tolerance the verdicts were judged at; none can be passed
+        # the head and every record carry the tolerance the verdicts were judged at; neither it nor the
+        # dims can be passed
         summary = audit_random(2000, 2, 2, 1, "diagonal-unconstrained", tolerance=1e-9)
-        payload = json.loads(audit_to_json(summary, 2, 2))
+        payload = json.loads(audit_to_json(summary))
         assert payload["tolerance"] == 1e-9
         assert len(payload["violations"]) == len(summary.violations) > 0
         assert {v["report"]["tolerance"] for v in payload["violations"]} == {1e-9}
         with pytest.raises(TypeError):
-            audit_to_json(summary, 2, 2, 0.5)
+            audit_to_json(summary, 0.5)
+        with pytest.raises(TypeError):
+            audit_to_json(summary, 2, 2)
 
     @pytest.mark.parametrize("regime, dims, n, seed", [
         ("diagonal-unconstrained", "2x2", 2000, 3),
@@ -621,12 +623,11 @@ class TestJsonMatchesOracle:
         ("diagonal-unconstrained", "2x3", 2000, 1),
     ])
     def test_cli_output_equals_json_dumps(self, runner, regime, dims, n, seed):
-        dim_a, dim_b = map(int, dims.split("x"))
-        summary = audit_random(n, dim_a, dim_b, seed, regime)
+        summary = audit_random(n, *map(int, dims.split("x")), seed, regime)
         result = runner.invoke(main, ["audit", "--n", str(n), "--seed", str(seed), "--dims", dims,
                                       "--regime", regime])
         assert result.exit_code == 0
-        assert result.output == json.dumps(audit_payload(summary, dim_a, dim_b, 1e-10), indent=2) + "\n"
+        assert result.output == json.dumps(audit_payload(summary), indent=2) + "\n"
 
 
 HELP = {

@@ -58,12 +58,6 @@ EXAMPLE_WEIGHTS = (0.75, 0.25, 1 / 3, 2 / 3)
 REPORT_FIELDS = ("s_ab", "s_a", "s_b", "gap", "condition_lhs", "condition_rhs", "condition_gap")
 
 
-def diagonal_fields(probs, weights, dim_a, dim_b):
-    """The seven report fields of diagonal samples, one per row of ``probs``, their entropy sums computed
-    first as a chunk does, from one row per cell."""
-    return _diagonal_report_fields(probs, weights, dim_a, dim_b, _diagonal_entropy_terms(probs.T, weights, dim_a, dim_b))
-
-
 def diag_weight(x1, x2):
     return WeightMatrix(np.diag([x1, x2]).astype(complex))
 
@@ -263,10 +257,10 @@ class TestCheckSubadditivity:
         # reports are built positionally from the engine's fields, so the orders must agree
         state, wa, wb = worked_setup()
         rho = state.rho
-        fields = _report_fields(rho.matrix, rho.spectrum, wa.matrix, wb.matrix, 2, 2, rho.tol)
+        fields = _report_fields(rho.matrix, rho.spectrum, wa.matrix, wb.matrix, rho.tol)
         names = [f.name for f in dataclasses.fields(SubadditivityReport)]
         assert tuple(fields) == REPORT_FIELDS == tuple(names[:7])
-        assert tuple(diagonal_fields(np.array([[0.1, 0.1, 0.8]]), np.ones((1, 4)), 2, 2)) == REPORT_FIELDS
+        assert tuple(_diagonal_report_fields(np.array([[0.1, 0.1, 0.8]]), np.ones((1, 4)), 2, 2)) == REPORT_FIELDS
 
     def test_report_holds_python_scalars(self):
         state, wa, wb = worked_setup()
@@ -438,7 +432,7 @@ class TestReportEngine:
             wa, wb = random_weight(da, rng), random_weight(db, rng)
             rep = check_subadditivity(wa, wb, BipartiteState(rho, da, db))
             spectrum = SpectralDecomposition(*(part[None] for part in rho.spectrum))
-            fields = _report_fields(rho.matrix[None], spectrum, wa.matrix[None], wb.matrix[None], da, db, rho.tol)
+            fields = _report_fields(rho.matrix[None], spectrum, wa.matrix[None], wb.matrix[None], rho.tol)
             assert report_bits(rep) == report_bits(_reports(fields, rho.tol)[0]), (i, rep)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(2, 4))
@@ -450,7 +444,7 @@ class TestReportEngine:
         weights = [(random_weight(da, rng), random_weight(db, rng)) for _ in states]
         rho = np.stack([s.matrix for s in states])
         fields = _report_fields(rho, hermitian_eig(rho), np.stack([w.matrix for w, _ in weights]),
-                                np.stack([w.matrix for _, w in weights]), da, db, 1e-10)
+                                np.stack([w.matrix for _, w in weights]), 1e-10)
         for i, (s, (wa, wb)) in enumerate(zip(states, weights)):
             rep = check_subadditivity(wa, wb, BipartiteState(s, da, db))
             for k in REPORT_FIELDS:
@@ -472,10 +466,10 @@ class TestReportEngine:
             return SpectralDecomposition(lams, vecs * phases)
 
         spectrum = _eigh(rho)
-        want = _report_fields(rho, spectrum, wa, wb, da, db, 1e-10)
+        want = _report_fields(rho, spectrum, wa, wb, 1e-10)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(wqent.entropy, "_eigh", lambda a: rephased(_eigh(a)))
-            got = _report_fields(rho, rephased(spectrum), wa, wb, da, db, 1e-10)
+            got = _report_fields(rho, rephased(spectrum), wa, wb, 1e-10)
         for k in REPORT_FIELDS:
             assert np.abs(got[k] - want[k]).max() <= 1e-14, k
 
@@ -489,7 +483,7 @@ class TestReportEngine:
         rho = np.stack([good, state.rho.matrix, good])
         phi = np.stack([LEAK_WEIGHT] * 3)
         with pytest.raises(ValidationError, match="outside the support"):
-            _report_fields(rho, hermitian_eig(rho), phi, phi, 2, 2, 2e-5)
+            _report_fields(rho, hermitian_eig(rho), phi, phi, 2e-5)
 
     @pytest.mark.parametrize("weight, label", [
         (np.diag([1e200, 1.0]), r"the weight product phi_A \(x\) phi_B"),
@@ -516,7 +510,7 @@ class TestDiagonalEngine:
         rng = np.random.default_rng(77)
         probs = rng.dirichlet((1.0, 1.0, 1.0), size=200)
         weights = rng.uniform(0.05, 2.0, size=(200, 4))
-        fields = diagonal_fields(probs, weights, 2, 2)
+        fields = _diagonal_report_fields(probs, weights, 2, 2)
         for i in range(200):
             p1, p2, p3 = probs[i]
             f1, f2, c1, c2 = weights[i]
@@ -538,7 +532,7 @@ class TestDiagonalEngine:
         probs[position] = edge
         probs[(position + 1) % 3] = 0.4 - edge
         f1, f2, c1, c2 = 0.75, 0.25, 1 / 3, 2 / 3
-        fields = diagonal_fields(np.array([probs]), np.array([[f1, f2, c1, c2]]), 2, 2)
+        fields = _diagonal_report_fields(np.array([probs]), np.array([[f1, f2, c1, c2]]), 2, 2)
         rep = check_subadditivity(diag_weight(f1, f2), diag_weight(c1, c2), embed_ququart(*probs, 0.0))
         for k in REPORT_FIELDS:
             assert abs(fields[k][0] - getattr(rep, k)) < 1e-12, k
@@ -561,11 +555,11 @@ class TestDiagonalEngine:
         rows[-1, 0] = 1.0
         probs = np.concatenate([probs, rows])
         weights = np.concatenate([weights, np.tile(np.resize(EXAMPLE_WEIGHTS, da + db), (len(rows), 1))])
-        fields = diagonal_fields(probs, weights, da, db)
+        fields = _diagonal_report_fields(probs, weights, da, db)
         # the same samples as the diagonal stacks the audit records, through the dense engine
         rho = _diag_stack(np.pad(probs, ((0, 0), (0, 1))))
         reference = _report_fields(rho, _eigh(rho), _diag_stack(weights[:, :da]), _diag_stack(weights[:, da:]),
-                                   da, db, DEFAULT_TOL)
+                                   DEFAULT_TOL)
         assert tuple(fields) == tuple(reference)
         for k, v in fields.items():
             if (da, db) == (2, 2):
@@ -584,17 +578,11 @@ class TestDiagonalEngine:
         probs = np.concatenate([probs, rows])
         draw = np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng", lambda seed: ExponentialRows(probs, draw(seed)))
-        draws = []
-
-        def recorded(p, w, *dims):
-            draws.append((p.T.copy(), w.copy()))
-            return _diagonal_entropy_terms(p, w, *dims)
-
-        monkeypatch.setattr(wqent.inequality, "_diagonal_entropy_terms", recorded)
+        draws = recorded_chunks(monkeypatch, "_diagonal_chunks")
         summary = audit_random(len(probs), 2, 2, 0, "diagonal-unconstrained")
         p, w = (np.concatenate(parts) for parts in zip(*draws))
         assert len(draws) == 2 and len(p) == len(probs)
-        gap = diagonal_fields(p, w, 2, 2)["gap"]
+        gap = _diagonal_report_fields(p, w, 2, 2)["gap"]
         idx = np.flatnonzero(gap < -summary.tolerance)
         fields, (state, _, _) = summary.columns
         assert 0 < len(idx) < len(gap)
@@ -605,7 +593,7 @@ class TestDiagonalEngine:
     def test_handles_zero_probabilities(self):
         probs = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
         weights = np.tile([0.75, 0.25, 1 / 3, 2 / 3], (3, 1))
-        fields = diagonal_fields(probs, weights, 2, 2)
+        fields = _diagonal_report_fields(probs, weights, 2, 2)
         assert np.all(np.isfinite(fields["gap"]))
         # a pure state has zero entropy everywhere
         assert abs(fields["s_ab"][0]) < 1e-14
@@ -641,7 +629,7 @@ class TestCommutingFamily:
         # condition-satisfying samples exist at 2x2 only; unconstrained ones at every dims
         da, db, condition_satisfying = regime
         probs, weights = sample_diagonal_full_retest(np.random.default_rng(seed), 2000, da, db, condition_satisfying)
-        fields = diagonal_fields(probs, weights, da, db)
+        fields = _diagonal_report_fields(probs, weights, da, db)
         assert (fields["gap"] - fields["condition_gap"]).min() >= -1e-12
 
     @pytest.mark.parametrize("da, db", [(da, db) for da in range(2, 5) for db in range(2, 5)])
@@ -649,7 +637,7 @@ class TestCommutingFamily:
         # one audit-sized draw per dims, whose smallest margin of gap over condition_gap is far
         # above rounding: a kernel that drops a row or column term fails here
         probs, weights = sample_diagonal_full_retest(np.random.default_rng(0), 100_000, da, db, False)
-        fields = diagonal_fields(probs, weights, da, db)
+        fields = _diagonal_report_fields(probs, weights, da, db)
         assert (fields["gap"] - fields["condition_gap"]).min() >= -1e-12
 
 
@@ -752,7 +740,7 @@ def sample_diagonal_full_retest(rng, n, dim_a, dim_b, condition_satisfying):
 def diagonal_records_per_item(n, seed, tolerance=1e-10):
     """Violation records of the unconstrained diagonal audit, built one item at a time."""
     probs, weights = sample_diagonal_full_retest(np.random.default_rng(seed), n, 2, 2, False)
-    fields = diagonal_fields(probs, weights, 2, 2)
+    fields = _diagonal_report_fields(probs, weights, 2, 2)
     out = []
     for i in np.nonzero(fields["gap"] < -tolerance)[0]:
         values = {k: float(v[i]) for k, v in fields.items()}
@@ -769,7 +757,7 @@ def general_records_per_item(n, dim_a, dim_b, seed, tolerance):
     rho = _density_stack(rng, n, dim_a * dim_b)
     wa = _weight_stack(rng, n, dim_a)
     wb = _weight_stack(rng, n, dim_b)
-    fields = _report_fields(rho, _eigh(rho), wa, wb, dim_a, dim_b, tolerance)
+    fields = _report_fields(rho, _eigh(rho), wa, wb, tolerance)
     out = []
     for i in np.nonzero(fields["gap"] < -tolerance)[0]:
         values = {k: float(v[i]) for k, v in fields.items()}
@@ -821,6 +809,19 @@ def chunk_draws(monkeypatch, rng, n, dim_a, dim_b, condition_satisfying):
     return draws
 
 
+def recorded_chunks(monkeypatch, name):
+    """Patch the chunk generator ``name`` to keep the sample arrays of every chunk it yields; returns their list."""
+    chunks, real = [], getattr(wqent.inequality, name)
+
+    def recorded(*args):
+        for gap, arrays in real(*args):
+            chunks.append(arrays)
+            yield gap, arrays
+
+    monkeypatch.setattr(wqent.inequality, name, recorded)
+    return chunks
+
+
 class TestDiagonalSampler:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("condition_satisfying", [True, False])
@@ -843,7 +844,7 @@ class TestDiagonalSampler:
                 assert rng_new.random() == rng_ref.random()
 
 
-# sha256 of audit_to_json(audit_random(20_000, dim_a, dim_b, 3, regime), dim_a, dim_b), and the audit
+# sha256 of audit_to_json(audit_random(20_000, dim_a, dim_b, 3, regime)), and the audit
 # generator's next random() after the audit, as the audits gave them when the whole sample was normalized
 # at once, before chunking: wherever the chunks fall, their bytes and their stream stay these
 PINNED_AUDITS = {
@@ -855,6 +856,14 @@ PINNED_AUDITS = {
                                        0.3426518082644153),
     ("diagonal-condition-satisfying", 2, 2): ("e1e62b74c045e33eb2771330fe0bb54434a3ede0defa820b42545638be1cb6bd",
                                               0.8282242927602265),
+}
+
+# sha256 of audit_to_json(audit_random(20_000, dim_a, dim_b, 3, "general-unconstrained")), and its violator
+# count: 47 over 3 chunks at 2x2, one at 2x3. Each chunk draws its own states, so the general stream, and
+# these bytes, hold at the default chunk size only
+PINNED_GENERAL_AUDITS = {
+    (2, 2): ("387dd40b9fe92a5a6591e750750aa367b3aaf60749c8b141338bf9037a8553bc", 47),
+    (2, 3): ("416176d2de26bea2cca053598400b702f32b62568394d5619bafd0266320da3d", 1),
 }
 
 
@@ -869,9 +878,16 @@ class TestPinnedAudits:
         monkeypatch.setattr(np.random, "default_rng", lambda seed: generators.append(draw(seed)) or generators[-1])
         summary = audit_random(20_000, dim_a, dim_b, 3, regime)
         digest, next_draw = PINNED_AUDITS[regime, dim_a, dim_b]
-        assert hashlib.sha256(audit_to_json(summary, dim_a, dim_b).encode()).hexdigest() == digest
+        assert hashlib.sha256(audit_to_json(summary).encode()).hexdigest() == digest
         assert len(generators) == 1
         assert generators[0].random() == next_draw
+
+    @pytest.mark.parametrize("dim_a, dim_b", list(PINNED_GENERAL_AUDITS))
+    def test_general_json_digest(self, dim_a, dim_b):
+        summary = audit_random(20_000, dim_a, dim_b, 3, "general-unconstrained")
+        digest, violators = PINNED_GENERAL_AUDITS[dim_a, dim_b]
+        assert len(summary.columns[0]["gap"]) == violators
+        assert hashlib.sha256(audit_to_json(summary).encode()).hexdigest() == digest
 
 
 class TestViolationRecords:
@@ -963,7 +979,8 @@ def shift_diagonal_gaps(monkeypatch, shift):
     """Lower every diagonal gap by ``shift``: the entropy sums come back with ``x_ab`` lowered by it,
     which moves the scan's gap and the violators' report ``gap`` together.
 
-    Returns the list of sample counts the entropy sums are evaluated for, one per call.
+    Returns the list of sample counts the entropy sums are evaluated for, one per call: each chunk's,
+    then, with violators, theirs (:func:`kernel_sizes`).
     """
     real_terms = wqent.inequality._diagonal_entropy_terms
     sizes = []
@@ -975,6 +992,12 @@ def shift_diagonal_gaps(monkeypatch, shift):
 
     monkeypatch.setattr(wqent.inequality, "_diagonal_entropy_terms", shifted_terms)
     return sizes
+
+
+def kernel_sizes(chunks, summary):
+    """The sample counts the diagonal kernel runs for in an audit of ``chunks``: one call per chunk in the
+    scan, then one on the violators' rows for their table, if there are any."""
+    return chunks + ([] if summary.columns is None else [len(summary.columns[0]["gap"])])
 
 
 def assert_same_audit(got, want):
@@ -1003,12 +1026,12 @@ class TestChunkedScan:
     def test_diagonal_chunk_boundaries_leave_no_trace(self, monkeypatch, shifted_diagonal, regime, n):
         tolerance = 1e-9
         whole = audit_random(n, 2, 2, 2, regime, tolerance=tolerance)
-        assert shifted_diagonal == [n]
+        assert shifted_diagonal == kernel_sizes([n], whole)
         shifted_diagonal.clear()
         # 7 embedded 4x4 states per chunk
         monkeypatch.setattr(wqent.inequality, "_CHUNK_ENTRIES", 7 * 16)
         chunked = audit_random(n, 2, 2, 2, regime, tolerance=tolerance)
-        assert shifted_diagonal == [7] * (n // 7) + [n % 7] * (n % 7 > 0)
+        assert shifted_diagonal == kernel_sizes([7] * (n // 7) + [n % 7] * (n % 7 > 0), chunked)
         assert_same_audit(chunked, whole)
         if n == 50:
             assert 0 < len(whole.violations) < n
@@ -1016,12 +1039,12 @@ class TestChunkedScan:
     @pytest.mark.parametrize("n", [1, 7, 50])
     def test_diagonal_chunks_are_sized_by_the_dims(self, monkeypatch, shifted_diagonal, n):
         whole = audit_random(n, 2, 3, 2, "diagonal-unconstrained", tolerance=1e-9)
-        assert shifted_diagonal == [n]
+        assert shifted_diagonal == kernel_sizes([n], whole)
         shifted_diagonal.clear()
         # 7 embedded 6x6 states per chunk
         monkeypatch.setattr(wqent.inequality, "_CHUNK_ENTRIES", 7 * 36)
         chunked = audit_random(n, 2, 3, 2, "diagonal-unconstrained", tolerance=1e-9)
-        assert shifted_diagonal == [7] * (n // 7) + [n % 7] * (n % 7 > 0)
+        assert shifted_diagonal == kernel_sizes([7] * (n // 7) + [n % 7] * (n % 7 > 0), chunked)
         assert_same_audit(chunked, whole)
 
     def test_default_chunk_sizes(self):
@@ -1035,7 +1058,7 @@ class TestChunkedScan:
         ("diagonal-unconstrained", (3, 3)),
     ])
     def test_diagonal_entropy_sums_run_once_per_chunk(self, monkeypatch, regime, dims):
-        # violators read their report fields from the chunk's sums, so the kernel never runs again
+        # the scan runs the kernel once per chunk, and the violators' table once more, on their rows alone
         real_terms, sizes = wqent.inequality._diagonal_entropy_terms, []
 
         def counted_terms(probs, weights, *args):
@@ -1046,7 +1069,7 @@ class TestChunkedScan:
         n = 20_000
         summary = audit_random(n, *dims, 0, regime)
         size = wqent.inequality._chunk_items(dims[0] * dims[1])
-        assert sizes == [size] * (n // size) + [n % size]
+        assert sizes == kernel_sizes([size] * (n // size) + [n % size], summary)
         if regime == "diagonal-unconstrained":
             assert len(summary.violations) > len(sizes)
             assert summary.min_gap == min(v.report.gap for v in summary.violations)
@@ -1182,7 +1205,7 @@ class TestLazyRecords:
         twin = audit_random(n, *dims, 0, regime, tolerance=1e-9)
         assert (summary.samples, summary.seed, summary.regime) == (n, 0, regime)
         assert math.isfinite(summary.min_gap)
-        text = audit_to_json(summary, *dims)
+        text = audit_to_json(summary)
         assert summary == twin
         assert len(repr(summary)) < 200
         assert counted_reports == []
@@ -1243,6 +1266,15 @@ class TestLazyRecords:
         assert moved != a.violations[0]
         assert a != "audit" and a.violations[0] != "record"
 
+    def test_summaries_differing_only_in_dims_differ_and_write_their_own(self):
+        a = audit_random(500, 2, 2, 3, "diagonal-condition-satisfying")
+        b = dataclasses.replace(a, dims=(2, 3))
+        assert a.columns is None and a != b and not a == b
+        assert a == dataclasses.replace(b, dims=(2, 2))
+        head = json.loads(audit_to_json(a))
+        assert head["dims"] == "2x2"
+        assert json.loads(audit_to_json(b)) == {**head, "dims": "2x3"}
+
     def test_equality_ignores_where_chunks_fall(self, monkeypatch):
         assert wqent.inequality._chunk_items(4) >= 2000
         whole = audit_random(2000, 2, 2, 1, "diagonal-unconstrained")
@@ -1251,28 +1283,22 @@ class TestLazyRecords:
         # more violators than one 7-sample chunk holds, so the table joins several chunks
         assert len(chunked.columns[0]["gap"]) > wqent.inequality._chunk_items(4) == 7
         assert chunked == whole
-        assert audit_to_json(chunked, 2, 2) == audit_to_json(whole, 2, 2)
+        assert audit_to_json(chunked) == audit_to_json(whole)
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_general_chunks_join_as_one_whole_sample_evaluation(self, monkeypatch, seed):
         # chunks draw their own states and weights, so the reference evaluates the same draws at once
-        draws, engine = [], _report_fields
-
-        def recorded(rho, spectrum, wa, wb, *args):
-            draws.append((rho.copy(), wa.copy(), wb.copy()))
-            return engine(rho, spectrum, wa, wb, *args)
-
-        monkeypatch.setattr(wqent.inequality, "_report_fields", recorded)
+        draws = recorded_chunks(monkeypatch, "_general_chunks")
         monkeypatch.setattr(wqent.inequality, "_CHUNK_ENTRIES", 64 * 16)
         chunked = audit_random(2000, 2, 2, seed, "general-unconstrained")
         rho, wa, wb = (np.concatenate(parts) for parts in zip(*draws))
-        fields = _report_fields(rho, _eigh(rho), wa, wb, 2, 2, DEFAULT_TOL)
+        fields = _report_fields(rho, _eigh(rho), wa, wb, DEFAULT_TOL)
         idx = np.flatnonzero(fields["gap"] < -DEFAULT_TOL)
         assert len(draws) == 32 and len(np.unique(idx // 64)) > 1
-        whole = AuditSummary(2000, float(fields["gap"].min()), seed, "general-unconstrained", DEFAULT_TOL,
+        whole = AuditSummary(2000, float(fields["gap"].min()), seed, "general-unconstrained", (2, 2), DEFAULT_TOL,
                              ({k: v[idx] for k, v in fields.items()}, (rho[idx], wa[idx], wb[idx])))
         assert chunked == whole
-        assert audit_to_json(chunked, 2, 2) == audit_to_json(whole, 2, 2)
+        assert audit_to_json(chunked) == audit_to_json(whole)
 
     def test_no_violators_compare_by_head(self):
         a = audit_random(500, 2, 2, 3, "diagonal-condition-satisfying")
@@ -1388,7 +1414,8 @@ class TestGeneralAuditKernels:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
     def test_one_chunk_diagonalizes_only_what_has_no_closed_form(self, monkeypatch, dims):
         # 2x2 reduced states take the closed-form entropy and dim-2 frames the closed-form
-        # Haar factor, so a 2x2 chunk makes one eigh call (the joint states) and no QR
+        # Haar factor, so a 2x2 chunk makes one eigh call (the joint states) and no QR; the violators'
+        # table runs the same engine on their samples alone
         eighs, qrs = [], []
         eigh, qr = _eigh, np.linalg.qr
 
@@ -1404,7 +1431,7 @@ class TestGeneralAuditKernels:
             monkeypatch.setattr(module, "_eigh", counting_eigh)
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
         da, db = dims
-        audit_random(300, da, db, 0, "general-unconstrained")
-        d = da * db
-        assert eighs == [(300, d, d)] + [(300, k, k) for k in (da, db) if k > 2]
+        summary = audit_random(300, da, db, 0, "general-unconstrained")
+        items = [300] + ([] if summary.columns is None else [len(summary.columns[0]["gap"])])
+        assert eighs == [(n, m, m) for n in items for m in (da * db, da, db) if m > 2]
         assert qrs == [(300, k, k) for k in (da, db) if k > 2]
