@@ -4,8 +4,9 @@ Usage: python scripts/compare_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts. Every case
 runs in a fresh interpreter with ``PYTHONPATH`` set to one of them. The cases,
-listed once in ``cases()``, cover the default sweep CSVs, audits in every
-regime, each within one chunk and across several, ``entropy``,
+listed once in ``cases()``, cover the default sweep CSVs, a probability sweep
+with values of 1 and above, a 257x257 weight sweep, audits in every regime,
+each within one chunk and across several, ``entropy``,
 ``check``, ``channel`` and ``qutrit`` on the worked example, ``check`` and
 ``channel`` on the non-commuting fixture, ``check`` on a dense complex 2x3
 state, finite entries whose sums or products overflow a float, weighted mass
@@ -95,6 +96,11 @@ def cases(files: dict) -> dict:
         "sweep weight a": cli + ["sweep", "weight", "--region", "a"],
         "sweep weight b": cli + ["sweep", "weight", "--region", "b"],
         "sweep prob grid-n 1": cli + ["sweep", "prob", "--grid-n", "1"],
+        # values of 1 and above, which printf writes
+        "sweep prob phi1 2 phi2 0.05 chi1 0.05 chi2 2": cli + [
+            "sweep", "prob", "--phi1", "2", "--phi2", "0.05", "--chi1", "0.05", "--chi2", "2"],
+        "sweep weight b p1 0.6 p2 0.2 grid-n 257": cli + [
+            "sweep", "weight", "--region", "b", "--p1", "0.6", "--p2", "0.2", "--grid-n", "257"],
         "figure grids at four parameter sets in one interpreter": ["-c", FIGURE_RENDERS],
     }
     for regime in ("diagonal-condition-satisfying", "diagonal-unconstrained"):

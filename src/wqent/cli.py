@@ -111,6 +111,7 @@ def audit_to_json(summary: AuditSummary) -> str:
     The head goes through ``json.dumps``. The violations, read from the summary's table with no record built,
     fill a ``%s`` template record with one ``%`` call: ``str`` of a float is the ``float.__repr__`` that
     ``json`` writes, the verdicts become ``true`` and ``false``, and non-finite values take ``json``'s spelling.
+    Raises ``DimensionError`` when the summary's stacks do not have the shapes its ``dims`` give.
     """
     from .inequality import _REPORT_NAMES, _verdicts
 
@@ -120,12 +121,15 @@ def audit_to_json(summary: AuditSummary) -> str:
     if summary.columns is None:
         return text
     (dim_a, dim_b), (fields, matrices) = summary.dims, summary.columns
-    shape = {key: {"dim": d, "re": [["%s"] * d] * d, "im": [["%s"] * d] * d}
-             for key, d in (("state", dim_a * dim_b), ("weight_a", dim_a), ("weight_b", dim_b))}
+    k = len(fields["gap"])
+    sizes = (("state", dim_a * dim_b), ("weight_a", dim_a), ("weight_b", dim_b))
+    if [m.shape for m in matrices] != [(k, d, d) for _, d in sizes]:
+        raise DimensionError(f"audit summary dims {dim_a}x{dim_b} do not match its stacks: "
+                             f"{', '.join(f'{key} {m.shape}' for (key, _), m in zip(sizes, matrices))}")
+    shape = {key: {"dim": d, "re": [["%s"] * d] * d, "im": [["%s"] * d] * d} for key, d in sizes}
     shape["report"] = dict.fromkeys(_REPORT_NAMES, "%s")
     template = json.dumps(shape, indent=2).replace('"%s"', "%s").replace("\n", "\n    ")
     # one row per record, its values in template order; the verdicts read 1.0 or 0.0 here
-    k = len(fields["gap"])
     flat = [m.reshape(k, -1) for m in matrices]
     table = np.column_stack([part for m in flat for part in (m.real, m.imag)]
                             + [*fields.values(), *_verdicts(fields, summary.tolerance), np.full(k, summary.tolerance)])

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import math
@@ -18,6 +19,7 @@ from cli_runner import CliRunner
 from json_oracle import audit_payload, channel_payload, report_to_dict
 from wqent.cli import audit_to_json, main
 from wqent.entropy import qutrit_mutual_information_closed_form
+from wqent.errors import DimensionError
 from wqent.linalg import DEFAULT_TOL
 from wqent.inequality import _REPORT_NAMES, AUDIT_REGIMES, AuditSummary, SubadditivityReport, audit_random
 
@@ -615,6 +617,14 @@ class TestJsonMatchesOracle:
             audit_to_json(summary, 0.5)
         with pytest.raises(TypeError):
             audit_to_json(summary, 2, 2)
+
+    @pytest.mark.parametrize("dims_a, dims_b, wrong", [(2, 3, (3, 2)), (2, 2, (2, 3))])
+    def test_audit_json_rejects_dims_its_stacks_do_not_have(self, dims_a, dims_b, wrong):
+        # 3x2 on a 2x3 summary has the state's size but not the weights'; 2x3 on a 2x2 summary has neither
+        summary = audit_random(2000, dims_a, dims_b, 1, "diagonal-unconstrained")
+        assert summary.columns is not None
+        with pytest.raises(DimensionError, match=rf"dims {wrong[0]}x{wrong[1]} .*state \(\d+, {dims_a * dims_b}, "):
+            audit_to_json(dataclasses.replace(summary, dims=wrong))
 
     @pytest.mark.parametrize("regime, dims, n, seed", [
         ("diagonal-unconstrained", "2x2", 2000, 3),

@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,6 +183,87 @@ class TestCsvMatchesPerCellOracle:
         first, second = sweep_weights("a", 9), sweep_weights("a", 9, p1=0.5, p2=0.25)
         assert grid_to_csv(first) != grid_to_csv(second) == grid_to_csv_per_cell(second)
         assert _body_template.cache_info()[:2] == (1, 1)  # hits, misses
+
+
+class TestCsvDigests:
+    """sha256 of the default figure grids and of a probability grid whose largest values are 1 and above."""
+
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: sweep_probabilities(97), "3517f5c8f9ee8f2c62dd4aea4e8088f62a8c9dc9e6eaad0034293532de9a8565"),
+        (lambda: sweep_weights("a", 97), "4912a96bda11d3c4786972f0ad49659692b0719d7b21d37661b3a3b44846c480"),
+        (lambda: sweep_weights("b", 97), "440445ead2e6d191da709deb45781c7b4a8decde26fe289deb4b6722d64f77cd"),
+        # 482 of its 4,656 cells are >= 1
+        (lambda: sweep_probabilities(97, 2.0, 0.05, 0.05, 2.0),
+         "fbb1f5b54c16ca0f4546d2e3e31d136ce4631fae6cb8e52c519aec579611f14e"),
+    ], ids=["prob-97", "weight-a-97", "weight-b-97", "prob-97-phi1-2"])
+    def test_sha256(self, make, digest):
+        assert hashlib.sha256(grid_to_csv(make()).encode()).hexdigest() == digest
+
+
+def row_grid(values):
+    """The values as a 1 x n grid, unmasked."""
+    values = np.asarray(values)
+    return SweepGrid(("x", "y"), (np.zeros(1), np.arange(values.size, dtype=float)), values.reshape(1, -1),
+                     np.zeros((1, values.size), dtype=bool))
+
+
+def neighbours(x, steps=40):
+    """``x`` and the ``steps`` doubles on each side of it."""
+    below, above = [x], [x]
+    for _ in range(steps):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[::-1] + above[1:]
+
+
+class TestCsvDigitsMatchPrintf:
+    """Values that printf writes as ``0.ddd`` take the bulk digit path, the others printf: both must write
+    what the per-cell oracle writes."""
+
+    def assert_matches_oracle(self, values):
+        grid = row_grid(values)
+        assert grid_to_csv(grid) == grid_to_csv_per_cell(grid)
+
+    def test_log_uniform_values_of_both_signs(self):
+        rng = np.random.default_rng(20161604)
+        magnitudes = 10.0 ** rng.uniform(-6, 1, 200_000)
+        self.assert_matches_oracle(magnitudes * rng.choice([-1.0, 1.0], magnitudes.size))
+
+    def test_dyadic_values_that_tie_at_the_17th_digit(self):
+        # odd k / 2**(17 - e) times 10**(16 - e) is k * 5**(16 - e) / 2: a tie, for each exponent e = -1 .. -4
+        rng = np.random.default_rng(3)
+        ties = []
+        for e in range(-1, -5, -1):
+            j = 17 - e
+            lo, hi = math.ceil(10.0**e * 2**j), math.floor(10.0 ** (e + 1) * 2**j)
+            ties += [math.ldexp(k, -j) for k in rng.integers(lo // 2, hi // 2, 2000) * 2 + 1]
+        assert all(1e-4 <= t < 1 for t in ties)
+        self.assert_matches_oracle(ties + [-t for t in ties])
+
+    @pytest.mark.parametrize("centre", [10.0**-k for k in range(6)] + [0.5])
+    def test_neighbours_of_powers_of_ten_and_a_half(self, centre):
+        values = neighbours(centre)
+        self.assert_matches_oracle(values + [-x for x in values])
+
+    def test_the_doubles_below_one_and_below_1e_4(self):
+        # none below 1 rounds up to "1" at 17 digits; those below 1e-4 print with an exponent
+        below_one, below_small = neighbours(1.0, 200)[:200], neighbours(1e-4, 200)[:200]
+        assert "%.17g" % below_one[-1] == "0.99999999999999989"
+        assert all("e-05" in "%.17g" % x for x in below_small)
+        self.assert_matches_oracle(below_one + below_small)
+
+    @given(st.lists(st.floats(), min_size=1, max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_any_floats(self, values):
+        self.assert_matches_oracle(values)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_other_dtypes_go_through_printf(self, dtype):
+        self.assert_matches_oracle(np.array([0.25, 3.0, -0.0625, 1e3]).astype(dtype))
+
+    def test_a_complex_grid_raises_as_printf_does(self):
+        with pytest.raises(TypeError, match="must be real number, not complex"):
+            grid_to_csv(row_grid(np.array([0.5 + 1j, 0.25])))
 
 
 def malformed(axis0=3, axis1=4, values=(3, 4), mask=(3, 4)):
