@@ -5,8 +5,8 @@ Usage: python scripts/compare_outputs.py OLD_SRC NEW_SRC
 OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts. Every case
 runs in a fresh interpreter with ``PYTHONPATH`` set to one of them. The cases,
 listed once in ``cases()``, cover the default sweep CSVs, a probability sweep
-with values of 1 and above, a 257x257 weight sweep, audits in every regime,
-each within one chunk and across several, ``entropy``,
+with values of 1 and above, one whose values are all zero, a 257x257 weight
+sweep, audits in every regime, each within one chunk and across several, ``entropy``,
 ``check``, ``channel`` and ``qutrit`` on the worked example, ``check`` and
 ``channel`` on the non-commuting fixture, ``check`` on a dense complex 2x3
 state, finite entries whose sums or products overflow a float, weighted mass
@@ -99,6 +99,9 @@ def cases(files: dict) -> dict:
         # values of 1 and above, which printf writes
         "sweep prob phi1 2 phi2 0.05 chi1 0.05 chi2 2": cli + [
             "sweep", "prob", "--phi1", "2", "--phi2", "0.05", "--chi1", "0.05", "--chi2", "2"],
+        # every value is +0.0, which printf writes
+        "sweep prob phi1 0 phi2 0 chi1 0 chi2 0": cli + [
+            "sweep", "prob", "--phi1", "0", "--phi2", "0", "--chi1", "0", "--chi2", "0"],
         "sweep weight b p1 0.6 p2 0.2 grid-n 257": cli + [
             "sweep", "weight", "--region", "b", "--p1", "0.6", "--p2", "0.2", "--grid-n", "257"],
         "figure grids at four parameter sets in one interpreter": ["-c", FIGURE_RENDERS],

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -91,18 +90,18 @@ def grid_to_csv(grid: SweepGrid, comments: Sequence[str] = ()) -> str:
     Each value is written as ``'%.17g' % x`` writes it. A float64 value
     whose text is ``0.`` and digits, that is ``1e-4 <= |x|`` with its
     17-digit rounding below 1, has its digits computed exactly in bulk (see
-    ``_cell_texts``); every other value, and every value of another dtype,
-    goes through printf. The body is one template per layout, the two axes
-    and the mask: each axis value is formatted once, each row is joined from
-    a shared list of ``"b,%s"`` cells (masked cells are dropped only in rows
-    that have any), and one ``%`` call fills in every unmasked value's text.
-    The template is built once per layout and kept in a cache of three,
-    keyed on each axis's dtype, shape and bytes and on the mask as bools, so
-    ``-0.0`` and ``0.0``, or an integer and a float axis, never share one.
-    Three layouts are one ``grid_n``'s figure set. A process that renders
-    one grid, as the CLI does, builds its template once, as it would without
-    the cache. Comments and the header stay outside the template, so a ``%``
-    in a comment is written as given.
+    ``_exact_digits``); every other value, and every value of another dtype,
+    goes through printf. The body is assembled as bytes, 4,096 rows at a
+    time: each row of a ``uint8`` block holds its cell's ``a,b,`` prefix,
+    a 24-byte slot for the value's text and a newline, all padded with NULs,
+    and each block is stripped of its NULs and decoded once. The prefixes
+    are built once per layout, the two axes and the mask, and kept in a
+    cache of three, keyed on each axis's dtype, shape and bytes and on the
+    mask as bools, so ``-0.0`` and ``0.0``, or an integer and a float axis,
+    never share one. Three layouts are one ``grid_n``'s figure set. A
+    process that renders one grid, as the CLI does, builds its prefixes
+    once, as it would without the cache. Comments and the header are
+    written as given.
 
     Raises ``DimensionError`` unless both axes are 1-D and the values and the
     mask have the shape ``(len(axis 0), len(axis 1))``.
@@ -118,47 +117,45 @@ def grid_to_csv(grid: SweepGrid, comments: Sequence[str] = ()) -> str:
     if any(ax.dtype.hasobject for ax in axes):
         raise ValidationError("grid axes must be numeric arrays, not object arrays")
     key = tuple((ax.dtype.str, ax.shape, ax.tobytes()) for ax in axes)
-    head = "".join(f"# {c}\n" for c in comments) + f"{grid.axis_names[0]},{grid.axis_names[1]},I\n"
-    return head + _body_template(*key, (mask.shape, mask.tobytes())) % _cell_texts(values[~mask])
+    prefixes = _row_prefixes(*key, (mask.shape, mask.tobytes()))
+    width = prefixes.shape[1]
+    values = values[~mask]
+    texts = ["".join(f"# {c}\n" for c in comments) + f"{grid.axis_names[0]},{grid.axis_names[1]},I\n"]
+    for start in range(0, values.size, _CHUNK):
+        chunk = values[start:start + _CHUNK]
+        # a value of another dtype stands in as a zero, which printf writes
+        v = chunk if chunk.dtype == np.float64 else np.zeros(chunk.size)
+        digits, e, slow = _exact_digits(v)
+        rows = np.empty((chunk.size, width + 25), np.uint8)
+        rows[:, :width] = prefixes[start:start + _CHUNK]
+        rows[:, width:-1] = _digit_words()[_word_index(digits, 5 * (v < 0) + e + 4)].view(np.uint8)
+        # '%.17g' of a double is at most 24 characters: -4.9406564584124654e-324
+        printed = np.array(["%.17g" % x for x in chunk[slow].tolist()], "S24")
+        rows[slow, width:-1] = printed.view(np.uint8).reshape(-1, 24)
+        rows[:, -1] = ord("\n")
+        texts.append(rows.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(texts)
 
 
 @functools.lru_cache(maxsize=3)
-def _body_template(ax0: tuple, ax1: tuple, mask: tuple) -> str:
-    """The ``%s`` body of one layout, from the ``(dtype, shape, bytes)`` of each axis and ``(shape, bytes)``
-    of the bool mask."""
-    labels0, labels1 = ([f"{x:.17g}" for x in np.frombuffer(data, dtype).reshape(shape).tolist()]
+def _row_prefixes(ax0: tuple, ax1: tuple, mask: tuple) -> np.ndarray:
+    """Each unmasked cell's ``a,b,`` text in row-major order, one read-only ``uint8`` row per cell, from the
+    ``(dtype, shape, bytes)`` of each axis and ``(shape, bytes)`` of the bool mask. ``a,`` and ``b,`` are
+    each padded with NULs to the longest label of their axis."""
+    labels0, labels1 = (np.array([f"{x:.17g}," for x in np.frombuffer(data, dtype).reshape(shape).tolist()], "S")
                         for dtype, shape, data in (ax0, ax1))
-    keep = ~np.frombuffer(mask[1], dtype=bool).reshape(mask[0])
-    cells = [f"{b},%s" for b in labels1]
-    rows = []
-    for a, selectors, full in zip(labels0, keep.tolist(), keep.all(axis=1).tolist()):
-        kept = cells if full else list(compress(cells, selectors))
-        if kept:
-            rows.append(a + "," + ("\n" + a + ",").join(kept) + "\n")
-    return "".join(rows)
+    w0, w1 = labels0.itemsize, labels1.itemsize
+    cells = np.empty((labels0.size, labels1.size, w0 + w1), np.uint8)
+    cells[:, :, :w0] = labels0.view(np.uint8).reshape(-1, 1, w0)
+    cells[:, :, w0:] = labels1.view(np.uint8).reshape(1, -1, w1)
+    prefixes = cells[~np.frombuffer(mask[1], dtype=bool).reshape(mask[0])]
+    prefixes.flags.writeable = False
+    return prefixes
 
 
 _CHUNK = 4096
 # 10**(16 - e) for the decimal exponents e = -4 .. -1, each an exact double
 _SCALES = np.array([1e20, 1e19, 1e18, 1e17])
-
-
-def _cell_texts(values: np.ndarray) -> tuple[str, ...]:
-    """``'%.17g' % x`` of each value in the 1-D ``values``: the ``0.ddd`` texts of float64 values in bulk,
-    4,096 at a time, and the rest, and every value of another dtype, through printf."""
-    if values.dtype != np.float64:
-        return tuple("%.17g" % x for x in values.tolist())
-    texts = []
-    for start in range(0, values.size, _CHUNK):
-        chunk = values[start:start + _CHUNK]
-        digits, e, slow = _exact_digits(chunk)
-        # six words a value: a comma and its text, padded with NULs
-        rows = _digit_words()[_word_index(digits, 5 * (chunk < 0) + e + 4)].tobytes()
-        bulk = rows.translate(None, b"\0").decode("ascii").split(",")[1:]
-        for i, x in zip(slow.tolist(), chunk[slow].tolist()):
-            bulk[i] = "%.17g" % x
-        texts += bulk
-    return tuple(texts)
 
 
 def _exact_digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -193,10 +190,12 @@ def _word_index(digits: np.ndarray, kind: np.ndarray) -> np.ndarray:
     then its other 16 digits in groups of four."""
     index = np.empty((digits.size, 6), np.intp)
     index[:, 0] = 20_000 + kind
-    index[:, 1] = 20_010 + 10 * kind + digits // 10**16
+    # the leading 1, 5, 9, 13 and 17 digits; numpy divides an int64 by a scalar faster than it takes the remainder
+    q = [digits // 10**k for k in (16, 12, 8, 4)] + [digits]
+    index[:, 1] = 20_010 + 10 * kind + q[0]
     # a group followed only by zeros is written from the second table, its trailing zeros as NULs
-    for j, k in enumerate((12, 8, 4, 0), 2):
-        index[:, j] = digits // 10**k % 10_000 + 10_000 * (digits % 10**k == 0)
+    for j in range(1, 5):
+        index[:, j + 1] = q[j] - 10_000 * q[j - 1] + 10_000 * (q[j] * 10 ** (16 - 4 * j) == digits)
     return index
 
 
@@ -215,12 +214,12 @@ def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _digit_words() -> np.ndarray:
     """Four-byte words, read in a row of six: word ``g < 10,000`` is the four ASCII digits of ``g`` and
     word ``10,000 + g`` the same with its trailing zeros as NULs. For the kind of text,
-    ``5 * negative + e + 4``, word ``20,000 + kind`` and word ``20,010 + 10 * kind + d`` hold a comma,
-    the sign, ``0.``, ``-e - 1`` zeros and the leading digit ``d``, right-aligned with NULs."""
+    ``5 * negative + e + 4``, word ``20,000 + kind`` and word ``20,010 + 10 * kind + d`` hold the sign,
+    ``0.``, ``-e - 1`` zeros and the leading digit ``d``, right-aligned with NULs."""
     n = np.arange(10_000, dtype=np.uint16)
     digits = (np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1) + ord("0")).astype(np.uint8)
     kept = np.logical_or.accumulate(digits[:, ::-1] != ord("0"), axis=1)[:, ::-1]
-    heads = [("," + "-" * neg + "0." + "0" * (-e - 1)).rjust(7, "\0") for neg in (0, 1) for e in range(-4, 1)]
+    heads = [("-" * neg + "0." + "0" * (-e - 1)).rjust(7, "\0") for neg in (0, 1) for e in range(-4, 1)]
     heads = [h[:4] for h in heads] + [h[4:] + str(d) for h in heads for d in range(10)]
     return np.concatenate([digits.view(np.uint32).ravel(), np.where(kept, digits, 0).view(np.uint32).ravel(),
                            np.frombuffer("".join(heads).encode(), np.uint32)])

@@ -10,6 +10,9 @@ import re
 from cli_runner import CliRunner
 from wqent import BipartiteState, DensityMatrix, WeightMatrix, check_subadditivity
 from wqent.cli import load_matrix, main
+from wqent.sweeps import sweep_probabilities, sweep_weights
+
+from csv_oracle import grid_to_csv_per_cell
 
 ROOT = pathlib.Path(__file__).parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -68,3 +71,22 @@ def test_counterexample_figures_match_the_fixture():
         # the quote is the value rounded to the digits it shows
         decimals = len(text.split(".")[1])
         assert round(getattr(report, name), decimals) == float(text), (name, getattr(report, name), text)
+
+
+def test_figure_commands_write_the_grids_the_oracle_renders(tmp_path, monkeypatch):
+    m = re.search(r"The three (\d+)x\1 figure grids come from the CLI.*?```\n(.*?)```", README, re.S)
+    grid_n, commands = int(m.group(1)), [line.split() for line in m.group(2).splitlines()]
+    assert grid_n == 97
+    assert [c[:3] for c in commands] == [["wqent", "sweep", "prob"]] + [["wqent", "sweep", "weight"]] * 2
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        args = command[1:]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0 and result.output == ""
+        written = (tmp_path / args[args.index("--out") + 1]).read_bytes()
+        comments = [line[2:] for line in written.decode("ascii").splitlines() if line.startswith("# ")]
+        if args[1] == "prob":
+            grid = sweep_probabilities(grid_n)
+        else:
+            grid = sweep_weights(args[args.index("--region") + 1], grid_n)
+        assert written == grid_to_csv_per_cell(grid, comments).encode(), command

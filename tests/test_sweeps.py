@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from wqent.errors import DimensionError, ValidationError
 from wqent.entropy import qutrit_mutual_information_closed_form
-from wqent.sweeps import SweepGrid, _body_template, grid_to_csv, sweep_probabilities, sweep_weights
+from wqent.sweeps import SweepGrid, _row_prefixes, grid_to_csv, sweep_probabilities, sweep_weights
 
 from csv_oracle import grid_to_csv_per_cell
 
@@ -173,16 +174,30 @@ class TestCsvMatchesPerCellOracle:
     def test_a_layout_evicted_from_the_cache_renders_the_same(self):
         # four layouts, one more than the cache holds, then the first again
         grids = [sweep_probabilities(5), sweep_weights("a", 5), sweep_weights("b", 5), sweep_probabilities(6)]
-        _body_template.cache_clear()
+        _row_prefixes.cache_clear()
         for grid in grids + grids[:1]:
             assert grid_to_csv(grid).encode() == grid_to_csv_per_cell(grid).encode()
-        assert _body_template.cache_info().misses == 5
+        assert _row_prefixes.cache_info().misses == 5
 
     def test_a_repeated_layout_reuses_its_template(self):
-        _body_template.cache_clear()
+        _row_prefixes.cache_clear()
         first, second = sweep_weights("a", 9), sweep_weights("a", 9, p1=0.5, p2=0.25)
         assert grid_to_csv(first) != grid_to_csv(second) == grid_to_csv_per_cell(second)
-        assert _body_template.cache_info()[:2] == (1, 1)  # hits, misses
+        assert _row_prefixes.cache_info()[:2] == (1, 1)  # hits, misses
+
+    def test_a_warm_render_of_the_figure_set_peaks_below_1_5_mb(self):
+        grids = [sweep_probabilities(97), sweep_weights("a", 97), sweep_weights("b", 97)]
+        for grid in grids:
+            grid_to_csv(grid)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            for grid in grids:
+                grid_to_csv(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
 
 class TestCsvDigests:
@@ -255,6 +270,16 @@ class TestCsvDigitsMatchPrintf:
     @given(st.lists(st.floats(), min_size=1, max_size=50))
     @settings(max_examples=200, deadline=None)
     def test_any_floats(self, values):
+        self.assert_matches_oracle(values)
+
+    @pytest.mark.parametrize("values, longest", [
+        ([-5e-324, -np.finfo(float).tiny, -np.finfo(float).max, -1.2345678901234567e-4], 24),
+        (np.array([np.finfo(np.float32).min, np.finfo(np.float32).smallest_subnormal]), 23),
+        (np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max]), 23),
+    ], ids=["float64", "float32", "int64"])
+    def test_the_longest_texts_fill_their_slot(self, values, longest):
+        # each row has 24 bytes for its value's text
+        assert max(len("%.17g" % x) for x in np.asarray(values).tolist()) == longest
         self.assert_matches_oracle(values)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.int64])
