@@ -10,7 +10,8 @@ sweep, audits in every regime, each within one chunk and across several, ``entro
 ``check``, ``channel`` and ``qutrit`` on the worked example, ``check`` and
 ``channel`` on the non-commuting fixture, ``check`` on a dense complex 2x3
 state, finite entries whose sums or products overflow a float, weighted mass
-off a reduced support, and failing calls for every error exit code (2 to 5). One case renders
+off a reduced support, failing calls for every error exit code (2 to 5), the help texts, a usage
+error and an unknown command, the calls that fail before a matrix is built. One case renders
 the three figure grids at four parameter sets in a single interpreter, so
 later renders repeat a layout, and prints the sha256 of each CSV.
 A case differs when its exit code, stdout or stderr does.
@@ -165,6 +166,13 @@ def cases(files: dict) -> dict:
     out["exit 5: entropy truncated file"] = cli + ["entropy", files["truncated"], files["wab"]]
     out["exit 2: sweep weight a --out a directory"] = cli + [
         "sweep", "weight", "--region", "a", "--out", files["directory"]]
+    for args in (["--help"], ["check", "--help"], ["sweep", "weight", "--help"]):
+        out[" ".join(args)] = cli + args
+    out["exit 2: qutrit 0.1"] = cli + ["qutrit", "0.1"]
+    out["exit 2: unknown command"] = cli + ["nosuchcommand"]
+    out["exit 5: entropy missing file"] = cli + ["entropy", files["missing"], files["wab"]]
+    out["exit 3: check worked example --dims 2x3"] = cli + [
+        "check", files["state"], files["wa"], files["wb"], "--dims", "2x3"]
     return out
 
 
@@ -186,6 +194,7 @@ def write_matrices(directory: pathlib.Path) -> dict:
     path = directory / "truncated.json"
     path.write_text(TRUNCATED)
     files["truncated"] = str(path)
+    files["missing"] = str(directory / "missing.json")
     files["directory"] = str(directory)
     return files
 

@@ -54,7 +54,12 @@ def apply_projective_channel(projector: Projector, rho: DensityMatrix) -> Densit
     overlap = float(np.trace(prp).real)
     if overlap <= SUPPORT_EPS:
         raise ChannelUndefinedError(f"channel undefined: overlap trace {overlap:.3e} vanishes")
-    return DensityMatrix(prp / overlap, rho.tol)
+    try:
+        return DensityMatrix(prp / overlap, rho.tol)
+    except ValidationError as exc:
+        # valid input fails here only through rounding that 1 / overlap amplifies: name the output and
+        # that overlap, not "state"
+        raise type(exc)(f"channel output at overlap trace {overlap:.3e} {str(exc).removeprefix('state ')}") from exc
 
 
 def channel_then_check(

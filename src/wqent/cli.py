@@ -5,9 +5,10 @@ failure or a size too large to allocate, 3 dimension mismatch, 4 channel
 undefined, 5 matrix-file parse error. Matrix files are JSON objects with keys
 ``dim``, ``re`` and optionally ``im`` (dim x dim arrays).
 
-Parsing is the standard library's ``argparse``. Each command imports the
-modules it runs when it runs, so a call loads only those: importing this
-module loads ``errors`` and ``linalg`` alone. ``check`` and ``channel`` write
+Parsing is the standard library's ``argparse``. Importing this module loads
+``errors`` alone and no numpy: numpy loads with the first matrix a call builds,
+and each evaluation module just before the command's first call into it, so a
+call that fails before then never loads them. ``check`` and ``channel`` write
 ``json.dumps(result, indent=2)``; ``audit`` writes the same bytes for its
 summary through :func:`audit_to_json`, from the violators' table.
 """
@@ -21,17 +22,17 @@ import sys
 from itertools import repeat
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import (
+    DEFAULT_TOL,
     ChannelUndefinedError,
     DimensionError,
     MatrixFileError,
     ValidationError,
 )
-from .linalg import DEFAULT_TOL, _within_noise
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .inequality import AuditSummary
     from .states import WeightMatrix
 
@@ -67,10 +68,7 @@ def load_matrix(path: str) -> np.ndarray:
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise MatrixFileError(f"{path}: 'dim' must be a positive integer, got {dim!r}")
     re = _real_rows(path, "re", data["re"], dim)
-    if "im" in data and data["im"] is not None:
-        im = _real_rows(path, "im", data["im"], dim)
-    else:
-        im = np.zeros((dim, dim))
+    im = 0.0 if data.get("im") is None else _real_rows(path, "im", data["im"], dim)
     return re + 1j * im
 
 
@@ -83,6 +81,7 @@ def _real_rows(path: str, name: str, rows, dim: int) -> np.ndarray:
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise MatrixFileError(f"{path}: '{name}' row {i} must have {dim} entries")
+    import numpy as np
     out = np.empty((dim, dim))
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
@@ -113,6 +112,8 @@ def audit_to_json(summary: AuditSummary) -> str:
     ``json`` writes, the verdicts become ``true`` and ``false``, and non-finite values take ``json``'s spelling.
     Raises ``DimensionError`` when the summary's stacks do not have the shapes its ``dims`` give.
     """
+    import numpy as np
+
     from .inequality import _REPORT_NAMES, _verdicts
 
     text = json.dumps({"regime": summary.regime, "dims": "%dx%d" % summary.dims, "samples": summary.samples,
@@ -159,7 +160,7 @@ def _emit(text: str, out: str | None) -> None:
 def _diag_weight(x1: float, x2: float, tol: float = DEFAULT_TOL) -> WeightMatrix:
     from .states import WeightMatrix
 
-    return WeightMatrix(np.diag([complex(x1), complex(x2)]), tol=tol)
+    return WeightMatrix([[x1, 0.0], [0.0, x2]], tol=tol)
 
 
 def _or_defaults(values: tuple, defaults: tuple) -> tuple:
@@ -169,25 +170,24 @@ def _or_defaults(values: tuple, defaults: tuple) -> tuple:
 
 def entropy(state_file, weight_file, tol):
     """Weighted entropy of state_file under weight_file, in nats."""
-    from .entropy import weighted_entropy
+    rho = load_matrix(state_file)
     from .states import DensityMatrix, WeightMatrix
-
-    rho = DensityMatrix(load_matrix(state_file), tol=tol)
+    rho = DensityMatrix(rho, tol=tol)
     phi = WeightMatrix(load_matrix(weight_file), tol=tol)
+    from .entropy import weighted_entropy
     print(f"{weighted_entropy(phi, rho):.12g}")
 
 
 def check(state_file, weight_a_file, weight_b_file, dims, tol, out):
     """Subadditivity report for a bipartite state, as JSON."""
-    from dataclasses import asdict
-    from .inequality import check_subadditivity
-    from .states import BipartiteState, DensityMatrix, WeightMatrix
-
     dim_a, dim_b = _parse_dims(dims)
-    rho = DensityMatrix(load_matrix(state_file), tol=tol)
-    state = BipartiteState(rho, dim_a, dim_b)
+    rho = load_matrix(state_file)
+    from .states import BipartiteState, DensityMatrix, WeightMatrix
+    state = BipartiteState(DensityMatrix(rho, tol=tol), dim_a, dim_b)
     wa = WeightMatrix(load_matrix(weight_a_file), tol=tol)
     wb = WeightMatrix(load_matrix(weight_b_file), tol=tol)
+    from dataclasses import asdict
+    from .inequality import check_subadditivity
     report = check_subadditivity(wa, wb, state)
     _emit(json.dumps(asdict(report), indent=2) + "\n", out)
 
@@ -195,10 +195,11 @@ def check(state_file, weight_a_file, weight_b_file, dims, tol, out):
 def qutrit(p1, p2, phi1, phi2, chi1, chi2):
     """Closed-form mutual information of a diagonal qutrit, cross-checked."""
     from .entropy import qutrit_mutual_information_closed_form
-    from .inequality import check_subadditivity, qutrit_condition_gap, qutrit_weight_condition
-    from .states import QutritDiagonal, embed_qutrit
 
     value = qutrit_mutual_information_closed_form(p1, p2, phi1, phi2, chi1, chi2)
+    from .inequality import check_subadditivity, qutrit_condition_gap, qutrit_weight_condition
+    from .linalg import _within_noise
+    from .states import QutritDiagonal, embed_qutrit
     cond = qutrit_weight_condition(phi1, phi2, chi1, chi2)
     gap = qutrit_condition_gap(p1, p2, phi1, phi2, chi1, chi2)
 
@@ -245,15 +246,15 @@ def sweep_weight(region, grid_n, p1, p2, out):
 
 def channel(state_file, projector_file, phi1, phi2, chi1, chi2, tol, out):
     """Apply the projective channel, then re-check subadditivity (2x2 systems)."""
+    rho = load_matrix(state_file)
+    from .states import BipartiteState, DensityMatrix
+    state = BipartiteState(DensityMatrix(rho, tol=tol), 2, 2)
+    proj = load_matrix(projector_file)
     from dataclasses import asdict
     from .channel import Projector, channel_then_check
-    from .states import BipartiteState, DensityMatrix
+    proj = Projector(proj, tol=tol)
     from .sweeps import PROB_SWEEP_WEIGHTS
-
     phi1, phi2, chi1, chi2 = _or_defaults((phi1, phi2, chi1, chi2), PROB_SWEEP_WEIGHTS)
-    rho = DensityMatrix(load_matrix(state_file), tol=tol)
-    state = BipartiteState(rho, 2, 2)
-    proj = Projector(load_matrix(projector_file), tol=tol)
     rho_out, report = channel_then_check(proj, _diag_weight(phi1, phi2, tol), _diag_weight(chi1, chi2, tol), state)
     m = rho_out.matrix
     result = {"state": {"dim": m.shape[0], "re": m.real.tolist(), "im": m.imag.tolist()}, "report": asdict(report)}

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types and the default tolerance shared across the package; no numpy."""
+
+# The default tol of every decision the noise rule, linalg._within_noise, judges: Hermiticity, semidefiniteness,
+# a state's trace, projector idempotency, `degenerate`, off-support mass, both verdicts and the qutrit cross-check.
+DEFAULT_TOL = 1e-10
 
 
 class ValidationError(ValueError):

@@ -12,11 +12,8 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, NotHermitianError, ValidationError
+from .errors import DEFAULT_TOL, DimensionError, NotHermitianError, ValidationError
 
-# The default tol of every decision the noise rule, _within_noise, judges: Hermiticity, semidefiniteness,
-# a state's trace, projector idempotency, `degenerate`, off-support mass, both verdicts and the qutrit cross-check.
-DEFAULT_TOL = 1e-10
 # Values at or below this count as zero: eigenvalues and probabilities off the
 # support, simplex slack, and a vanishing channel overlap.
 SUPPORT_EPS = 1e-12

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from wqent.errors import ChannelUndefinedError, DimensionError, ValidationError
+from wqent.errors import ChannelUndefinedError, DimensionError, NotHermitianError, ValidationError
 from wqent.states import (
-    BipartiteState, DensityMatrix, QutritDiagonal, WeightMatrix, embed_qutrit, random_density,
+    BipartiteState, DensityMatrix, QutritDiagonal, WeightMatrix, embed_qutrit, haar_unitary, random_density,
 )
 from wqent.channel import Projector, apply_projective_channel, basis_projector, channel_then_check
 
@@ -91,6 +91,17 @@ class TestApplyChannel:
         rho = DensityMatrix(np.diag([0.0, 1.0]))
         p = basis_projector(2, (0,))
         with pytest.raises(ChannelUndefinedError, match="overlap"):
+            apply_projective_channel(p, rho)
+
+    def test_an_output_that_fails_validation_names_the_channel_output_and_its_overlap(self):
+        # (|v><v| + |u0><u0|) / 2 with v = sqrt(1 - 1e-8) u0 + sqrt(1e-8) u1, and P onto u1 and u2, in a
+        # Haar frame: the overlap is 5e-9, and dividing by it lifts the rounding of P rho P over the tolerance
+        u = haar_unitary(4, 2).T
+        v = np.sqrt(1 - 1e-8) * u[0] + np.sqrt(1e-8) * u[1]
+        rho = DensityMatrix((np.outer(v, v.conj()) + np.outer(u[0], u[0].conj())) / 2)
+        p = Projector(np.outer(u[1], u[1].conj()) + np.outer(u[2], u[2].conj()))
+        with pytest.raises(NotHermitianError,
+                           match=r"^channel output at overlap trace 5\.000e-09 deviates from Hermitian by 2\.457e-09$"):
             apply_projective_channel(p, rho)
 
     def test_dim_mismatch(self):

@@ -22,6 +22,7 @@ from wqent.entropy import qutrit_mutual_information_closed_form
 from wqent.errors import DimensionError
 from wqent.linalg import DEFAULT_TOL
 from wqent.inequality import _REPORT_NAMES, AUDIT_REGIMES, AuditSummary, SubadditivityReport, audit_random
+from wqent.states import haar_unitary
 
 
 @pytest.fixture
@@ -429,6 +430,18 @@ class TestChannelCommand:
         assert result.exit_code == 2
         assert "idempotent" in result.stderr
 
+    def test_an_output_that_fails_validation_exits_2_naming_the_channel_output(self, runner, tmp_path):
+        # overlap 5e-9 in a Haar frame: dividing P rho P by it lifts its rounding over the Hermitian tolerance
+        u = haar_unitary(4, 2).T
+        v = np.sqrt(1 - 1e-8) * u[0] + np.sqrt(1e-8) * u[1]
+        rho = (np.outer(v, v.conj()) + np.outer(u[0], u[0].conj())) / 2
+        p = np.outer(u[1], u[1].conj()) + np.outer(u[2], u[2].conj())
+        files = [write_matrix(tmp_path / f"{k}.json", m.real, m.imag) for k, m in (("s", rho), ("p", p))]
+        result = runner.invoke(main, ["channel", *files])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: channel output at overlap trace 5.000e-09 deviates from Hermitian by 2.457e-09\n"
+
 
 class TestAuditCommand:
     def test_condition_satisfying_summary(self, runner):
@@ -720,14 +733,37 @@ def fresh_python(*args):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
+def imported(proc) -> set:
+    """The modules a ``-X importtime`` run imported, read from its stderr."""
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
 class TestStartup:
     """A CLI call loads only what it runs; the package resolves its public names on first access."""
 
-    def test_importing_the_cli_loads_errors_and_linalg_alone(self):
+    def test_importing_the_cli_loads_errors_alone_and_no_numpy(self):
         proc = fresh_python("-c", "import sys, wqent.cli; print(*sorted(sys.modules))")
         loaded = set(proc.stdout.split())
-        assert {m for m in loaded if m.startswith("wqent")} == {"wqent", "wqent.cli", "wqent.errors", "wqent.linalg"}
+        assert {m for m in loaded if m.startswith("wqent")} == {"wqent", "wqent.cli", "wqent.errors"}
+        assert "numpy" not in loaded
         assert "click" not in loaded
+
+    @pytest.mark.parametrize("args, code, absent", [
+        (["--help"], 0, "numpy"),
+        (["qutrit", "0.1"], 2, "numpy"),
+        (["entropy", "missing", "wab"], 5, "numpy"),
+        (["entropy", "truncated", "wab"], 5, "numpy"),
+        (["channel", "truncated", "proj"], 5, "numpy"),
+        (["check", "state", "wa", "wb", "--dims", "2x3"], 3, "wqent.inequality"),
+    ], ids=["help", "usage error", "missing file", "truncated file", "channel truncated file", "dims mismatch"])
+    def test_a_call_that_stops_early_loads_nothing_it_does_not_reach(self, example_files, tmp_path, args, code,
+                                                                       absent):
+        truncated = tmp_path / "truncated.json"
+        truncated.write_text('{"dim": 4, "re": [[1, 0')
+        files = dict(example_files, missing=str(tmp_path / "missing.json"), truncated=str(truncated))
+        proc = fresh_python("-X", "importtime", "-m", "wqent.cli", *[files.get(a, a) for a in args])
+        assert proc.returncode == code, proc.stderr
+        assert absent not in imported(proc)
 
     @pytest.mark.parametrize("args, heavy", [
         (["entropy", "state", "wab"], ()),
@@ -741,9 +777,7 @@ class TestStartup:
         files = dict(example_files, wab=write_matrix(tmp_path / "wab.json", np.diag([0.25, 0.5, 0.25 / 3, 0.5 / 3])))
         proc = fresh_python("-X", "importtime", "-m", "wqent.cli", *[files.get(a, a) for a in args])
         assert proc.returncode == 0, proc.stderr
-        imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-                    if line.startswith("import time:")}
-        assert {m for m in HEAVY if m in imported} == set(heavy)
+        assert {m for m in HEAVY if m in imported(proc)} == set(heavy)
 
     def test_public_names_resolve_from_their_submodules(self):
         import wqent
