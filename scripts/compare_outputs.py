@@ -2,34 +2,48 @@
 
 Usage: python scripts/compare_outputs.py OLD_SRC NEW_SRC
 
-OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts. Every case
-runs in a fresh interpreter with ``PYTHONPATH`` set to one of them. The cases,
-listed once in ``cases()``, cover the default sweep CSVs, a probability sweep
-with values of 1 and above, one whose values are all zero, a 257x257 weight
-sweep, audits in every regime, each within one chunk and across several, ``entropy``,
-``check``, ``channel`` and ``qutrit`` on the worked example, ``check`` and
-``channel`` on the non-commuting fixture, ``check`` on a dense complex 2x3
-state, finite entries whose sums or products overflow a float, weighted mass
-off a reduced support, failing calls for every error exit code (2 to 5), the help texts, a usage
-error and an unknown command, the calls that fail before a matrix is built. One case renders
-the three figure grids at four parameter sets in a single interpreter, so
-later renders repeat a layout, and prints the sha256 of each CSV.
+OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts. Each tree
+runs every case in one interpreter of its own, with ``PYTHONPATH`` set to it;
+the two interpreters run at the same time. A case is written as the
+interpreter arguments it stands for and runs in process: ``-m wqent.cli ARGS``
+as ``wqent.cli.main(ARGS)`` with stdout and stderr captured and a
+``SystemExit`` taken as the exit code, ``-c CODE`` by ``exec``. Each case runs
+under ``warnings.catch_warnings()``, so a warning shows in every case that
+raises it; other process-wide state (numpy's caches, wqent's ``lru_cache``
+layouts) carries over from case to case. Start-up behaviour (what a call
+imports, early exits, the process entry and its collector policy) is pinned by
+``tests/test_cli.py`` and the CI entry-point step, not here.
+
+The cases, listed once in ``cases()``, cover the default sweep CSVs, a
+probability sweep with values of 1 and above, one whose values are all zero,
+a 257x257 weight sweep, audits in every regime, each within one chunk and
+across several, ``entropy``, ``check``, ``channel`` and ``qutrit`` on the
+worked example, ``check`` and ``channel`` on the non-commuting fixture,
+``check`` on a dense complex 2x3 state, finite entries whose sums or products
+overflow a float, weighted mass off a reduced support, failing calls for every
+error exit code (2 to 5), the help texts, a usage error and an unknown command,
+the calls that fail before a matrix is built. One case renders the three
+figure grids at four parameter sets, so later renders repeat a layout, and
+prints the sha256 of each CSV.
 A case differs when its exit code, stdout or stderr does.
 Each differing case is named; the exit code is 1 if any case differs, else 0.
-Two interpreters run at a time.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import pathlib
+import pickle
 import random
 import subprocess
 import sys
 import tempfile
+import traceback
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
-JOBS = 2
 COUNTEREXAMPLE = pathlib.Path(__file__).resolve().parents[1] / "tests/fixtures/noncommuting_counterexample"
 
 # the worked example: diag(0.1, 0.1, 0.8, 0) split 2x2, weights diag(3/4, 1/4) and diag(1/3, 2/3)
@@ -199,10 +213,43 @@ def write_matrices(directory: pathlib.Path) -> dict:
     return files
 
 
-def run(src: pathlib.Path, args: list, cwd: str) -> tuple:
+def run_cases() -> None:
+    """Run the cases that stdin holds as JSON in this interpreter; pickle ``{name: (exit code, stdout bytes,
+    stderr bytes)}`` to stdout."""
+    from wqent.cli import main
+
+    results = {}
+    for name, args in json.load(sys.stdin).items():
+        out, err = io.BytesIO(), io.BytesIO()
+        stdout = io.TextIOWrapper(out, encoding="utf-8", write_through=True)
+        stderr = io.TextIOWrapper(err, encoding="utf-8", errors="backslashreplace", write_through=True)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+            try:
+                if args[0] == "-c":
+                    exec(args[1], {"__name__": "__main__"})
+                    code = 0
+                else:
+                    code = main(args[2:])  # after "-m", "wqent.cli"
+            except SystemExit as exc:
+                code = 0 if exc.code is None else exc.code
+            except Exception:
+                traceback.print_exc()
+                code = 1
+        results[name] = (code, out.getvalue(), err.getvalue())
+    pickle.dump(results, sys.stdout.buffer)
+
+
+# a child interpreter that runs this file's ``run_cases``
+CHILD = "import runpy, sys; runpy.run_path(sys.argv[1], run_name='child')['run_cases']()"
+
+
+def run_tree(src: pathlib.Path, todo: dict, cwd: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
-    res = subprocess.run([sys.executable] + args, cwd=cwd, env=env, capture_output=True, timeout=600)
-    return res.returncode, res.stdout, res.stderr
+    res = subprocess.run([sys.executable, "-c", CHILD, __file__], input=json.dumps(todo).encode(), cwd=cwd,
+                         env=env, capture_output=True, timeout=600)
+    if res.returncode != 0:
+        raise RuntimeError(f"{src}: the case runner exited {res.returncode}\n{res.stderr.decode(errors='replace')}")
+    return pickle.loads(res.stdout)
 
 
 def main(argv=None) -> int:
@@ -217,14 +264,14 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         todo = cases(write_matrices(pathlib.Path(tmp)))
-        with ThreadPoolExecutor(JOBS) as pool:
-            results = {name: [pool.submit(run, src, case, tmp) for src in trees] for name, case in todo.items()}
-            differing = []
-            for name, (old, new) in results.items():
-                same = old.result() == new.result()
-                print(f"{'same' if same else 'DIFFERS'}  {name}")
-                if not same:
-                    differing.append(name)
+        with ThreadPoolExecutor(len(trees)) as pool:
+            old, new = pool.map(lambda src: run_tree(src, todo, tmp), trees)
+    differing = []
+    for name in todo:
+        same = old[name] == new[name]
+        print(f"{'same' if same else 'DIFFERS'}  {name}")
+        if not same:
+            differing.append(name)
     print(f"{len(todo) - len(differing)} of {len(todo)} cases identical")
     return 1 if differing else 0
 

@@ -11,11 +11,20 @@ and each evaluation module just before the command's first call into it, so a
 call that fails before then never loads them. ``check`` and ``channel`` write
 ``json.dumps(result, indent=2)``; ``audit`` writes the same bytes for its
 summary through :func:`audit_to_json`, from the violators' table.
+
+The process entry is :func:`run`, for the ``wqent`` script and ``python -m
+wqent.cli`` alike. It switches the cyclic garbage collector off before the
+command, so numpy and the evaluation modules import without collections, and
+freezes the heap before the exit, so the interpreter's full collection at
+shutdown skips it. A call builds no reference cycles worth collecting, and
+its output is written before :func:`main` returns. :func:`main` is the
+in-process API and leaves the caller's collector as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -379,5 +388,15 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def run() -> None:
+    """The ``wqent`` process: :func:`main` on ``sys.argv`` with the cyclic collector off; exits with its code."""
+    gc.disable()
+    try:
+        sys.exit(main())
+    finally:
+        # the interpreter's full collection at shutdown skips a frozen heap
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

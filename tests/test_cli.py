@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import importlib
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -17,6 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 from cli_runner import CliRunner
 from json_oracle import audit_payload, channel_payload, report_to_dict
+from wqent import cli
 from wqent.cli import audit_to_json, main
 from wqent.entropy import qutrit_mutual_information_closed_form
 from wqent.errors import DimensionError
@@ -790,3 +793,62 @@ class TestStartup:
                 assert getattr(wqent, name) is getattr(importlib.import_module(f"wqent.{module}"), name)
         with pytest.raises(AttributeError, match="no attribute 'nosuchname'"):
             wqent.nosuchname
+
+
+def collector_state():
+    return gc.isenabled(), gc.get_freeze_count()
+
+
+# a success, an ``error:`` exit and an argparse usage exit (SystemExit 2)
+PROCESS_CASES = [(["qutrit", "0.1", "0.1", "0.75", "0.25", "0.5", "0.5"], 0), (["entropy", "missing", "wab"], 5),
+                 (["qutrit", "0.1"], 2)]
+# prints, at exit, whether the collector is on, whether the heap is frozen, and how many collections ran once
+# numpy began to load
+GC_PROBE = """
+import atexit, gc, sys
+seen = []
+gc.callbacks.append(lambda phase, info: phase == "start" and "numpy" in sys.modules and seen.append(1))
+atexit.register(lambda: print("collector", gc.isenabled(), "frozen", gc.get_freeze_count() > 0,
+                              "collections", len(seen)))
+sys.argv = ["wqent", "qutrit", "0.1", "0.1", "0.75", "0.25", "0.5", "0.5"]
+"""
+
+
+def console_script_target() -> str:
+    """The ``module:function`` that ``[project.scripts]`` installs as ``wqent``."""
+    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    return re.search(r'^\[project\.scripts\]\nwqent = "([\w.]+:\w+)"$', text, re.M).group(1)
+
+
+class TestProcessPolicy:
+    """The entry runs ``main`` with the cyclic collector off and exits with the heap frozen; ``main`` alone leaves
+    the caller's collector as it found it."""
+
+    @pytest.mark.parametrize("args, code", PROCESS_CASES, ids=["success", "error exit", "usage exit"])
+    def test_main_leaves_the_collector_alone_and_the_entry_switches_it_off(self, runner, example_files, monkeypatch,
+                                                                          tmp_path, args, code):
+        files = dict(example_files, missing=str(tmp_path / "missing.json"))
+        argv = [files.get(a, a) for a in args]
+        before = collector_state()
+        assert runner.invoke(main, argv).exit_code == code
+        assert collector_state() == before
+        monkeypatch.setattr(sys, "argv", ["wqent", *argv])
+        try:
+            assert runner.invoke(lambda _: cli.run(), argv).exit_code == code
+            assert not gc.isenabled()
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+            gc.enable()
+        assert collector_state() == before
+
+    @pytest.mark.parametrize("start", [
+        "import runpy; runpy.run_module('wqent.cli', run_name='__main__')",
+        "import importlib; module, name = {target!r}.split(':')\n"
+        "sys.exit(getattr(importlib.import_module(module), name)())",
+    ], ids=["python -m wqent.cli", "console script"])
+    def test_a_wqent_process_runs_without_collections_and_exits_with_the_heap_frozen(self, start):
+        proc = fresh_python("-c", GC_PROBE + start.format(target=console_script_target()))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("mutual_information = ")
+        assert proc.stdout.splitlines()[-1] == "collector False frozen True collections 0"
