@@ -128,13 +128,13 @@ def cases(files: dict) -> dict:
     for regime in ("diagonal-condition-satisfying", "diagonal-unconstrained"):
         out[f"audit {regime} n=100000 seed=5"] = cli + [
             "audit", "--n", "100000", "--seed", "5", "--regime", regime]
-    # several chunks (8192 samples each at 2x2, 3640 at 2x3, 1618 at 3x3): weights drawn per chunk,
-    # each chunk normalized on its own, and the resampler's blocks cross chunk boundaries
+    # several chunks (8192 samples each at 2x2, 3640 at 2x3, 1618 at 3x3): weights drawn per chunk and
+    # each chunk normalized on its own
     for regime in ("diagonal-condition-satisfying", "diagonal-unconstrained"):
         out[f"audit {regime} n=20000 seed=3"] = cli + ["audit", "--n", "20000", "--seed", "3", "--regime", regime]
-    for dims in ("2x3", "3x3"):
-        out[f"audit diagonal-unconstrained {dims} n=20000 seed=3"] = cli + [
-            "audit", "--n", "20000", "--seed", "3", "--dims", dims, "--regime", "diagonal-unconstrained"]
+        for dims in ("2x3", "3x3"):
+            out[f"audit {regime} {dims} n=20000 seed=3"] = cli + [
+                "audit", "--n", "20000", "--seed", "3", "--dims", dims, "--regime", regime]
     # at 3x3 no row or column has a single cell, so no group term reuses its cell's log
     for dims in ("2x3", "3x3"):
         out[f"audit diagonal-unconstrained {dims} n=2000 seed=1"] = cli + [
@@ -173,7 +173,7 @@ def cases(files: dict) -> dict:
     out["exit 2: sweep prob grid-n 1 phi1 nan"] = cli + ["sweep", "prob", "--grid-n", "1", "--phi1", "nan"]
     # finite weights whose product overflows a float
     out["exit 2: sweep prob phi1 2e154 chi1 1e154"] = cli + ["sweep", "prob", "--phi1", "2e154", "--chi1", "1e154"]
-    out["exit 3: audit diagonal-condition-satisfying 2x3"] = cli + [
+    out["audit diagonal-condition-satisfying 2x3"] = cli + [
         "audit", "--dims", "2x3", "--regime", "diagonal-condition-satisfying"]
     out["exit 4: channel worked example diag(0, 0, 0, 1)"] = cli + [
         "channel", files["state"], files["proj_dead"]]

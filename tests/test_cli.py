@@ -486,11 +486,12 @@ class TestAuditCommand:
         assert result.exit_code == 2
         assert "factor dims must be >= 2" in result.stderr
 
-    def test_diagonal_regime_wrong_dims_exits_3(self, runner):
+    def test_condition_satisfying_at_2x3_exits_0(self, runner):
         result = runner.invoke(
             main, ["audit", "--n", "10", "--dims", "2x3", "--regime", "diagonal-condition-satisfying"]
         )
-        assert result.exit_code == 3
+        assert result.exit_code == 0
+        assert json.loads(result.output)["violations"] == []
 
 
 # a 218 TiB draw and a 71.1 PiB grid mask, each more than a 47-bit user address space holds,
@@ -647,6 +648,7 @@ class TestJsonMatchesOracle:
         ("diagonal-condition-satisfying", "2x2", 500, 0),
         ("general-unconstrained", "2x3", 2000, 1),
         ("diagonal-unconstrained", "2x3", 2000, 1),
+        ("diagonal-condition-satisfying", "3x3", 2000, 1),
     ])
     def test_cli_output_equals_json_dumps(self, runner, regime, dims, n, seed):
         summary = audit_random(n, *map(int, dims.split("x")), seed, regime)

@@ -622,11 +622,9 @@ class TestCommutingFamily:
         assert rep.gap - rep.condition_gap >= -1e-12
         assert rep.subadditivity_holds or not rep.condition_holds
 
-    @given(st.integers(0, 2**32 - 1),
-           st.one_of(st.just((2, 2, True)), st.tuples(st.integers(2, 4), st.integers(2, 4), st.just(False))))
+    @given(st.integers(0, 2**32 - 1), st.tuples(st.integers(2, 4), st.integers(2, 4), st.booleans()))
     @settings(max_examples=40, deadline=None)
     def test_diagonal_regimes_bound_condition_gap(self, seed, regime):
-        # condition-satisfying samples exist at 2x2 only; unconstrained ones at every dims
         da, db, condition_satisfying = regime
         probs, weights = sample_diagonal_full_retest(np.random.default_rng(seed), 2000, da, db, condition_satisfying)
         fields = _diagonal_report_fields(probs, weights, da, db)
@@ -718,11 +716,11 @@ class TestNonCommutingCounterexample:
 
 
 def sample_diagonal_full_retest(rng, n, dim_a, dim_b, condition_satisfying):
-    """The diagonal sampler drawn whole, as it was when every resampling pass re-tested all n rows.
+    """The diagonal sampler drawn whole: every probability first, then every weight row (phi, then chi).
 
-    Every probability first, then every weight row (phi, then chi), then the redraws of the
-    condition-satisfying regime, which exists at 2x2 only. Each row is normalised by its sum
-    taken left to right, as the audit's sampler rounds it.
+    Each row is normalised by its sum taken left to right, as the audit's sampler rounds it. The
+    condition-satisfying regime then mirrors chi to ``lo + (hi - chi)`` on every row whose trace-condition
+    gap, computed here as the covariance of phi_A and chi_B under the row's state, is negative.
     """
     e = rng.standard_exponential((n, dim_a * dim_b - 1))
     total = e[:, 0].copy()
@@ -731,9 +729,13 @@ def sample_diagonal_full_retest(rng, n, dim_a, dim_b, condition_satisfying):
     probs = e / total[:, None]
     lo, hi = DEFAULT_SCALE_RANGE
     weights = rng.uniform(lo, hi, size=(n, dim_a + dim_b))
-    f, c = weights[:, :2], weights[:, 2:]
-    while condition_satisfying and (bad := (f[:, 0] - f[:, 1]) * (c[:, 1] - c[:, 0]) < 0.0).any():
-        weights[bad] = rng.uniform(lo, hi, size=(int(bad.sum()), 4))
+    if condition_satisfying:
+        f, c = weights[:, :dim_a], weights[:, dim_a:]
+        joint = np.pad(probs, ((0, 0), (0, 1))).reshape(n, dim_a, dim_b)
+        covariance = (np.einsum("nab,na,nb->n", joint, f, c)
+                      - np.einsum("na,na->n", joint.sum(2), f) * np.einsum("nb,nb->n", joint.sum(1), c))
+        bad = covariance < 0.0
+        weights[bad, dim_a:] = lo + (hi - c[bad])
     return probs, weights
 
 
@@ -826,10 +828,9 @@ class TestDiagonalSampler:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("condition_satisfying", [True, False])
     def test_stream_matches_full_retest(self, monkeypatch, seed, condition_satisfying):
-        # at n = 1e5 the resampler runs its roughly 19 passes at audit size, the first ones over
-        # several blocks; with 7-row chunks every pass crosses block boundaries
+        # chunks of audit size, then 7-row chunks, which mirror chi on each chunk's own rows
         default = wqent.inequality._CHUNK_ENTRIES
-        for dim_a, dim_b in [(2, 2)] if condition_satisfying else [(2, 2), (2, 3), (3, 3)]:
+        for dim_a, dim_b in [(2, 2), (2, 3), (3, 3)]:
             for n, entries in ((10_000, default), (100_000, default), (1000, 7 * (dim_a * dim_b) ** 2)):
                 monkeypatch.setattr(wqent.inequality, "_CHUNK_ENTRIES", entries)
                 rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -844,9 +845,88 @@ class TestDiagonalSampler:
                 assert rng_new.random() == rng_ref.random()
 
 
+class TestConditionSatisfyingReflection:
+    """The condition-satisfying regime is the unconstrained one with each chi_B mirrored in the scale range,
+    ``lo + (hi - chi)``, on every sample whose trace condition fails: the mirror negates the condition gap."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("dim_a, dim_b", [(2, 2), (2, 3), (3, 3)])
+    def test_chunks_are_the_unconstrained_chunks_mirrored_where_the_condition_fails(self, monkeypatch, dim_a,
+                                                                                   dim_b, seed):
+        satisfying = chunk_draws(monkeypatch, np.random.default_rng(seed), 20_000, dim_a, dim_b, True)
+        unconstrained = chunk_draws(monkeypatch, np.random.default_rng(seed), 20_000, dim_a, dim_b, False)
+        monkeypatch.undo()
+        lo, hi = DEFAULT_SCALE_RANGE
+        assert len(satisfying) == len(unconstrained) > 1
+        for (p, w), (p0, w0) in zip(satisfying, unconstrained):
+            fails = _diagonal_report_fields(p0, w0, dim_a, dim_b)["condition_gap"] < 0.0
+            assert 0.4 < fails.mean() < 0.6
+            assert np.array_equal(p, p0)
+            assert np.array_equal(w[:, :dim_a], w0[:, :dim_a])
+            assert np.array_equal(w[~fails], w0[~fails])
+            assert np.array_equal(w[fails, dim_a:], lo + (hi - w0[fails, dim_a:]))
+            condition_holds, _ = wqent.inequality._verdicts(_diagonal_report_fields(p, w, dim_a, dim_b), DEFAULT_TOL)
+            assert condition_holds.all()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_qutrit_rows_mirrored_are_those_failing_the_sign_test(self, monkeypatch, seed):
+        # at 2x2 the trace condition is the weight-only sign test (phi1 - phi2)(chi2 - chi1) >= 0
+        satisfying = chunk_draws(monkeypatch, np.random.default_rng(seed), 10_000, 2, 2, True)
+        unconstrained = chunk_draws(monkeypatch, np.random.default_rng(seed), 10_000, 2, 2, False)
+        lo, hi = DEFAULT_SCALE_RANGE
+        assert len(satisfying) == 2
+        for (_, w), (_, w0) in zip(satisfying, unconstrained):
+            fails = np.array([not qutrit_weight_condition(*row).holds for row in w0.tolist()])
+            assert 0.4 < fails.mean() < 0.6
+            assert np.array_equal(w[~fails], w0[~fails])
+            assert np.array_equal(w[fails, :2], w0[fails, :2])
+            assert np.array_equal(w[fails, 2:], lo + (hi - w0[fails, 2:]))
+
+    @pytest.mark.parametrize("dim_a, dim_b", [(2, 3), (3, 3)])
+    def test_1e5_samples_all_hold_the_condition_and_none_violates(self, monkeypatch, dim_a, dim_b):
+        chunks = recorded_chunks(monkeypatch, "_diagonal_chunks")
+        summary = audit_random(100_000, dim_a, dim_b, 0, "diagonal-condition-satisfying")
+        assert summary.violations == () and summary.columns is None
+        probs, weights = (np.concatenate(a) for a in zip(*chunks))
+        assert len(probs) == 100_000
+        fields = _diagonal_report_fields(probs, weights, dim_a, dim_b)
+        condition_holds, subadditivity_holds = wqent.inequality._verdicts(fields, summary.tolerance)
+        assert condition_holds.all() and subadditivity_holds.all()
+        assert summary.min_gap == fields["gap"].min() > 0.0
+        lo, hi = DEFAULT_SCALE_RANGE
+        assert lo <= weights.min() and weights.max() <= hi
+
+    def test_mirrored_range_ends_stay_in_the_range(self, monkeypatch):
+        # every B weight at an end of the range, the ends alternating along each row and from row to row,
+        # so that about half the rows are mirrored: lo + (hi - chi) maps each end onto the other, where
+        # (lo + hi) - hi would fall below lo
+        lo, hi = DEFAULT_SCALE_RANGE
+        assert (lo + hi) - hi < lo
+        draw = wqent.inequality._scale_draws
+
+        def ends(k):
+            return np.where((np.arange(k)[:, None] + np.arange(3)) % 2, hi, lo)
+
+        def drawn_at_ends(rng, shape):
+            w = draw(rng, shape)
+            w[:, 2:] = ends(shape[0])
+            return w
+
+        monkeypatch.setattr(wqent.inequality, "_scale_draws", drawn_at_ends)
+        chunks = recorded_chunks(monkeypatch, "_diagonal_chunks")
+        audit_random(20_000, 2, 3, 0, "diagonal-condition-satisfying")
+        chi = np.concatenate([w[:, 2:] for _, w in chunks])
+        drawn = np.concatenate([ends(len(w)) for _, w in chunks])
+        mirrored = (chi != drawn).any(axis=1)
+        assert 0.4 < mirrored.mean() < 0.6
+        assert np.array_equal(chi[mirrored], np.where(drawn[mirrored] == lo, hi, lo))
+        assert lo <= chi.min() and chi.max() <= hi
+
+
 # sha256 of audit_to_json(audit_random(20_000, dim_a, dim_b, 3, regime)), and the audit
 # generator's next random() after the audit, as the audits gave them when the whole sample was normalized
-# at once, before chunking: wherever the chunks fall, their bytes and their stream stay these
+# at once, before chunking: wherever the chunks fall, their bytes and their stream stay these. Both diagonal
+# regimes draw the same weights, so their streams end alike
 PINNED_AUDITS = {
     ("diagonal-unconstrained", 2, 2): ("b11f734c06e41f830107f61241ea7ed33d9e8d73159d112fef85a15b9e018f3c",
                                        0.022103829074491044),
@@ -855,7 +935,7 @@ PINNED_AUDITS = {
     ("diagonal-unconstrained", 3, 3): ("123e4a66f62e7a837f690a4e9c2d7e5e4749c3bc0e9ca4cded0a618c5cf724be",
                                        0.3426518082644153),
     ("diagonal-condition-satisfying", 2, 2): ("e1e62b74c045e33eb2771330fe0bb54434a3ede0defa820b42545638be1cb6bd",
-                                              0.8282242927602265),
+                                              0.022103829074491044),
 }
 
 # sha256 of audit_to_json(audit_random(20_000, dim_a, dim_b, 3, "general-unconstrained")), and its violator
@@ -1113,9 +1193,9 @@ class TestChunkedScan:
 
     @pytest.mark.parametrize("regime", AUDIT_REGIMES[:2])
     def test_diagonal_memory_is_bounded(self, regime):
-        # the sample takes 5.6 MB here (2.4 MB of probabilities, then 3.2 MB of weights, which the
-        # unconstrained regime draws per chunk) and seed 5's 5,063 records about 6.8 MB once read; the
-        # audit keeps only its violators' columns, so neither regime holds the sample and the records at once
+        # the sample takes 5.6 MB here (2.4 MB of probabilities, held whole, then 3.2 MB of weights, drawn per
+        # chunk) and seed 5's 5,063 records about 6.8 MB once read; the audit keeps only its violators'
+        # columns, so neither regime holds the sample and the records at once
         audit_random(10, 2, 2, 0, regime)
         tracemalloc.start()
         try:
@@ -1370,13 +1450,12 @@ class TestAudit:
             assert report_bits(rep) == report_bits(v.report)
 
     def test_factor_dims_below_two_are_a_validation_error(self):
-        # the same rule and type as BipartiteState; a regime's 2x2 need stays a DimensionError
+        # the same rule and type as BipartiteState
         with pytest.raises(ValidationError, match="factor dims must be >= 2"):
             audit_random(10, 1, 2, 0, "general-unconstrained")
 
-    def test_diagonal_regimes_require_qubit_factors(self):
-        with pytest.raises(DimensionError):
-            audit_random(10, 2, 3, 0, "diagonal-condition-satisfying")
+    def test_condition_satisfying_runs_at_other_dims(self):
+        assert audit_random(10, 2, 3, 0, "diagonal-condition-satisfying").violations == ()
 
     def test_input_validation(self):
         with pytest.raises(ValidationError):
