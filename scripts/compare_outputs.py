@@ -180,7 +180,8 @@ def cases(files: dict) -> dict:
     out["exit 5: entropy truncated file"] = cli + ["entropy", files["truncated"], files["wab"]]
     out["exit 2: sweep weight a --out a directory"] = cli + [
         "sweep", "weight", "--region", "a", "--out", files["directory"]]
-    for args in (["--help"], ["check", "--help"], ["sweep", "weight", "--help"]):
+    for args in (["--help"], ["check", "--help"], ["sweep", "prob", "--help"], ["sweep", "weight", "--help"],
+                 ["channel", "--help"]):
         out[" ".join(args)] = cli + args
     out["exit 2: qutrit 0.1"] = cli + ["qutrit", "0.1"]
     out["exit 2: unknown command"] = cli + ["nosuchcommand"]

@@ -33,6 +33,8 @@ from typing import TYPE_CHECKING
 
 from .errors import (
     DEFAULT_TOL,
+    PROB_SWEEP_WEIGHTS,
+    WEIGHT_SWEEP_PROBS,
     ChannelUndefinedError,
     DimensionError,
     MatrixFileError,
@@ -172,11 +174,6 @@ def _diag_weight(x1: float, x2: float, tol: float = DEFAULT_TOL) -> WeightMatrix
     return WeightMatrix([[x1, 0.0], [0.0, x2]], tol=tol)
 
 
-def _or_defaults(values: tuple, defaults: tuple) -> tuple:
-    """Each option value, or the default in its place where the option was not given (``None``)."""
-    return tuple(d if v is None else v for v, d in zip(values, defaults))
-
-
 def entropy(state_file, weight_file, tol):
     """Weighted entropy of state_file under weight_file, in nats."""
     rho = load_matrix(state_file)
@@ -228,9 +225,8 @@ def qutrit(p1, p2, phi1, phi2, chi1, chi2):
 
 def sweep_prob(grid_n, phi1, phi2, chi1, chi2, out):
     """Mutual information over the (p1, p2) simplex at fixed weights."""
-    from .sweeps import PROB_SWEEP_WEIGHTS, grid_to_csv, sweep_probabilities
+    from .sweeps import grid_to_csv, sweep_probabilities
 
-    phi1, phi2, chi1, chi2 = _or_defaults((phi1, phi2, chi1, chi2), PROB_SWEEP_WEIGHTS)
     grid = sweep_probabilities(grid_n, phi1, phi2, chi1, chi2)
     comments = [
         f"sweep prob grid_n={grid_n} phi1={phi1:.17g} phi2={phi2:.17g} "
@@ -242,9 +238,8 @@ def sweep_prob(grid_n, phi1, phi2, chi1, chi2, out):
 
 def sweep_weight(region, grid_n, p1, p2, out):
     """Mutual information over a (phi1, chi1) rectangle at a fixed state."""
-    from .sweeps import WEIGHT_SWEEP_PROBS, grid_to_csv, sweep_weights
+    from .sweeps import grid_to_csv, sweep_weights
 
-    p1, p2 = _or_defaults((p1, p2), WEIGHT_SWEEP_PROBS)
     grid = sweep_weights(region, grid_n, p1, p2)
     comments = [
         f"sweep weight region={region} grid_n={grid_n} p1={p1:.17g} p2={p2:.17g}",
@@ -262,8 +257,6 @@ def channel(state_file, projector_file, phi1, phi2, chi1, chi2, tol, out):
     from dataclasses import asdict
     from .channel import Projector, channel_then_check
     proj = Projector(proj, tol=tol)
-    from .sweeps import PROB_SWEEP_WEIGHTS
-    phi1, phi2, chi1, chi2 = _or_defaults((phi1, phi2, chi1, chi2), PROB_SWEEP_WEIGHTS)
     rho_out, report = channel_then_check(proj, _diag_weight(phi1, phi2, tol), _diag_weight(chi1, chi2, tol), state)
     m = rho_out.matrix
     result = {"state": {"dim": m.shape[0], "re": m.real.tolist(), "im": m.imag.tolist()}, "report": asdict(report)}
@@ -295,9 +288,9 @@ def _parser() -> argparse.ArgumentParser:
     def out(sub, what):
         sub.add_argument("--out", help=f"write the {what} here instead of stdout")
 
-    def prob_sweep_weights(sub):
-        for name in ("phi1", "phi2", "chi1", "chi2"):
-            sub.add_argument(f"--{name}", type=float, help="default: the paper's value, from sweeps.PROB_SWEEP_WEIGHTS")
+    def paper_values(sub, names, defaults):
+        for name, default in zip(names, defaults):
+            sub.add_argument(f"--{name}", type=float, default=default, help="default: %(default)s, the paper's value")
 
     sub = command(commands, "entropy", entropy)
     sub.add_argument("state_file")
@@ -320,19 +313,18 @@ def _parser() -> argparse.ArgumentParser:
     sweeps = sweeps.add_subparsers(metavar="GRID", required=True)
     sub = command(sweeps, "prob", sweep_prob)
     sub.add_argument("--grid-n", type=int, default=97, help="cells per axis (default: %(default)s)")
-    prob_sweep_weights(sub)
+    paper_values(sub, ("phi1", "phi2", "chi1", "chi2"), PROB_SWEEP_WEIGHTS)
     out(sub, "CSV")
     sub = command(sweeps, "weight", sweep_weight)
     sub.add_argument("--region", required=True, help="the (phi1, chi1) rectangle of sweeps.WEIGHT_REGIONS: a or b")
     sub.add_argument("--grid-n", type=int, default=97, help="samples per axis (default: %(default)s)")
-    for name in ("p1", "p2"):
-        sub.add_argument(f"--{name}", type=float, help="default: the paper's value, from sweeps.WEIGHT_SWEEP_PROBS")
+    paper_values(sub, ("p1", "p2"), WEIGHT_SWEEP_PROBS)
     out(sub, "CSV")
 
     sub = command(commands, "channel", channel)
     sub.add_argument("state_file")
     sub.add_argument("projector_file")
-    prob_sweep_weights(sub)
+    paper_values(sub, ("phi1", "phi2", "chi1", "chi2"), PROB_SWEEP_WEIGHTS)
     tol(sub)
     out(sub, "JSON result")
 

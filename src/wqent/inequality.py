@@ -26,7 +26,7 @@ from .errors import DimensionError, ValidationError
 from .linalg import DEFAULT_TOL, SpectralDecomposition, _eigh, _kron, _ln_support, _partial_trace, _positive_tol
 from .linalg import _trace_product, _within_noise
 from .states import DEFAULT_SCALE_RANGE, BipartiteState, WeightMatrix
-from .states import _density_stack, _finite, _floats, _nonnegative_weights, _scale_draws, _simplex, _weight_stack
+from .states import _density_stack, _finite, _floats, _nonnegative_weights, _simplex, _weight_stack
 from .entropy import _joint_entropy, _subsystem_entropy
 
 AUDIT_REGIMES = (
@@ -312,7 +312,7 @@ def _diagonal_chunks(rng: np.random.Generator, n: int, dim_a: int, dim_b: int,
         # columns, normalized there by each state's sum, taken left to right in cell order
         p = np.ascontiguousarray(probs[start:start + size].T)
         p /= _sum(list(p))
-        w = _scale_draws(rng, (p.shape[1], dim_a + dim_b))
+        w = rng.uniform(lo, hi, (p.shape[1], dim_a + dim_b))
         if condition_satisfying:
             # the condition gap is the covariance of phi_A and chi_B under p: mirroring every chi_b in the
             # scale range negates it and maps the box of B weights onto itself, so mirroring the rows whose

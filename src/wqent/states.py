@@ -223,21 +223,8 @@ def _unitary_stack(g: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return q
 
 
-def _scale_draws(g: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """``g.uniform(*DEFAULT_SCALE_RANGE, shape)`` bit for bit, from the same draws, scaled in place.
-
-    ``Generator.uniform`` forms ``lo + (hi - lo) * u`` from one ``g.random()`` double per entry;
-    the same two roundings in place skip its broadcasting of the bounds.
-    """
-    lo, hi = DEFAULT_SCALE_RANGE
-    x = g.random(shape)
-    x *= hi - lo
-    x += lo
-    return x
-
-
 def _weight_stack(g: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    u = _scale_draws(g, (n, dim))
+    u = g.uniform(*DEFAULT_SCALE_RANGE, (n, dim))
     v = _unitary_stack(g, n, dim)
     return _hermitize((v * u[:, None, :]) @ _dagger(v))
 

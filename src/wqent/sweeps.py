@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import PROB_SWEEP_WEIGHTS, WEIGHT_SWEEP_PROBS, DimensionError, ValidationError
 from .entropy import qutrit_mutual_information_closed_form
-
-PROB_SWEEP_WEIGHTS = (0.75, 0.25, 1.0 / 3.0, 2.0 / 3.0)
-WEIGHT_SWEEP_PROBS = (0.25, 0.125)
 
 # phi1 and chi1 ranges per region; the complements are 1 - phi1, 1 - chi1
 WEIGHT_REGIONS = {
@@ -31,6 +29,17 @@ class SweepGrid:
     mask: np.ndarray
 
 
+def _grid_size(grid_n) -> int:
+    """``grid_n`` as an ``int`` of at least 1; raises ``ValidationError`` for any other value."""
+    try:
+        grid_n = operator.index(grid_n)
+    except TypeError:
+        raise ValidationError(f"grid_n must be an integer, got {grid_n!r}") from None
+    if grid_n < 1:
+        raise ValidationError(f"grid_n must be >= 1, got {grid_n}")
+    return grid_n
+
+
 def sweep_probabilities(
     grid_n: int,
     phi1: float = PROB_SWEEP_WEIGHTS[0],
@@ -45,8 +54,7 @@ def sweep_probabilities(
     done in exact integer form, (2i + 1) + (2j + 1) >= 2 grid_n, so boundary
     cells never flip on rounding.
     """
-    if grid_n < 1:
-        raise ValidationError(f"grid_n must be >= 1, got {grid_n}")
+    grid_n = _grid_size(grid_n)
     k = np.arange(grid_n)
     centers = (k + 0.5) / grid_n
     mask = (k[:, None] + k[None, :] + 1) >= grid_n
@@ -69,8 +77,7 @@ def sweep_weights(
     mirror. Bounds are inclusive, so the sign condition holds everywhere
     including the boundary where it is an equality.
     """
-    if grid_n < 1:
-        raise ValidationError(f"grid_n must be >= 1, got {grid_n}")
+    grid_n = _grid_size(grid_n)
     if region not in WEIGHT_REGIONS:
         raise ValidationError(f"region must be one of {sorted(WEIGHT_REGIONS)}, got {region!r}")
     (f_lo, f_hi), (c_lo, c_hi) = WEIGHT_REGIONS[region]

@@ -680,6 +680,24 @@ def test_help_lists_commands(runner, command):
         assert name in result.output
 
 
+# the paper's figure parameters are the options' defaults, and each help text prints them
+HELP_DEFAULTS = {
+    ("sweep", "prob"): ("0.75", "0.25", "0.3333333333333333", "0.6666666666666666"),
+    ("sweep", "weight"): ("0.25", "0.125"),
+    ("channel",): ("0.75", "0.25", "0.3333333333333333", "0.6666666666666666"),
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_DEFAULTS), ids=" ".join)
+def test_help_prints_the_papers_values(runner, command):
+    result = runner.invoke(main, [*command, "--help"])
+    assert result.exit_code == 0
+    # argparse wraps help text to the terminal's width
+    text = " ".join(result.output.split())
+    for value in HELP_DEFAULTS[command]:
+        assert f"default: {value}, the paper's value" in text
+
+
 # a usage error exits 2 with a usage line; a bad regime or region is the library's own error
 USAGE_ERRORS = [
     (["entropy", "state.json"], "usage: wqent entropy"),
@@ -776,7 +794,7 @@ class TestStartup:
         (["qutrit", "0.1", "0.1", "0.75", "0.25", "0.5", "0.5"], ("wqent.inequality",)),
         (["audit", "--n", "10"], ("wqent.inequality",)),
         (["sweep", "prob", "--grid-n", "3"], ("wqent.sweeps",)),
-        (["channel", "state", "proj"], HEAVY),
+        (["channel", "state", "proj"], ("wqent.inequality", "wqent.channel")),
     ], ids=["entropy", "check", "qutrit", "audit", "sweep prob", "channel"])
     def test_a_command_imports_only_what_it_runs(self, example_files, tmp_path, args, heavy):
         files = dict(example_files, wab=write_matrix(tmp_path / "wab.json", np.diag([0.25, 0.5, 0.25 / 3, 0.5 / 3])))

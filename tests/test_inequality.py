@@ -902,17 +902,17 @@ class TestConditionSatisfyingReflection:
         # (lo + hi) - hi would fall below lo
         lo, hi = DEFAULT_SCALE_RANGE
         assert (lo + hi) - hi < lo
-        draw = wqent.inequality._scale_draws
 
         def ends(k):
             return np.where((np.arange(k)[:, None] + np.arange(3)) % 2, hi, lo)
 
-        def drawn_at_ends(rng, shape):
-            w = draw(rng, shape)
-            w[:, 2:] = ends(shape[0])
-            return w
+        class DrawnAtEnds(np.random.Generator):
+            def uniform(self, *args, **kwargs):
+                w = super().uniform(*args, **kwargs)
+                w[:, 2:] = ends(len(w))
+                return w
 
-        monkeypatch.setattr(wqent.inequality, "_scale_draws", drawn_at_ends)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: DrawnAtEnds(np.random.PCG64(seed)))
         chunks = recorded_chunks(monkeypatch, "_diagonal_chunks")
         audit_random(20_000, 2, 3, 0, "diagonal-condition-satisfying")
         chi = np.concatenate([w[:, 2:] for _, w in chunks])

@@ -24,7 +24,6 @@ from wqent.states import (
     random_density,
     random_weight,
     _gaussian,
-    _scale_draws,
     _unitary_stack,
 )
 
@@ -359,17 +358,6 @@ class TestSamplers:
         assert np.abs(got.conj().swapaxes(1, 2) @ got - np.eye(2)).max() <= 2e-15
         # both consumed the same draws
         assert g_frame.random() == g_qr.random()
-
-    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 + 5])
-    @pytest.mark.parametrize("shape", [(1,), (4,), (3, 4), (1001, 4), (20_000, 2)])
-    def test_scale_draws_match_generator_uniform(self, seed, shape):
-        g_new, g_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _scale_draws(g_new, shape)
-        want = g_ref.uniform(*DEFAULT_SCALE_RANGE, size=shape)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
-        # both consumed the same number of draws
-        assert g_new.random() == g_ref.random()
 
     def test_dim_validation(self):
         with pytest.raises(DimensionError):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -93,6 +94,22 @@ class TestWeightSweep:
     def test_rejects_bad_grid(self):
         with pytest.raises(ValidationError):
             sweep_weights("a", 0)
+
+
+@pytest.mark.parametrize("grid_n", [2.5, "3", None, np.float64(5.0)])
+@pytest.mark.parametrize("sweep", [sweep_probabilities, lambda grid_n: sweep_weights("a", grid_n)],
+                         ids=["prob", "weight"])
+def test_non_integer_grid_n_is_a_validation_error_naming_it(sweep, grid_n):
+    with pytest.raises(ValidationError, match=f"grid_n must be an integer, got {re.escape(repr(grid_n))}"):
+        sweep(grid_n)
+
+
+@pytest.mark.parametrize("sweep", [sweep_probabilities, lambda grid_n: sweep_weights("b", grid_n)],
+                         ids=["prob", "weight"])
+def test_numpy_integer_grid_n_gives_the_int_grid(sweep):
+    got, want = sweep(np.int64(6)), sweep(6)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert [ax.tobytes() for ax in got.axis_values] == [ax.tobytes() for ax in want.axis_values]
 
 
 class TestCsv:
