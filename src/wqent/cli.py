@@ -6,26 +6,28 @@ undefined, 5 matrix-file parse error. Matrix files are JSON objects with keys
 ``dim``, ``re`` and optionally ``im`` (dim x dim arrays).
 
 Parsing is the standard library's ``argparse``. Importing this module loads
-``errors`` alone and no numpy: numpy loads with the first matrix a call builds,
-and each evaluation module just before the command's first call into it, so a
-call that fails before then never loads them. ``check`` and ``channel`` write
+``gc``, ``os``, ``sys`` and ``errors`` alone: ``argparse`` loads when
+:func:`main` builds the parser, ``json`` in the functions that read or write
+it, and numpy with the first matrix a call builds. Each evaluation module
+loads just before the command's first call into it, so a call that fails
+before then never loads them. ``check`` and ``channel`` write
 ``json.dumps(result, indent=2)``; ``audit`` writes the same bytes for its
 summary through :func:`audit_to_json`, from the violators' table.
 
 The process entry is :func:`run`, for the ``wqent`` script and ``python -m
 wqent.cli`` alike. It switches the cyclic garbage collector off before the
 command, so numpy and the evaluation modules import without collections, and
-freezes the heap before the exit, so the interpreter's full collection at
-shutdown skips it. A call builds no reference cycles worth collecting, and
-its output is written before :func:`main` returns. :func:`main` is the
-in-process API and leaves the caller's collector as it found it.
+once :func:`main` returns it flushes stdout and stderr and ends the process
+with ``os._exit``: no collection, module teardown or atexit hook runs after
+the command. So ``python -m cProfile -m wqent.cli`` and ``coverage run -m
+wqent.cli`` write no report; profile or trace :func:`main` in process instead.
+:func:`main` is the in-process API and leaves the caller's collector as it
+found it.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
 import os
 import sys
 from itertools import repeat
@@ -42,6 +44,8 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    import argparse
+
     import numpy as np
 
     from .inequality import AuditSummary
@@ -60,6 +64,8 @@ EXIT_CODES = (
 
 def load_matrix(path: str) -> np.ndarray:
     """Read a JSON matrix file into a complex array."""
+    import json
+
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -123,6 +129,8 @@ def audit_to_json(summary: AuditSummary) -> str:
     ``json`` writes, the verdicts become ``true`` and ``false``, and non-finite values take ``json``'s spelling.
     Raises ``DimensionError`` when the summary's stacks do not have the shapes its ``dims`` give.
     """
+    import json
+
     import numpy as np
 
     from .inequality import _REPORT_NAMES, _verdicts
@@ -186,6 +194,8 @@ def entropy(state_file, weight_file, tol):
 
 def check(state_file, weight_a_file, weight_b_file, dims, tol, out):
     """Subadditivity report for a bipartite state, as JSON."""
+    import json
+
     dim_a, dim_b = _parse_dims(dims)
     rho = load_matrix(state_file)
     from .states import BipartiteState, DensityMatrix, WeightMatrix
@@ -250,6 +260,8 @@ def sweep_weight(region, grid_n, p1, p2, out):
 
 def channel(state_file, projector_file, phi1, phi2, chi1, chi2, tol, out):
     """Apply the projective channel, then re-check subadditivity (2x2 systems)."""
+    import json
+
     rho = load_matrix(state_file)
     from .states import BipartiteState, DensityMatrix
     state = BipartiteState(DensityMatrix(rho, tol=tol), 2, 2)
@@ -273,6 +285,8 @@ def audit(n, dims, seed, regime, tol, out):
 
 def _parser() -> argparse.ArgumentParser:
     """``wqent`` and its commands; each command's function is its ``run`` default."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="wqent", description=main.__doc__, allow_abbrev=False)
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
 
@@ -374,20 +388,28 @@ def main(argv: list[str] | None = None) -> int:
         return next(code for t, code in EXIT_CODES if isinstance(exc, t))
     except BrokenPipeError:
         # the reader closed stdout early (``wqent sweep prob | head``): exit 1 without a
-        # traceback, and let the flush at exit write to nowhere
+        # traceback, and let a later flush of stdout write to nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return 0
 
 
 def run() -> None:
-    """The ``wqent`` process: :func:`main` on ``sys.argv`` with the cyclic collector off; exits with its code."""
+    """The ``wqent`` process: :func:`main` on ``sys.argv`` with the cyclic collector off, then ``os._exit``.
+
+    Once ``main`` returns its code, stdout and stderr are flushed and the process ends without finalizing the
+    interpreter: no shutdown collection, module teardown or atexit hook. A reader that closed the pipe before
+    that flush exits 1, as in ``main``. argparse's ``SystemExit`` and an unexpected exception leave through the
+    interpreter's usual exit.
+    """
     gc.disable()
+    code = main()
     try:
-        sys.exit(main())
-    finally:
-        # the interpreter's full collection at shutdown skips a frozen heap
-        gc.freeze()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = 1
+    os._exit(code)
 
 
 if __name__ == "__main__":

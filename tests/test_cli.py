@@ -19,7 +19,6 @@ from hypothesis.extra.numpy import arrays
 
 from cli_runner import CliRunner
 from json_oracle import audit_payload, channel_payload, report_to_dict
-from wqent import cli
 from wqent.cli import audit_to_json, main
 from wqent.entropy import qutrit_mutual_information_closed_form
 from wqent.errors import DimensionError
@@ -750,10 +749,17 @@ HEAVY = ("wqent.inequality", "wqent.channel", "wqent.sweeps")
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
+def checkout_env() -> dict:
+    """This checkout's sources, and stdout block-buffered when it is a pipe, as for an installed ``wqent``: no
+    ``PYTHONUNBUFFERED``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 def fresh_python(*args):
     """A fresh interpreter on this checkout's sources, its stdout and stderr captured."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=checkout_env(), capture_output=True, text=True, timeout=120)
 
 
 def imported(proc) -> set:
@@ -765,11 +771,14 @@ class TestStartup:
     """A CLI call loads only what it runs; the package resolves its public names on first access."""
 
     def test_importing_the_cli_loads_errors_alone_and_no_numpy(self):
+        bare = set(fresh_python("-c", "import sys; print(*sorted(sys.modules))").stdout.split())
         proc = fresh_python("-c", "import sys, wqent.cli; print(*sorted(sys.modules))")
         loaded = set(proc.stdout.split())
         assert {m for m in loaded if m.startswith("wqent")} == {"wqent", "wqent.cli", "wqent.errors"}
         assert "numpy" not in loaded
         assert "click" not in loaded
+        # argparse loads when main builds the parser, json in the functions that read or write it
+        assert "sys" in bare and not {"argparse", "json"} & (loaded - bare)
 
     @pytest.mark.parametrize("args, code, absent", [
         (["--help"], 0, "numpy"),
@@ -819,18 +828,24 @@ def collector_state():
     return gc.isenabled(), gc.get_freeze_count()
 
 
-# a success, an ``error:`` exit and an argparse usage exit (SystemExit 2)
-PROCESS_CASES = [(["qutrit", "0.1", "0.1", "0.75", "0.25", "0.5", "0.5"], 0), (["entropy", "missing", "wab"], 5),
-                 (["qutrit", "0.1"], 2)]
-# prints, at exit, whether the collector is on, whether the heap is frozen, and how many collections ran once
-# numpy began to load
-GC_PROBE = """
-import atexit, gc, sys
+# a success and an ``error:`` exit end through os._exit; --help and an argparse usage error leave through
+# SystemExit, so the interpreter finalizes and runs its atexit hooks
+PROCESS_CASES = [(["qutrit", "0.1", "0.1", "0.75", "0.25", "0.5", "0.5"], 0, "os._exit 0"),
+                 (["entropy", "missing", "wab"], 5, "os._exit 5"), (["qutrit", "0.1"], 2, "atexit"),
+                 (["--help"], 0, "atexit")]
+
+# prints the collector state and the collections run once numpy loaded, at os._exit or in an atexit hook
+EXIT_PROBE = """
+import atexit, gc, os, sys
 seen = []
 gc.callbacks.append(lambda phase, info: phase == "start" and "numpy" in sys.modules and seen.append(1))
-atexit.register(lambda: print("collector", gc.isenabled(), "frozen", gc.get_freeze_count() > 0,
-                              "collections", len(seen)))
-sys.argv = ["wqent", "qutrit", "0.1", "0.1", "0.75", "0.25", "0.5", "0.5"]
+state = lambda: f"collector {gc.isenabled()} collections {len(seen)}"
+real_exit = os._exit
+def probe_exit(code):
+    print("os._exit", code, state(), flush=True)
+    real_exit(code)
+os._exit = probe_exit
+atexit.register(lambda: print("atexit", state()))
 """
 
 
@@ -841,34 +856,76 @@ def console_script_target() -> str:
 
 
 class TestProcessPolicy:
-    """The entry runs ``main`` with the cyclic collector off and exits with the heap frozen; ``main`` alone leaves
-    the caller's collector as it found it."""
+    """The entry runs ``main`` with the cyclic collector off and ends the process with ``os._exit``, without
+    finalizing the interpreter; ``main`` alone leaves the caller's collector as it found it."""
 
-    @pytest.mark.parametrize("args, code", PROCESS_CASES, ids=["success", "error exit", "usage exit"])
-    def test_main_leaves_the_collector_alone_and_the_entry_switches_it_off(self, runner, example_files, monkeypatch,
-                                                                          tmp_path, args, code):
+    @pytest.mark.parametrize("args, code, way", PROCESS_CASES,
+                             ids=["success", "error exit", "usage exit", "help exit"])
+    def test_main_leaves_the_collector_alone_and_the_entry_switches_it_off(self, runner, example_files, tmp_path,
+                                                                          args, code, way):
         files = dict(example_files, missing=str(tmp_path / "missing.json"))
         argv = [files.get(a, a) for a in args]
         before = collector_state()
         assert runner.invoke(main, argv).exit_code == code
         assert collector_state() == before
-        monkeypatch.setattr(sys, "argv", ["wqent", *argv])
-        try:
-            assert runner.invoke(lambda _: cli.run(), argv).exit_code == code
-            assert not gc.isenabled()
-            assert gc.get_freeze_count() > 0
-        finally:
-            gc.unfreeze()
-            gc.enable()
-        assert collector_state() == before
+        # os._exit would end this process, so the entry runs in a fresh one
+        proc = fresh_python("-c", EXIT_PROBE + "sys.argv[0] = 'wqent'\nfrom wqent import cli\ncli.run()", *argv)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{way} collector False collections 0"
 
     @pytest.mark.parametrize("start", [
         "import runpy; runpy.run_module('wqent.cli', run_name='__main__')",
         "import importlib; module, name = {target!r}.split(':')\n"
         "sys.exit(getattr(importlib.import_module(module), name)())",
     ], ids=["python -m wqent.cli", "console script"])
-    def test_a_wqent_process_runs_without_collections_and_exits_with_the_heap_frozen(self, start):
-        proc = fresh_python("-c", GC_PROBE + start.format(target=console_script_target()))
+    def test_a_wqent_process_runs_without_collections_and_exits_without_finalizing(self, start):
+        argv = 'sys.argv = ["wqent", "qutrit", "0.1", "0.1", "0.75", "0.25", "0.5", "0.5"]\n'
+        proc = fresh_python("-c", EXIT_PROBE + argv + start.format(target=console_script_target()))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("mutual_information = ")
-        assert proc.stdout.splitlines()[-1] == "collector False frozen True collections 0"
+        assert proc.stdout.splitlines()[-1] == "os._exit 0 collector False collections 0"
+        assert "atexit" not in proc.stdout
+
+
+def wqent_process(*args) -> list[str]:
+    return [sys.executable, "-m", "wqent.cli", *args]
+
+
+class TestPipes:
+    """A ``wqent`` process flushes its whole output into a pipe before it exits; a reader that closes the pipe early
+    gets exit 1 and nothing on stderr."""
+
+    @pytest.mark.parametrize("args", [["sweep", "weight", "--region", "a"], ["check", "state", "wa", "wb"]],
+                             ids=["sweep weight", "check"])
+    def test_piped_stdout_equals_the_out_file_and_mains_output(self, runner, example_files, tmp_path, args):
+        argv = [example_files.get(a, a) for a in args]
+        piped = subprocess.run(wqent_process(*argv), env=checkout_env(), capture_output=True, timeout=120)
+        assert piped.returncode == 0 and piped.stderr == b""
+        out = tmp_path / "out"
+        written = subprocess.run(wqent_process(*argv, "--out", str(out)), env=checkout_env(),
+                                 capture_output=True, timeout=120)
+        assert written.returncode == 0 and written.stdout == written.stderr == b""
+        assert piped.stdout == out.read_bytes()
+        assert piped.stdout.decode("utf-8") == runner.invoke(main, argv).stdout
+
+    def test_a_reader_that_closes_after_the_first_line_gets_exit_1(self):
+        # about 0.5 MB of CSV: far more than a pipe holds, so the write is still going when the reader closes
+        with subprocess.Popen(wqent_process("sweep", "weight", "--region", "a"), env=checkout_env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline().startswith(b"# sweep weight region=a ")
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 1
+            assert proc.stderr.read() == b""
+
+    def test_a_pipe_closed_before_the_final_flush_exits_1(self, example_files):
+        # the report stays in stdout's buffer until the entry's flush after main returns
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(wqent_process("check", example_files["state"], example_files["wa"],
+                                                example_files["wb"]),
+                                  env=checkout_env(), stdout=write, stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
